@@ -128,12 +128,10 @@ def main(verbose: bool) -> None:
                    "defaults to editorial material, conference abstracts, replies.")
 @click.option("--strict", is_flag=True,
               help="Fail on unknown byline authors and missing scaling cells.")
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker thread cap; output does not depend on it.")
 @click.option("--out", "out_path", required=True, help="Output directory.")
 def compute(roster_path, pubs_path, window, census_date, conventions_path,
             force_convention, sds_map_path, excluded_doc_types, strict,
-            threads, out_path) -> None:
+            out_path) -> None:
     """Score every rostered professor and percentile-scale the cohorts."""
     _require_paths(roster_path, pubs_path, conventions_path, sds_map_path)
     window_years = _parse_window(window)
@@ -154,7 +152,7 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
 
     covariates, scores, percentiles, _ = _compute_stage(
         "scoring", run_scoring, roster, corpus, conventions, census,
-        window_years, strict, threads)
+        window_years, strict)
 
     out = _out_dir(out_path)
     with (out / "indicators.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -194,7 +192,7 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
                             "sds_map": sds_map_path and str(sds_map_path)},
                     params={"window": list(window_years),
                             "census_date": census.isoformat(),
-                            "strict": strict, "threads": threads,
+                            "strict": strict,
                             "force_convention": force_convention,
                             "excluded_doc_types": sorted(excluded)},
                     outputs=["indicators.csv", "percentiles.csv",

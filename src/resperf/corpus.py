@@ -2,18 +2,25 @@
 
 Rosters are CSV; publication corpora are CSV or JSON-lines (one object per
 line).  Ingestion either returns fully validated records or fails with a
-row-addressed error listing every problem found.
+row-addressed error listing every problem found; publications go straight
+into the columns of a :class:`Corpus`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
+import math
+import operator
+from array import array
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +44,10 @@ ROSTER_OPTIONAL_FIELDS = ("active_start", "active_end")
 
 PUBLICATION_FIELDS = ("id", "year", "subject_category", "journal_if",
                       "citations", "doc_type", "byline")
+
+# Largest citation count ingest accepts: counts above 2**53 would not be
+# summed exactly in the float64 scaling means (nor fit the int64 column).
+MAX_CITATIONS = 2 ** 53
 
 # Minimum age at appointment, in whole years.
 MIN_APPOINTMENT_AGE = 20
@@ -108,34 +119,138 @@ class Covariates:
     recently_promoted: bool
 
 
-class Corpus:
-    """Validated publication collection with a per-author position index.
+# Numeric corpus columns; every other column is a list of strings.
+_COLUMN_DTYPES = {"year": np.int64, "category": np.int32, "citations": np.int64,
+                  "impact": np.float64, "doc_type": np.int32, "n_authors": np.int32,
+                  "author": np.int32, "university": np.int32}
 
-    Treated as read-only after construction.
+
+class Corpus:
+    """Validated publication corpus held as numpy columns.
+
+    Per publication, in corpus order: ``ids``, ``year``, ``category`` (code
+    into ``categories``), ``citations``, ``impact`` (journal impact factor,
+    NaN where unknown; ingest rejects NaN and infinite input values, so NaN
+    means only that), ``doc_type`` (code into ``doc_types``), ``n_authors``
+    (byline length) and ``shared`` (first and last author share a
+    university).  The authorship table has one row per byline slot, ordered
+    by publication and then position: ``pub`` (publication index),
+    ``position``, ``author`` (code into ``authors``) and ``university`` (code
+    into ``universities``).
+
+    Ingest and the simulator build the columns directly (:meth:`from_columns`);
+    ``Corpus(publications)`` builds them from records, and ``publications``
+    rebuilds the records on demand.  Treated as read-only after construction.
     """
 
-    def __init__(self, publications: Iterable[Publication], dropped: int = 0):
-        self.publications: tuple[Publication, ...] = tuple(publications)
+    def __init__(self, publications: Iterable[Publication] = (), dropped: int = 0):
+        buf = _ColumnBuffer()
+        for pub in publications:
+            buf.append(pub.id, pub.year, pub.subject_category,
+                       math.nan if pub.journal_if is None else pub.journal_if,
+                       pub.citations, pub.doc_type, [a.author_id for a in pub.byline],
+                       [a.university_id for a in pub.byline])
+        self._set(buf.columns(), dropped)
+
+    @classmethod
+    def from_columns(cls, columns: dict, dropped: int = 0) -> "Corpus":
+        """Corpus over the columns named in the class docstring, less the
+        derived ``shared``, ``pub`` and ``position``."""
+        corpus = cls.__new__(cls)
+        corpus._set(columns, dropped)
+        return corpus
+
+    def _set(self, columns: dict, dropped: int) -> None:
+        for name, value in columns.items():
+            dtype = _COLUMN_DTYPES.get(name)
+            setattr(self, name, value if dtype is None else np.asarray(value, dtype))
         self.dropped = dropped
-        index: dict[str, list[tuple[int, int]]] = {}
-        for p_idx, pub in enumerate(self.publications):
-            for pos, auth in enumerate(pub.byline):
-                index.setdefault(auth.author_id, []).append((p_idx, pos))
-        self._by_author = index
+        ends = np.cumsum(self.n_authors, dtype=np.int64)
+        starts = ends - self.n_authors
+        self.pub = np.repeat(np.arange(len(self.ids)), self.n_authors)
+        self.position = np.arange(self.pub.size) - starts[self.pub]
+        self.shared = np.zeros(len(self.ids), dtype=bool)
+        has = self.n_authors > 0
+        self.shared[has] = self.university[starts[has]] == self.university[ends[has] - 1]
+        self._author_codes: dict[str, int] | None = None
+        self._publications: tuple[Publication, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self.publications)
+        return len(self.ids)
+
+    def author_code(self, author_id: str) -> int:
+        """Code of ``author_id`` in ``authors``, or -1 if it is on no byline."""
+        if self._author_codes is None:
+            self._author_codes = {a: i for i, a in enumerate(self.authors)}
+        return self._author_codes.get(author_id, -1)
+
+    @functools.cached_property
+    def cells(self) -> tuple[np.ndarray, list[tuple[int, str]]]:
+        """Each publication's (year, subject category) cell index, and the cells."""
+        width = max(len(self.categories), 1)
+        keys, cell = np.unique(self.year * width + self.category, return_inverse=True)
+        return (cell.reshape(-1),
+                [(int(k) // width, self.categories[int(k) % width]) for k in keys])
+
+    @property
+    def publications(self) -> tuple[Publication, ...]:
+        """The corpus as :class:`Publication` records, built on first use."""
+        if self._publications is None:
+            slots = [Authorship(self.authors[a], self.universities[u]) for a, u in
+                     zip(self.author.tolist(), self.university.tolist())]
+            self._publications = tuple(
+                Publication(pid, year, self.categories[cat],
+                            None if math.isnan(jif) else jif, cites,
+                            self.doc_types[doc], tuple(slots[end - n:end]))
+                for pid, year, cat, jif, cites, doc, n, end in zip(
+                    self.ids, self.year.tolist(), self.category.tolist(),
+                    self.impact.tolist(), self.citations.tolist(), self.doc_type.tolist(),
+                    self.n_authors.tolist(), np.cumsum(self.n_authors).tolist()))
+        return self._publications
 
     def authored_by(self, author_id: str,
                     window: tuple[int, int] | None = None
                     ) -> list[tuple[Publication, int]]:
         """(publication, byline position) pairs for one author, window-filtered."""
-        out = []
-        for p_idx, pos in self._by_author.get(author_id, ()):
-            pub = self.publications[p_idx]
-            if window is None or window[0] <= pub.year <= window[1]:
-                out.append((pub, pos))
-        return out
+        rows = np.flatnonzero(self.author == self.author_code(author_id))
+        pairs = [(self.publications[p], pos) for p, pos in
+                 zip(self.pub[rows].tolist(), self.position[rows].tolist())]
+        return [(pub, pos) for pub, pos in pairs
+                if window is None or window[0] <= pub.year <= window[1]]
+
+
+class _ColumnBuffer:
+    """Growable corpus columns; strings are interned into codes as they arrive."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+        for name, dtype in _COLUMN_DTYPES.items():
+            setattr(self, name, array(np.dtype(dtype).char))
+        self.categories: dict[str, int] = {}
+        self.doc_types: dict[str, int] = {}
+        self.authors: dict[str, int] = {}
+        self.universities: dict[str, int] = {}
+
+    def append(self, pid: str, year: int, category: str, impact: float,
+               citations: int, doc_type: str, authors: Sequence[str],
+               universities: Sequence[str]) -> None:
+        self.ids.append(pid)
+        self.year.append(year)
+        self.category.append(self.categories.setdefault(category, len(self.categories)))
+        self.citations.append(citations)
+        self.impact.append(impact)
+        self.doc_type.append(self.doc_types.setdefault(doc_type, len(self.doc_types)))
+        self.n_authors.append(len(authors))
+        codes = self.authors
+        self.author.extend([codes.setdefault(a, len(codes)) for a in authors])
+        codes = self.universities
+        self.university.extend([codes.setdefault(u, len(codes)) for u in universities])
+
+    def columns(self) -> dict:
+        """The columns for :meth:`Corpus.from_columns`."""
+        vocabularies = ("categories", "doc_types", "authors", "universities")
+        return {name: list(value) if name in vocabularies else value
+                for name, value in vars(self).items()}
 
 
 def exact_years(start: date, end: date) -> float:
@@ -268,76 +383,131 @@ def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> list[Profes
     return professors
 
 
-def _parse_byline(raw, problems: list[str], line: int) -> tuple[Authorship, ...] | None:
+def _whole_number(raw) -> int | None:
+    """int of a CSV string or JSON number; None for fractions, bools and junk."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        return None
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        return None
+
+
+def _real_number(raw) -> float | None:
+    """float of a CSV string or JSON number; None for bools and junk."""
+    if isinstance(raw, bool):
+        return None
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        return None
+
+
+def _parse_byline(raw, problems: list[str], line: int
+                  ) -> tuple[list[str], list[str]] | None:
+    """Author and university ids of a byline, in byline order."""
     if isinstance(raw, str):
         tokens = [t for t in raw.split(";") if t.strip()]
+    elif isinstance(raw, list):
+        tokens = raw
     else:
-        tokens = list(raw)
+        problems.append(f"line {line}: byline must be a string or a list, got {raw!r}")
+        return None
     if not tokens:
         problems.append(f"line {line}: empty byline")
         return None
-    byline = []
+    authors, universities = [], []
     for token in tokens:
-        parts = str(token).strip().split("@")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
+        author, _, univ = str(token).strip().partition("@")
+        if not author or not univ or "@" in univ:
             problems.append(f"line {line}: malformed byline token {token!r}")
             return None
-        byline.append(Authorship(parts[0], parts[1]))
-    return tuple(byline)
+        authors.append(author)
+        universities.append(univ)
+    if len(set(authors)) < len(authors):
+        twice = next(a for i, a in enumerate(authors) if a in authors[:i])
+        problems.append(f"line {line}: author {twice!r} appears twice on the byline")
+        return None
+    return authors, universities
 
 
-def _pub_from_record(rec: Mapping, line: int, problems: list[str],
-                     roster_ids, strict: bool) -> Publication | None:
-    pid = str(rec.get("id") or "").strip()
-    if not pid:
-        problems.append(f"line {line}: empty publication id")
-        return None
-    try:
-        year = int(rec.get("year"))
-    except (TypeError, ValueError):
-        problems.append(f"line {line}: unparseable year {rec.get('year')!r}")
-        return None
-    if not 1900 <= year <= 2100:
-        problems.append(f"line {line}: year {year} out of range")
-        return None
-    category = str(rec.get("subject_category") or "").strip()
-    if not category:
-        problems.append(f"line {line}: empty subject_category")
-        return None
+class _PublicationRows:
+    """Validates publication rows one at a time into column buffers."""
 
-    if_raw = rec.get("journal_if")
-    journal_if: float | None
-    if if_raw is None or (isinstance(if_raw, str) and not if_raw.strip()):
-        journal_if = None
-    else:
-        try:
-            journal_if = float(if_raw)
-        except (TypeError, ValueError):
-            problems.append(f"line {line}: unparseable journal_if {if_raw!r}")
-            return None
-        if journal_if < 0:
-            problems.append(f"line {line}: negative journal_if {journal_if}")
-            return None
+    def __init__(self, excluded: set[str], roster_ids, strict: bool):
+        self.excluded = excluded
+        self.roster_ids = roster_ids if strict else None
+        self.buffer = _ColumnBuffer()
+        self.problems: list[str] = []
+        self.seen: dict[str, int] = {}
+        self.rows = 0
+        self.dropped = 0
 
-    try:
-        citations = int(rec.get("citations"))
-    except (TypeError, ValueError):
-        problems.append(f"line {line}: unparseable citations {rec.get('citations')!r}")
-        return None
-    if citations < 0:
-        problems.append(f"line {line}: negative citations {citations}")
-        return None
+    def add(self, line: int, pid, year, category, journal_if, citations,
+            doc_type, byline) -> None:
+        self.rows += 1
+        doc_type = str(doc_type or "").strip()
+        if doc_type.lower() in self.excluded:
+            self.dropped += 1
+            return
+        problems = self.problems
+        pid = str(pid or "").strip()
+        if not pid:
+            problems.append(f"line {line}: empty publication id")
+            return
+        year_value = _whole_number(year)
+        if year_value is None:
+            problems.append(f"line {line}: unparseable year {year!r}")
+            return
+        if not 1900 <= year_value <= 2100:
+            problems.append(f"line {line}: year {year_value} out of range")
+            return
+        category = str(category or "").strip()
+        if not category:
+            problems.append(f"line {line}: empty subject_category")
+            return
 
-    doc_type = str(rec.get("doc_type") or "").strip()
-    byline = _parse_byline(rec.get("byline") or "", problems, line)
-    if byline is None:
-        return None
-    if strict and roster_ids is not None:
-        unknown = [a.author_id for a in byline if a.author_id not in roster_ids]
-        if unknown:
-            problems.append(f"line {line}: unknown author id(s) {', '.join(unknown)}")
-            return None
-    return Publication(pid, year, category, journal_if, citations, doc_type, byline)
+        if journal_if is None or (isinstance(journal_if, str) and not journal_if.strip()):
+            impact = math.nan
+        else:
+            impact = _real_number(journal_if)
+            if impact is None:
+                problems.append(f"line {line}: unparseable journal_if {journal_if!r}")
+                return
+            if not math.isfinite(impact):
+                problems.append(f"line {line}: non-finite journal_if {journal_if!r}")
+                return
+            if impact < 0:
+                problems.append(f"line {line}: negative journal_if {impact}")
+                return
+
+        cites = _whole_number(citations)
+        if cites is None:
+            problems.append(f"line {line}: unparseable citations {citations!r}")
+            return
+        if cites < 0:
+            problems.append(f"line {line}: negative citations {cites}")
+            return
+        if cites > MAX_CITATIONS:
+            problems.append(f"line {line}: citations {cites} out of range")
+            return
+
+        parsed = _parse_byline(byline or "", problems, line)
+        if parsed is None:
+            return
+        authors, universities = parsed
+        if self.roster_ids is not None:
+            unknown = [a for a in authors if a not in self.roster_ids]
+            if unknown:
+                problems.append(f"line {line}: unknown author id(s) {', '.join(unknown)}")
+                return
+        if pid in self.seen:
+            problems.append(f"line {line}: duplicate publication id {pid!r} "
+                            f"(first seen on line {self.seen[pid]})")
+            return
+        self.seen[pid] = line
+        self.buffer.append(pid, year_value, category, impact, cites, doc_type,
+                           authors, universities)
 
 
 def ingest_publications(path,
@@ -348,13 +518,13 @@ def ingest_publications(path,
 
     Rows whose doc_type is in ``excluded_doc_types`` (case-insensitive) are
     dropped before validation and counted in ``Corpus.dropped``.  With
-    ``strict`` every byline author id must appear in ``roster_ids``.
+    ``strict`` every byline author id must appear in ``roster_ids``.  Rows
+    are validated in file order, straight into the corpus columns, and the
+    :class:`IngestError` lists every problem in line order.
     """
     path = Path(path)
-    excluded = {t.strip().lower() for t in excluded_doc_types}
-    records: list[tuple[int, Mapping]] = []
-    problems: list[str] = []
-
+    rows = _PublicationRows({t.strip().lower() for t in excluded_doc_types},
+                            roster_ids, strict)
     if path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
         with path.open(encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -363,47 +533,39 @@ def ingest_publications(path,
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    problems.append(f"line {line_no}: invalid JSON ({exc.msg})")
+                    rows.problems.append(f"line {line_no}: invalid JSON ({exc.msg})")
                     continue
-                records.append((line_no, rec))
+                if not isinstance(rec, dict):
+                    rows.problems.append(
+                        f"line {line_no}: expected a JSON object, got {type(rec).__name__}")
+                    continue
+                rows.add(line_no, *map(rec.get, PUBLICATION_FIELDS))
     else:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
             missing = [c for c in PUBLICATION_FIELDS if c not in header]
             if missing:
                 raise IngestError(path, [f"missing required columns: {', '.join(missing)}"])
+            column = {name: i for i, name in enumerate(header)}
+            fields = operator.itemgetter(*(column[f] for f in PUBLICATION_FIELDS))
+            width = len(header)
             for row in reader:
-                records.append((reader.line_num, row))
+                if not row:
+                    continue
+                if len(row) < width:  # short rows read as missing values
+                    row += [None] * (width - len(row))
+                rows.add(reader.line_num, *fields(row))
 
-    dropped = 0
-    pubs: list[Publication] = []
-    seen: dict[str, int] = {}
-    for line, rec in records:
-        doc_type = str(rec.get("doc_type") or "").strip().lower()
-        if doc_type in excluded:
-            dropped += 1
-            continue
-        pub = _pub_from_record(rec, line, problems, roster_ids, strict)
-        if pub is None:
-            continue
-        if pub.id in seen:
-            problems.append(
-                f"line {line}: duplicate publication id {pub.id!r} "
-                f"(first seen on line {seen[pub.id]})")
-            continue
-        seen[pub.id] = line
-        pubs.append(pub)
-
-    if problems:
-        raise IngestError(path, problems)
-    if not records:
+    if rows.problems:
+        raise IngestError(path, rows.problems)
+    if not rows.rows:
         logger.warning("%s: empty publication file", path)
-    return Corpus(pubs, dropped=dropped)
+    return Corpus.from_columns(rows.buffer.columns(), rows.dropped)
 
 
 def _fmt_float(x: float | None) -> str:
-    return "" if x is None else repr(float(x))
+    return "" if x is None or math.isnan(x) else repr(float(x))
 
 
 def write_roster(path, roster: Iterable[Professor]) -> None:
@@ -421,16 +583,21 @@ def write_roster(path, roster: Iterable[Professor]) -> None:
 
 
 def write_publications(path, corpus: Corpus | Iterable[Publication]) -> None:
-    pubs = corpus.publications if isinstance(corpus, Corpus) else tuple(corpus)
+    if not isinstance(corpus, Corpus):
+        corpus = Corpus(corpus)
+    tokens = [f"{corpus.authors[a]}@{corpus.universities[u]}" for a, u in
+              zip(corpus.author.tolist(), corpus.university.tolist())]
+    ends = np.cumsum(corpus.n_authors).tolist()
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PUBLICATION_FIELDS)
-        for pub in pubs:
-            byline = ";".join(f"{a.author_id}@{a.university_id}" for a in pub.byline)
-            writer.writerow([pub.id, pub.year, pub.subject_category,
-                             _fmt_float(pub.journal_if), pub.citations,
-                             pub.doc_type, byline])
+        for pid, year, cat, jif, cites, doc, n, end in zip(
+                corpus.ids, corpus.year.tolist(), corpus.category.tolist(),
+                corpus.impact.tolist(), corpus.citations.tolist(),
+                corpus.doc_type.tolist(), corpus.n_authors.tolist(), ends):
+            writer.writerow([pid, year, corpus.categories[cat], _fmt_float(jif),
+                             cites, corpus.doc_types[doc], ";".join(tokens[end - n:end])])
 
 
 def load_sds_map(path) -> dict[str, str]:

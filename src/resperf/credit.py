@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .corpus import Publication
 
 ALPHABETICAL = "alphabetical"
@@ -69,6 +71,30 @@ def byline_weights(n: int, convention: str, shared_university: bool = True) -> l
     if convention == POSITION_WEIGHTED:
         return _positional_weights(n, shared_university)
     raise CreditError(f"unknown credit convention {convention!r}")
+
+
+def credit_shares(convention: np.ndarray, shared: np.ndarray, n: np.ndarray,
+                  position: np.ndarray) -> np.ndarray:
+    """Credit share of many byline slots at once.
+
+    Slot k is at ``position[k]`` of an ``n[k]``-author byline whose first and
+    last authors do (``shared[k]``) or do not share a university, credited
+    under ``CONVENTIONS[convention[k]]``.  The shares are read from a
+    (convention, shared, n, position) table built with :func:`byline_weights`
+    for the bylines present, so they equal its values exactly.
+    """
+    if not n.size:
+        return np.zeros(0)
+    width = int(n.max()) + 1
+    key = (convention.astype(np.int64) * 2 + shared) * width + n
+    keys, which = np.unique(key, return_inverse=True)
+    table: list[float] = []
+    starts = []
+    for code in keys.tolist():
+        kind, length = divmod(code, width)
+        starts.append(len(table))
+        table.extend(byline_weights(length, CONVENTIONS[kind // 2], bool(kind % 2)))
+    return np.asarray(table)[np.asarray(starts)[which.reshape(-1)] + position]
 
 
 def fractional_contribution(publication: Publication, author_position: int,

@@ -14,20 +14,31 @@ cbar is the cell mean over cited publications only; ifbar is the cell mean
 over publications with a known impact factor.  Uncited publications add zero
 to the FSS and IA sums but still count in N.  Professors without window
 publications score FSS = P = 0 and have IA/IJ undefined.
+
+A whole roster is scored in one vectorised pass over the corpus columns
+(:func:`score_roster`).  ``np.bincount`` adds each professor's terms in
+corpus order, the order a per-professor loop adds them in, so the sums are
+bit-for-bit those of the loop.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import Corpus, Professor, Publication, working_years
-from .credit import ConventionMap, fractional_contribution
+from .credit import CONVENTIONS, ConventionMap, credit_shares
 
 logger = logging.getLogger(__name__)
 
 INDICATORS = ("FSS", "P", "IA", "IJ")
+
+# Why IJ skips a publication.
+UNKNOWN_IF, NO_IF_CELL = 1, 2
 
 
 class MissingCellError(ValueError):
@@ -60,31 +71,36 @@ class ScalingTable:
         stats = self._cells.get((year, category))
         return None if stats is None else stats.mean_impact_factor
 
+    def publication_means(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+        """cbar and ifbar of every publication in ``corpus``; NaN where absent."""
+        cell, keys = corpus.cells
+        stats = [self._cells.get(key) or CellStats(None, None) for key in keys]
+        cbar = [math.nan if s.mean_citations_cited is None else s.mean_citations_cited
+                for s in stats]
+        ifbar = [math.nan if s.mean_impact_factor is None else s.mean_impact_factor
+                 for s in stats]
+        return np.asarray(cbar, dtype=float)[cell], np.asarray(ifbar, dtype=float)[cell]
+
 
 def build_scaling_table(corpus: Corpus | Iterable[Publication]) -> ScalingTable:
     """Compute cell means from a corpus.  The corpus must be nonempty."""
-    pubs = corpus.publications if isinstance(corpus, Corpus) else tuple(corpus)
-    if not pubs:
+    if not isinstance(corpus, Corpus):
+        corpus = Corpus(corpus)
+    if not len(corpus):
         raise ValueError("cannot build a scaling table from an empty corpus")
-    cited: dict[tuple[int, str], list[int]] = {}
-    impact: dict[tuple[int, str], list[float]] = {}
-    keys: dict[tuple[int, str], None] = {}
-    for pub in pubs:
-        key = (pub.year, pub.subject_category)
-        keys[key] = None
-        if pub.citations > 0:
-            cited.setdefault(key, []).append(pub.citations)
-        if pub.journal_if is not None:
-            impact.setdefault(key, []).append(pub.journal_if)
-    cells = {}
-    for key in keys:
-        cs = cited.get(key)
-        ifs = impact.get(key)
-        cells[key] = CellStats(
-            mean_citations_cited=sum(cs) / len(cs) if cs else None,
-            mean_impact_factor=sum(ifs) / len(ifs) if ifs else None,
-        )
-    return ScalingTable(cells)
+    cell, keys = corpus.cells
+    cited = corpus.citations > 0
+    known = ~np.isnan(corpus.impact)
+    n_cells = len(keys)
+    cite_sum = np.bincount(cell[cited], weights=corpus.citations[cited], minlength=n_cells)
+    cite_num = np.bincount(cell[cited], minlength=n_cells)
+    if_sum = np.bincount(cell[known], weights=corpus.impact[known], minlength=n_cells)
+    if_num = np.bincount(cell[known], minlength=n_cells)
+    return ScalingTable({
+        key: CellStats(
+            mean_citations_cited=float(cite_sum[j] / cite_num[j]) if cite_num[j] else None,
+            mean_impact_factor=float(if_sum[j] / if_num[j]) if if_num[j] else None)
+        for j, key in enumerate(keys)})
 
 
 @dataclass(frozen=True)
@@ -100,60 +116,131 @@ class IndicatorScores:
         return self.n_pubs == 0
 
     def value(self, indicator: str) -> float | None:
-        return {"FSS": self.fss, "P": self.p, "IA": self.ia, "IJ": self.ij}[indicator]
+        return getattr(self, _FIELDS[indicator])
 
 
-def _citation_ratio(pub: Publication, scaling: ScalingTable, strict: bool,
-                    owner: str) -> float | None:
-    """c_i/cbar, or None when the pub is skipped (lenient missing cell)."""
-    if pub.citations == 0:
-        return 0.0
-    cbar = scaling.mean_citations(pub.year, pub.subject_category)
-    if cbar is None:
-        if strict:
-            raise MissingCellError(
-                f"{owner}: no citation scaling cell for "
-                f"({pub.year}, {pub.subject_category!r})")
-        logger.warning("%s: skipping %s, no citation scaling cell for (%s, %s)",
-                       owner, pub.id, pub.year, pub.subject_category)
-        return None
-    return pub.citations / cbar
+_FIELDS = {"FSS": "fss", "P": "p", "IA": "ia", "IJ": "ij"}
 
 
-def _impact_ratio(pub: Publication, scaling: ScalingTable, strict: bool,
-                  owner: str) -> float | None:
-    if pub.journal_if is None:
-        if strict:
-            raise MissingCellError(f"{owner}: publication {pub.id} has no impact factor")
-        logger.warning("%s: skipping %s, unknown impact factor", owner, pub.id)
-        return None
-    ifbar = scaling.mean_impact_factor(pub.year, pub.subject_category)
-    if ifbar is None or ifbar == 0:
-        if strict:
-            raise MissingCellError(
-                f"{owner}: no impact-factor scaling cell for "
-                f"({pub.year}, {pub.subject_category!r})")
-        logger.warning("%s: skipping %s, no impact-factor scaling cell for (%s, %s)",
-                       owner, pub.id, pub.year, pub.subject_category)
-        return None
-    return pub.journal_if / ifbar
+def _mean_or_nan(total: np.ndarray, count: np.ndarray) -> np.ndarray:
+    return np.divide(total, count, out=np.full(total.shape, math.nan), where=count > 0)
 
+
+def score_roster(roster: Sequence[Professor], corpus: Corpus, scaling: ScalingTable,
+                 conventions: ConventionMap, window: tuple[int, int],
+                 strict: bool = False) -> list[IndicatorScores]:
+    """All four indicators for every professor, in roster order, in one pass.
+
+    A publication whose scaling mean is missing (or whose impact factor is
+    unknown) is skipped by the indicators that need it, with one warning per
+    professor, publication and indicator in roster and then corpus order;
+    with ``strict`` the first such publication raises :class:`MissingCellError`.
+    Professor ids must be unique.
+    """
+    slot = {prof.id: i for i, prof in enumerate(roster)}
+    if len(slot) != len(roster):
+        raise ValueError("duplicate professor id in roster")
+    t = np.array([working_years(prof.active_span, window) for prof in roster], dtype=float)
+    owner = np.full(len(corpus.authors), -1, dtype=np.int64)
+    for pid, i in slot.items():
+        code = corpus.author_code(pid)
+        if code >= 0:
+            owner[code] = i
+    who = owner[corpus.author]
+    year = corpus.year[corpus.pub]
+    rows = np.flatnonzero((who >= 0) & (window[0] <= year) & (year <= window[1]))
+    who, pub = who[rows], corpus.pub[rows]   # in-window roster authorships
+
+    cbar, ifbar = scaling.publication_means(corpus)
+    cited = corpus.citations > 0
+    no_cite_cell = cited & np.isnan(cbar)
+    cite_ratio = np.divide(corpus.citations, cbar, out=np.zeros(len(corpus)),
+                           where=cited & ~no_cite_cell)
+    unknown_if = np.isnan(corpus.impact)
+    no_if_cell = ~unknown_if & (np.isnan(ifbar) | (ifbar == 0))
+    if_ok = ~(unknown_if | no_if_cell)
+    if_ratio = np.divide(corpus.impact, ifbar, out=np.zeros(len(corpus)), where=if_ok)
+
+    if_reason = np.where(unknown_if, UNKNOWN_IF, np.where(no_if_cell, NO_IF_CELL, 0))
+    _check_and_warn(roster, corpus, window, t, who, pub, no_cite_cell[pub],
+                    if_reason[pub], strict)
+
+    convention = np.array([CONVENTIONS.index(conventions.resolve(p.sds, p.uda))
+                           for p in roster], dtype=np.int64)
+    share = credit_shares(convention[who], corpus.shared[pub], corpus.n_authors[pub],
+                          corpus.position[rows])
+    n = len(roster)
+    ratio = cite_ratio[pub]
+    ia_ok = ~no_cite_cell[pub]
+    ij_ok = if_ok[pub]
+    fss = np.bincount(who, weights=ratio * share, minlength=n) / t
+    n_pubs = np.bincount(who, minlength=n)
+    p = n_pubs / t
+    ia = _mean_or_nan(np.bincount(who[ia_ok], weights=ratio[ia_ok], minlength=n),
+                      np.bincount(who[ia_ok], minlength=n))
+    ij = _mean_or_nan(np.bincount(who[ij_ok], weights=if_ratio[pub][ij_ok], minlength=n),
+                      np.bincount(who[ij_ok], minlength=n))
+    return [IndicatorScores(f, q, None if math.isnan(a) else a,
+                            None if math.isnan(j) else j, k)
+            for f, q, a, j, k in zip(fss.tolist(), p.tolist(), ia.tolist(), ij.tolist(),
+                                     n_pubs.tolist())]
+
+
+def _check_and_warn(roster: Sequence[Professor], corpus: Corpus, window: tuple[int, int],
+                    t: np.ndarray, who: np.ndarray, pub: np.ndarray,
+                    bad_cite: np.ndarray, bad_if: np.ndarray, strict: bool) -> None:
+    """Raise for the first professor with no working years or, under ``strict``,
+    a skipped publication; otherwise log every skip.
+
+    ``who``/``pub`` give each in-window authorship's roster index and
+    publication; ``bad_cite`` marks a missing citation cell and ``bad_if``
+    holds UNKNOWN_IF or NO_IF_CELL.  Skips are reported per professor in the
+    order of the per-indicator walks: FSS and IA over citation cells, then IJ.
+    """
+    cite_rows, if_rows = np.flatnonzero(bad_cite), np.flatnonzero(bad_if)
+    rows = np.concatenate([cite_rows, cite_rows, if_rows])
+    reasons = np.concatenate([np.zeros(2 * cite_rows.size, dtype=int), bad_if[if_rows]])
+    stage = np.repeat([0, 1, 2], [cite_rows.size, cite_rows.size, if_rows.size])
+    order = np.lexsort((rows, stage, who[rows]))
+    events = list(zip(who[rows][order].tolist(), pub[rows][order].tolist(),
+                      reasons[order].tolist()))
+    idle = np.flatnonzero(t <= 0)
+    if strict and events and (not idle.size or events[0][0] < idle[0]):
+        i, p, reason = events[0]
+        raise MissingCellError(_skip_message(roster[i].id, corpus, p, reason, strict))
+    if idle.size:
+        raise ValueError(f"{roster[idle[0]].id}: no working years inside window {window}")
+    for i, p, reason in events:
+        logger.warning(_skip_message(roster[i].id, corpus, p, reason, strict=False))
+
+
+def _skip_message(owner: str, corpus: Corpus, p: int, reason: int, strict: bool) -> str:
+    """Why publication ``p`` is skipped: 0 (no citation cell), UNKNOWN_IF or NO_IF_CELL."""
+    pid, year = corpus.ids[p], int(corpus.year[p])
+    category = corpus.categories[corpus.category[p]]
+    if reason == UNKNOWN_IF:
+        return (f"{owner}: publication {pid} has no impact factor" if strict
+                else f"{owner}: skipping {pid}, unknown impact factor")
+    what = "impact-factor" if reason == NO_IF_CELL else "citation"
+    return (f"{owner}: no {what} scaling cell for ({year}, {category!r})" if strict
+            else f"{owner}: skipping {pid}, no {what} scaling cell for ({year}, {category})")
+
+
+def compute_scores(professor: Professor, corpus: Corpus, scaling: ScalingTable,
+                   conventions: ConventionMap, window: tuple[int, int],
+                   strict: bool = False) -> IndicatorScores:
+    """All four indicators for one professor."""
+    return score_roster([professor], corpus, scaling, conventions, window, strict)[0]
+
+
+# One-professor views of compute_scores, so each checks, warns and raises as
+# compute_scores does for all four indicators.
 
 def compute_fss(professor: Professor, corpus: Corpus, scaling: ScalingTable,
                 conventions: ConventionMap, window: tuple[int, int],
                 strict: bool = False) -> float:
     """Fractional, field-normalized citation rate per working year."""
-    t = working_years(professor.active_span, window)
-    if t <= 0:
-        raise ValueError(f"{professor.id}: no working years inside window {window}")
-    convention = conventions.resolve(professor.sds, professor.uda)
-    total = 0.0
-    for pub, pos in corpus.authored_by(professor.id, window):
-        ratio = _citation_ratio(pub, scaling, strict, professor.id)
-        if ratio is None or ratio == 0.0:
-            continue
-        total += ratio * fractional_contribution(pub, pos, convention)
-    return total / t
+    return compute_scores(professor, corpus, scaling, conventions, window, strict).fss
 
 
 def compute_p(professor: Professor, corpus: Corpus,
@@ -168,38 +255,10 @@ def compute_p(professor: Professor, corpus: Corpus,
 def compute_ia(professor: Professor, corpus: Corpus, scaling: ScalingTable,
                window: tuple[int, int], strict: bool = False) -> float | None:
     """Mean normalized citations per publication; None without publications."""
-    num, count = 0.0, 0
-    for pub, _ in corpus.authored_by(professor.id, window):
-        ratio = _citation_ratio(pub, scaling, strict, professor.id)
-        if ratio is None:
-            continue
-        num += ratio
-        count += 1
-    return num / count if count else None
+    return compute_scores(professor, corpus, scaling, ConventionMap(), window, strict).ia
 
 
 def compute_ij(professor: Professor, corpus: Corpus, scaling: ScalingTable,
                window: tuple[int, int], strict: bool = False) -> float | None:
     """Mean normalized journal impact factor; None without usable publications."""
-    num, count = 0.0, 0
-    for pub, _ in corpus.authored_by(professor.id, window):
-        ratio = _impact_ratio(pub, scaling, strict, professor.id)
-        if ratio is None:
-            continue
-        num += ratio
-        count += 1
-    return num / count if count else None
-
-
-def compute_scores(professor: Professor, corpus: Corpus, scaling: ScalingTable,
-                   conventions: ConventionMap, window: tuple[int, int],
-                   strict: bool = False) -> IndicatorScores:
-    """All four indicators for one professor."""
-    n_pubs = len(corpus.authored_by(professor.id, window))
-    return IndicatorScores(
-        fss=compute_fss(professor, corpus, scaling, conventions, window, strict),
-        p=compute_p(professor, corpus, window),
-        ia=compute_ia(professor, corpus, scaling, window, strict),
-        ij=compute_ij(professor, corpus, scaling, window, strict),
-        n_pubs=n_pubs,
-    )
+    return compute_scores(professor, corpus, scaling, ConventionMap(), window, strict).ij

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from typing import Mapping, Sequence
 
@@ -10,34 +9,18 @@ from .cohort import cohort_percentiles
 from .corpus import Corpus, Covariates, Professor, derive_covariates
 from .credit import ConventionMap
 from .indicators import (IndicatorScores, ScalingTable, build_scaling_table,
-                         compute_scores)
+                         score_roster)
 from .regress import RegressionRow
 
 
 def compute_indicator_scores(roster: Sequence[Professor], corpus: Corpus,
                              conventions: ConventionMap,
                              window: tuple[int, int],
-                             strict: bool = False,
-                             threads: int = 1,
-                             scaling: ScalingTable | None = None
-                             ) -> dict[str, IndicatorScores]:
-    """Scores for every rostered professor, keyed by id.
-
-    ``threads`` caps worker threads; results are collected in roster order so
-    output never depends on the thread count.
-    """
-    if scaling is None:
-        scaling = build_scaling_table(corpus) if len(corpus) else ScalingTable({})
-
-    def one(prof: Professor) -> IndicatorScores:
-        return compute_scores(prof, corpus, scaling, conventions, window, strict)
-
-    if threads > 1 and len(roster) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, roster))
-    else:
-        results = [one(p) for p in roster]
-    return {prof.id: scores for prof, scores in zip(roster, results)}
+                             strict: bool = False) -> dict[str, IndicatorScores]:
+    """Scores for every rostered professor, keyed by id, in roster order."""
+    scaling = build_scaling_table(corpus) if len(corpus) else ScalingTable({})
+    scores = score_roster(roster, corpus, scaling, conventions, window, strict)
+    return {prof.id: s for prof, s in zip(roster, scores)}
 
 
 def derive_all_covariates(roster: Sequence[Professor], census_date: date,
@@ -69,12 +52,10 @@ def regression_rows(roster: Sequence[Professor],
 
 def run_scoring(roster: Sequence[Professor], corpus: Corpus,
                 conventions: ConventionMap, census_date: date,
-                window: tuple[int, int], strict: bool = False,
-                threads: int = 1):
+                window: tuple[int, int], strict: bool = False):
     """Full scoring pass: covariates, indicator scores, cohort percentiles, rows."""
     covariates = derive_all_covariates(roster, census_date, window)
-    scores = compute_indicator_scores(roster, corpus, conventions, window,
-                                      strict=strict, threads=threads)
+    scores = compute_indicator_scores(roster, corpus, conventions, window, strict)
     percentiles = cohort_percentiles(roster, scores)
     rows = regression_rows(roster, covariates, percentiles)
     return covariates, scores, percentiles, rows

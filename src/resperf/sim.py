@@ -18,15 +18,15 @@ generator: the same config yields byte-identical rosters and corpora.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 
 import numpy as np
 
-from .corpus import DAYS_PER_YEAR, Authorship, Corpus, Professor, Publication
+from .corpus import DAYS_PER_YEAR, Corpus, Professor
 from .credit import ALPHABETICAL, CONVENTIONS, POSITION_WEIGHTED, ConventionMap
 from .pipeline import run_scoring
-from .regress import ModelSpec, fit_model, fit_with_selected_degree
+from .regress import FitError, ModelSpec, fit_model, fit_with_selected_degree
 
 # (low, high, share): completed-years age runs from a census-date pyramid
 # (about 0.5% under 41, under 12% below 51, a third over 65, 13% over 70).
@@ -209,12 +209,10 @@ def generate_cohort(config: SimConfig) -> tuple[list[Professor], Corpus]:
     univ_num = rng.integers(0, pool_sizes[type_idx])
 
     roster: list[Professor] = []
-    univ_ids: list[str] = []
     for i in range(n):
         birth = census - timedelta(days=round(ages[i] * DAYS_PER_YEAR))
         appointment_age = ages[i] - seniority[i]
         appointment = birth + timedelta(days=round(appointment_age * DAYS_PER_YEAR))
-        utype, prefix, _ = UNIVERSITY_POOLS[type_idx[i]]
         fld = config.fields[field_idx[i]]
         roster.append(Professor(
             id=f"P{i + 1:05d}",
@@ -223,10 +221,9 @@ def generate_cohort(config: SimConfig) -> tuple[list[Professor], Corpus]:
             appointment_date=min(appointment, census),
             sds=fld.sds,
             uda=fld.uda,
-            university_type=utype,
+            university_type=UNIVERSITY_POOLS[type_idx[i]][0],
             active_span=None,
         ))
-        univ_ids.append(f"{prefix}{univ_num[i]}")
 
     # Latent productivity and publication counts.
     log_rate = (config.base_log_rate
@@ -264,31 +261,35 @@ def generate_cohort(config: SimConfig) -> tuple[list[Professor], Corpus]:
     co_same = rng.random(n_co) < SAME_UNIVERSITY_SHARE
     co_ext = rng.integers(0, EXTERNAL_UNIVERSITIES, size=n_co)
 
-    pubs: list[Publication] = []
-    co_cursor = 0
-    serial = 0
-    for j in range(total):
-        prof_i = owner[j]
-        focal_univ = univ_ids[prof_i]
-        byline = []
-        for pos in range(n_authors[j]):
-            if pos == focal_pos[j]:
-                byline.append(Authorship(roster[prof_i].id, focal_univ))
-            else:
-                univ = focal_univ if co_same[co_cursor] else f"EXT{co_ext[co_cursor]}"
-                serial += 1
-                byline.append(Authorship(f"X{serial}", univ))
-                co_cursor += 1
-        pubs.append(Publication(
-            id=f"W{j + 1:07d}",
-            year=int(years[j]),
-            subject_category=config.fields[pub_field[j]].sds,
-            journal_if=float(impact[j]),
-            citations=int(citations[j]),
-            doc_type="article",
-            byline=tuple(byline),
-        ))
-    return roster, Corpus(pubs)
+    # Authorship table in byline order.  Authors are coded as the roster
+    # index for the focal professor and n + k for the k-th co-author, named
+    # X{k+1}; universities index the pools, then the external ones.
+    slot_pub = np.repeat(np.arange(total), n_authors)
+    starts = np.cumsum(n_authors) - n_authors
+    focal = np.arange(slot_pub.size) - starts[slot_pub] == focal_pos[slot_pub]
+    slot_owner = owner[slot_pub]
+    pool_start = np.cumsum([0] + [size for _, _, size in UNIVERSITY_POOLS])
+    univ = pool_start[type_idx] + univ_num
+    author = np.where(focal, slot_owner, 0)
+    author[~focal] = n + np.arange(n_co)
+    university = univ[slot_owner]
+    university[~focal] = np.where(co_same, university[~focal], pool_start[-1] + co_ext)
+
+    categories: dict[str, int] = {}
+    field_category = np.array([categories.setdefault(f.sds, len(categories))
+                               for f in config.fields])
+    corpus = Corpus.from_columns({
+        "ids": [f"W{j + 1:07d}" for j in range(total)],
+        "year": years, "category": field_category[pub_field],
+        "categories": list(categories), "citations": citations, "impact": impact,
+        "doc_type": np.zeros(total, dtype=np.int32), "doc_types": ["article"],
+        "n_authors": n_authors, "author": author,
+        "authors": [p.id for p in roster] + [f"X{k + 1}" for k in range(n_co)],
+        "university": university,
+        "universities": [f"{prefix}{k}" for _, prefix, size in UNIVERSITY_POOLS
+                         for k in range(size)]
+        + [f"EXT{k}" for k in range(EXTERNAL_UNIVERSITIES)]})
+    return roster, corpus
 
 
 @dataclass
@@ -322,22 +323,8 @@ class RecoveryReport:
     low_power: bool
 
     def to_dict(self) -> dict:
-        cfg = {
-            "n_professors": self.config.n_professors,
-            "fields": [[f.sds, f.uda, f.convention] for f in self.config.fields],
-            "true_age_effect": self.config.true_age_effect,
-            "true_seniority_effect": self.config.true_seniority_effect,
-            "true_gender_effect": self.config.true_gender_effect,
-            "base_log_rate": self.config.base_log_rate,
-            "age_seniority_corr_target": self.config.age_seniority_corr_target,
-            "citation_dispersion": self.config.citation_dispersion,
-            "latent_heterogeneity": self.config.latent_heterogeneity,
-            "window": list(self.config.window),
-            "seed": self.config.seed,
-            "gender_male_share": self.config.gender_male_share,
-            "mean_appointment_age": self.config.mean_appointment_age,
-            "university_type_shares": list(self.config.university_type_shares),
-        }
+        cfg = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
+        cfg["fields"] = [[f.sds, f.uda, f.convention] for f in self.config.fields]
         return {
             "config": cfg,
             "n_runs": self.n_runs,
@@ -367,8 +354,9 @@ def recovery_experiment(config: SimConfig, n_runs: int,
                         dependent: str = "FSS") -> RecoveryReport:
     """Repeated generate -> score -> percentile -> fit cycles.
 
-    Run r uses seed ``config.seed + r``.  Per-run failures are recorded and do
-    not stop the experiment.  Sign-recovery fractions are taken over the runs
+    Run r uses seed ``config.seed + r``.  A run whose model cannot be fitted
+    (:class:`FitError`) is recorded as failed and does not stop the
+    experiment; any other exception propagates.  Sign-recovery fractions are taken over the runs
     that produced the corresponding effect.
     """
     if n_runs <= 0:
@@ -395,7 +383,7 @@ def recovery_experiment(config: SimConfig, n_runs: int,
             outcome.aic = fit.aic
             outcome.age_degree = fit.age_degree
             outcome.converged = fit.converged
-        except Exception as exc:  # per-run isolation
+        except FitError as exc:  # a cohort the model cannot fit; bugs propagate
             outcome.error = f"{type(exc).__name__}: {exc}"
         results.append(outcome)
 

@@ -102,15 +102,28 @@ class TestCompute:
                      "manifest.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_thread_count_does_not_change_results(self, tiny_files, tmp_path):
-        for tag, threads in (("a", "1"), ("b", "4")):
-            res = invoke("compute", "--roster", tiny_files / "roster.csv",
-                         "--pubs", tiny_files / "pubs.csv",
-                         "--threads", threads, "--out", tmp_path / tag)
-            assert res.exit_code == 0
-        for name in ("indicators.csv", "percentiles.csv", "covariates.csv"):
-            assert ((tmp_path / "a" / name).read_bytes()
-                    == (tmp_path / "b" / name).read_bytes())
+    @pytest.mark.parametrize("name,body,needle", [
+        ("pubs.csv",
+         "id,year,subject_category,journal_if,citations,doc_type,byline\n"
+         "W1,2008,MAT/01,1.5,4,article,P1@U1;P1@U1\n",
+         "line 2: author 'P1' appears twice on the byline"),
+        ("pubs.csv",
+         "id,year,subject_category,journal_if,citations,doc_type,byline\n"
+         "W1,2008,MAT/01,NaN,4,article,P1@U1\n",
+         "line 2: non-finite journal_if 'NaN'"),
+        ("pubs.jsonl",
+         '{"id": "W1", "year": 2008, "subject_category": "MAT/01", "journal_if": NaN, '
+         '"citations": 4, "doc_type": "article", "byline": "P1@U1"}\n',
+         "line 1: non-finite journal_if nan"),
+    ])
+    def test_malformed_publication_exits_two(self, tiny_files, tmp_path, name, body,
+                                             needle):
+        pubs = tmp_path / name
+        pubs.write_text(body)
+        res = invoke("compute", "--roster", tiny_files / "roster.csv",
+                     "--pubs", pubs, "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert needle in res.output
 
     def test_missing_input_path_exits_two(self, tiny_files, tmp_path):
         res = invoke("compute", "--roster", tiny_files / "nowhere.csv",

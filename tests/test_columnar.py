@@ -1,0 +1,164 @@
+"""The vectorised scoring pass against the per-professor oracle, exactly."""
+
+import json
+import logging
+import math
+from datetime import date
+
+import numpy as np
+import pytest
+
+import oracle
+from helpers import make_professor, make_publication
+from resperf.cohort import cohort_percentiles
+from resperf.corpus import Corpus, ingest_publications, write_publications
+from resperf.credit import ConventionMap
+from resperf.indicators import (MissingCellError, build_scaling_table,
+                                score_roster)
+from resperf.pipeline import compute_indicator_scores
+from resperf.sim import SimConfig, generate_cohort
+
+WINDOW = (2006, 2010)
+
+
+def lenient_world():
+    """Unknown IFs, an IF-less cell, a zero-IF cell, shared bylines, old years."""
+    rng = np.random.default_rng(41)
+    roster = [make_professor(f"P{i}", sds=("MAT/01", "BIO/05")[i % 2],
+                             uda=("MAT", "BIO")[i % 2]) for i in range(12)]
+    roster[3] = make_professor("P3", sds="MAT/01", uda="MAT",
+                               span=(date(2008, 7, 2), date(2010, 12, 31)))
+    pubs = []
+    for j in range(400):
+        year = int(rng.integers(2004, 2011))
+        category = str(rng.choice(["MAT/01", "BIO/05", "FIS/01"]))
+        if (year, category) == (2009, "FIS/01"):
+            journal_if = None                                  # IF-less cell
+        elif (year, category) == (2007, "FIS/01"):
+            journal_if = 0.0                                   # zero-mean cell
+        elif rng.random() < 0.2:
+            journal_if = None
+        else:
+            journal_if = float(np.round(rng.lognormal(0.5, 0.4), 3))
+        n_auth = int(rng.integers(1, 7))
+        profs = rng.choice(12, size=min(n_auth, int(rng.integers(1, 3))), replace=False)
+        byline = [(f"P{k}", f"U{int(rng.integers(0, 4))}") for k in profs]
+        byline += [(f"X{j}_{k}", f"U{int(rng.integers(0, 6))}")
+                   for k in range(n_auth - len(byline))]
+        order = rng.permutation(len(byline))
+        pubs.append(make_publication(
+            f"W{j:03d}", year, category, journal_if,
+            0 if rng.random() < 0.3 else int(rng.integers(1, 50)),
+            byline=[byline[k] for k in order]))
+    return roster, Corpus(pubs)
+
+
+def messages(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "resperf.indicators"]
+
+
+class TestOracleEquality:
+    def test_tiny_world(self, tiny_world):
+        roster, corpus = tiny_world
+        for conventions in (ConventionMap(), ConventionMap(global_override="alphabetical")):
+            got = compute_indicator_scores(roster, corpus, conventions, WINDOW)
+            assert got == oracle.roster_scores(roster, corpus, conventions, WINDOW)
+
+    def test_default_sim_cohort(self):
+        config = SimConfig()
+        roster, corpus = generate_cohort(config)
+        assert len(roster) == 2000
+        got = compute_indicator_scores(roster, corpus, config.conventions(), WINDOW)
+        want = oracle.roster_scores(roster, corpus, config.conventions(), WINDOW)
+        assert got == want
+        assert cohort_percentiles(roster, got) == oracle.cohort_percentiles(roster, want)
+
+    def test_lenient_corpus_scores_and_warnings(self, caplog):
+        roster, corpus = lenient_world()
+        assert build_scaling_table(corpus).mean_impact_factor(2009, "FIS/01") is None
+        with caplog.at_level(logging.WARNING, logger="resperf.indicators"):
+            got = compute_indicator_scores(roster, corpus, ConventionMap(), WINDOW)
+            ours = messages(caplog)
+            caplog.clear()
+            want = oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW)
+            theirs = messages(caplog)
+        assert got == want
+        assert cohort_percentiles(roster, got) == oracle.cohort_percentiles(roster, want)
+        assert ours == theirs
+        assert any("unknown impact factor" in m for m in ours)
+        assert any("no impact-factor scaling cell" in m for m in ours)
+
+    def test_missing_citation_cells_warn_twice_in_oracle_order(self, caplog):
+        roster, corpus = lenient_world()
+        table = build_scaling_table([p for p in corpus.publications
+                                     if p.subject_category != "BIO/05"])
+        with caplog.at_level(logging.WARNING, logger="resperf.indicators"):
+            got = score_roster(roster, corpus, table, ConventionMap(), WINDOW)
+            ours = messages(caplog)
+            caplog.clear()
+            want = oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW,
+                                        scaling=table)
+            theirs = messages(caplog)
+        assert dict(zip([p.id for p in roster], got)) == want
+        assert ours == theirs
+        assert any("no citation scaling cell" in m for m in ours)
+
+    @pytest.mark.parametrize("external", [False, True])
+    def test_strict_raises_the_oracle_message(self, external):
+        roster, corpus = lenient_world()
+        table = build_scaling_table(
+            [p for p in corpus.publications if p.subject_category != "BIO/05"]
+            if external else corpus)
+        with pytest.raises(MissingCellError) as ours:
+            score_roster(roster, corpus, table, ConventionMap(), WINDOW, strict=True)
+        with pytest.raises(MissingCellError) as theirs:
+            oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW, strict=True,
+                                 scaling=table)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_idle_professor_reported_in_roster_order(self):
+        roster, corpus = lenient_world()
+        table = build_scaling_table(corpus)
+        for at in (0, 11):
+            idle = make_professor(roster[at].id, span=(date(2011, 1, 1), date(2012, 1, 1)))
+            crew = roster[:at] + [idle] + roster[at + 1:]
+            for strict in (False, True):
+                with pytest.raises(ValueError) as ours:
+                    score_roster(crew, corpus, table, ConventionMap(), WINDOW, strict)
+                with pytest.raises(ValueError) as theirs:
+                    oracle.roster_scores(crew, corpus, ConventionMap(), WINDOW, strict,
+                                         scaling=table)
+                assert str(ours.value) == str(theirs.value)
+
+
+def decoded(corpus):
+    """Every column with codes replaced by the strings they stand for."""
+    return {
+        "ids": corpus.ids, "year": corpus.year.tolist(),
+        "category": [corpus.categories[c] for c in corpus.category],
+        "citations": corpus.citations.tolist(),
+        "impact": [None if math.isnan(x) else x for x in corpus.impact.tolist()],
+        "doc_type": [corpus.doc_types[c] for c in corpus.doc_type],
+        "n_authors": corpus.n_authors.tolist(), "shared": corpus.shared.tolist(),
+        "pub": corpus.pub.tolist(), "position": corpus.position.tolist(),
+        "author": [corpus.authors[c] for c in corpus.author],
+        "university": [corpus.universities[c] for c in corpus.university],
+    }
+
+
+class TestRoundTrip:
+    def test_sim_corpus_through_csv_and_jsonl(self, tmp_path):
+        _, corpus = generate_cohort(SimConfig(n_professors=300, seed=77))
+        csv_path = tmp_path / "pubs.csv"
+        write_publications(csv_path, corpus)
+        jsonl_path = tmp_path / "pubs.jsonl"
+        jsonl_path.write_text("".join(json.dumps({
+            "id": p.id, "year": p.year, "subject_category": p.subject_category,
+            "journal_if": p.journal_if, "citations": p.citations,
+            "doc_type": p.doc_type,
+            "byline": [f"{a.author_id}@{a.university_id}" for a in p.byline]}) + "\n"
+            for p in corpus.publications))
+        want = decoded(corpus)
+        assert decoded(ingest_publications(csv_path)) == want
+        assert decoded(ingest_publications(jsonl_path)) == want
+        assert ingest_publications(csv_path).publications == corpus.publications

@@ -1,5 +1,7 @@
 """Ingestion validation and census-date covariate arithmetic."""
 
+import csv
+import json
 import logging
 import math
 from datetime import date
@@ -190,11 +192,65 @@ class TestPublicationIngest:
         ("W1,2008,MAT/01,1.5,4,article,P1-U1", "malformed byline token"),
         ("W1,2008,,1.5,4,article,P1@U1", "empty subject_category"),
         (",2008,MAT/01,1.5,4,article,P1@U1", "empty publication id"),
+        ("W1,2008,MAT/01,nan,4,article,P1@U1", "line 2: non-finite journal_if 'nan'"),
+        ("W1,2008,MAT/01,inf,4,article,P1@U1", "line 2: non-finite journal_if 'inf'"),
+        ("W1,2008,MAT/01,-Infinity,4,article,P1@U1", "line 2: non-finite journal_if"),
+        ("W1,2008,MAT/01,1.5,4,article,P1@U1;X1@U2;P1@U1",
+         "line 2: author 'P1' appears twice on the byline"),
     ])
     def test_bad_rows_rejected(self, tmp_path, row, needle):
         path = write_lines(tmp_path / "pubs.csv", PUBS_HEADER, row)
         with pytest.raises(IngestError, match=needle):
             ingest_publications(path)
+
+    GOOD_JSON = ('{"id": "W1", "year": 2008, "subject_category": "MAT/01", '
+                 '"journal_if": 1.5, "citations": 4, "doc_type": "article", '
+                 '"byline": ["P1@U1", "X1@U2"]}')
+
+    @pytest.mark.parametrize("old,new,needle", [
+        ('"journal_if": 1.5', '"journal_if": NaN', "non-finite journal_if nan"),
+        ('"journal_if": 1.5', '"journal_if": Infinity', "non-finite journal_if inf"),
+        ('"journal_if": 1.5', '"journal_if": -Infinity', "non-finite journal_if -inf"),
+        ('"journal_if": 1.5', '"journal_if": true', "unparseable journal_if True"),
+        ('"citations": 4', '"citations": 3.7', "unparseable citations 3.7"),
+        ('"citations": 4', '"citations": true', "unparseable citations True"),
+        ('"citations": 4', '"citations": 100000000000000000000',
+         "citations 100000000000000000000 out of range"),
+        ('"year": 2008', '"year": 2008.5', "unparseable year 2008.5"),
+        ('["P1@U1", "X1@U2"]', '["P1@U1", "P1@U2"]',
+         "author 'P1' appears twice on the byline"),
+        ('["P1@U1", "X1@U2"]', '5', "byline must be a string or a list, got 5"),
+    ])
+    def test_bad_json_values_rejected(self, tmp_path, old, new, needle):
+        path = tmp_path / "pubs.jsonl"
+        path.write_text(self.GOOD_JSON + "\n" + self.GOOD_JSON.replace(old, new)
+                        .replace('"W1"', '"W2"') + "\n")
+        with pytest.raises(IngestError) as err:
+            ingest_publications(path)
+        assert err.value.problems == [f"line 2: {needle}"]
+
+    @pytest.mark.parametrize("line,kind", [("[1, 2]", "list"), ('"W1"', "str"),
+                                           ("7", "int"), ("null", "NoneType")])
+    def test_non_object_json_line_reported(self, tmp_path, line, kind):
+        path = tmp_path / "pubs.jsonl"
+        path.write_text(self.GOOD_JSON + "\n" + line + "\n")
+        with pytest.raises(IngestError) as err:
+            ingest_publications(path)
+        assert err.value.problems == [f"line 2: expected a JSON object, got {kind}"]
+
+    def test_whole_float_citations_accepted(self, tmp_path):
+        path = tmp_path / "pubs.jsonl"
+        path.write_text(self.GOOD_JSON.replace('"citations": 4', '"citations": 4.0') + "\n")
+        assert ingest_publications(path).publications[0].citations == 4
+
+    def test_problems_listed_in_line_order(self, tmp_path):
+        path = tmp_path / "pubs.jsonl"
+        path.write_text(self.GOOD_JSON.replace('"year": 2008', '"year": 1800') + "\n"
+                        + '{"id": "W2"\n')
+        with pytest.raises(IngestError) as err:
+            ingest_publications(path)
+        assert err.value.problems == ["line 1: year 1800 out of range",
+                                      "line 2: invalid JSON (Expecting ',' delimiter)"]
 
     def test_duplicate_publication_id(self, tmp_path):
         path = write_lines(
@@ -232,6 +288,80 @@ class TestPublicationIngest:
         path.write_text('{"id": "W1"\n')
         with pytest.raises(IngestError, match="invalid JSON"):
             ingest_publications(path)
+
+
+EDGE_VALUES = [None, True, 0, -1, 3.7, 2 ** 53 + 1, 2 ** 63, 1e300, math.nan, math.inf,
+               "", " ", "nan", "2008", "P1@U1;P1@U2", "@", [], ["P1@U1", 5], {}]
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+class TestIngestNeverCrashes:
+    """Arbitrary rows either ingest or raise IngestError, never another exception."""
+
+    GOOD = {"year": 2008, "subject_category": "MAT/01", "journal_if": 1.5,
+            "citations": 4, "doc_type": "article", "byline": ["P1@U1", "X1@U2"]}
+
+    @given(changes=st.lists(st.dictionaries(st.sampled_from(PUBS_HEADER.split(",")),
+                                            st.sampled_from(EDGE_VALUES), max_size=2)
+                            | ANY_JSON, max_size=4))
+    @settings(deadline=None, max_examples=200)
+    def test_jsonl(self, tmp_path_factory, changes):
+        """A line is a valid row with up to two fields set to edge values, or any JSON."""
+        rows = [{"id": f"W{i}", **self.GOOD, **c} if isinstance(c, dict) else c
+                for i, c in enumerate(changes)]
+        path = tmp_path_factory.mktemp("fuzz") / "pubs.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        self.check(path)
+
+    EDGE_TEXT = ["", " ", "nan", "inf", "-1e400", "3.7", "-1", "99999999999999999999",
+                 "2008.0", "true", "P1@U1;P1@U1", "@", "P1@U1;;X1@U2", "P1@U1@U2"]
+
+    @given(changes=st.lists(st.tuples(
+        st.dictionaries(st.integers(0, 6), st.sampled_from(EDGE_TEXT) | st.text(max_size=8),
+                        max_size=2),
+        st.integers(0, 8)), max_size=4))
+    @settings(deadline=None, max_examples=200)
+    def test_csv(self, tmp_path_factory, changes):
+        """A row is a valid one with up to two cells replaced, cut to a random length."""
+        path = tmp_path_factory.mktemp("fuzz") / "pubs.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(PUBS_HEADER.split(","))
+            for i, (cells, length) in enumerate(changes):
+                row = [f"W{i}", "2008", "MAT/01", "1.5", "4", "article", "P1@U1;X1@U2"]
+                for col, text in cells.items():
+                    row[col] = text
+                writer.writerow(row[:length])
+        self.check(path)
+
+    def test_every_single_field_edge_value(self, tmp_path):
+        fields = PUBS_HEADER.split(",")
+        for n, (field, value) in enumerate(
+                (f, v) for f in fields for v in EDGE_VALUES):
+            path = tmp_path / f"pubs{n}.jsonl"
+            path.write_text(json.dumps({"id": "W1", **self.GOOD, field: value}) + "\n")
+            self.check(path)
+        good = ["W1", "2008", "MAT/01", "1.5", "4", "article", "P1@U1;X1@U2"]
+        for col in range(len(fields)):
+            for n, text in enumerate(self.EDGE_TEXT):
+                path = tmp_path / f"pubs{col}_{n}.csv"
+                path.write_text(PUBS_HEADER + "\n" + ",".join(
+                    good[:col] + [f'"{text}"'] + good[col + 1:]) + "\n")
+                self.check(path)
+
+    @staticmethod
+    def check(path):
+        try:
+            corpus = ingest_publications(path)
+        except IngestError:
+            return
+        assert len(corpus) == len(corpus.ids) == corpus.year.size
+        assert int(corpus.n_authors.sum()) == corpus.author.size
+        assert all(math.isnan(x) or 0 <= x < math.inf for x in corpus.impact.tolist())
 
 
 class TestCorpusIndex:

@@ -1,4 +1,4 @@
-"""Orchestration: scoring fan-out, thread invariance, row assembly."""
+"""Orchestration: roster scoring and row assembly."""
 
 from datetime import date
 
@@ -25,14 +25,6 @@ class TestComputeIndicatorScores:
         for prof in roster:
             assert scores[prof.id] == compute_scores(prof, corpus, table,
                                                      conventions, WINDOW)
-
-    def test_thread_count_does_not_change_output(self, tiny_world):
-        roster, corpus = tiny_world
-        conventions = ConventionMap()
-        serial = compute_indicator_scores(roster, corpus, conventions, WINDOW)
-        threaded = compute_indicator_scores(roster, corpus, conventions, WINDOW,
-                                            threads=4)
-        assert serial == threaded
 
     def test_empty_corpus_marks_everyone_inactive(self):
         roster = [make_professor("P1"), make_professor("P2")]

@@ -227,6 +227,14 @@ class TestRecoveryExperiment:
         if report.n_failed < 3:
             assert report.age_negative_fraction is not None
 
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise IndexError("index 7 is out of bounds")
+
+        monkeypatch.setattr("resperf.sim.run_scoring", broken)
+        with pytest.raises(IndexError, match="out of bounds"):
+            recovery_experiment(replace(FAST, n_professors=100), n_runs=2)
+
     def test_run_count_validated(self):
         with pytest.raises(ValueError, match="n_runs"):
             recovery_experiment(FAST, n_runs=0)
