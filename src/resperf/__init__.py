@@ -15,9 +15,9 @@ from .credit import (ALPHABETICAL, POSITION_WEIGHTED, ConventionMap,
 from .indicators import (INDICATORS, IndicatorScores, MissingCellError,
                          ScalingTable, build_scaling_table, compute_fss,
                          compute_ia, compute_ij, compute_p, compute_scores)
-from .pipeline import compute_indicator_scores, regression_rows, run_scoring
+from .pipeline import compute_indicator_scores, run_scoring
 from .regress import (Design, FitError, FitResult, ModelSpec,
-                      QuasiSeparationError, RegressionRow,
+                      QuasiSeparationError, RegressionFrame,
                       average_marginal_effects, build_design,
                       collinearity_check, fit_fractional_logit, fit_model,
                       fit_with_selected_degree, mcfadden_pseudo_r2,

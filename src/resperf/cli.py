@@ -15,21 +15,23 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
+import operator
 import sys
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
 import click
+import numpy as np
 
-from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError,
-                     derive_covariates, ingest_publications, ingest_roster,
-                     load_sds_map, write_publications, write_roster)
+from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, ingest_publications,
+                     ingest_roster, load_sds_map, write_publications, write_roster)
 from .credit import (CONVENTIONS, ConventionMap, CreditError,
                      load_convention_map, write_convention_map)
 from .indicators import INDICATORS, IndicatorScores
-from .pipeline import run_scoring
-from .regress import (FitError, FitResult, ModelSpec, RegressionRow,
+from .pipeline import derive_all_covariates, run_scoring
+from .regress import (FitError, FitResult, ModelSpec, RegressionFrame,
                       fit_with_selected_degree)
 from .report import (descriptive_table, distribution_histogram,
                      group_coefficient_of_variation, histogram_csv,
@@ -199,21 +201,70 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
                              "covariates.csv", "manifest.json"])
 
 
-def _read_covariates(path: Path) -> list[dict]:
-    rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(rec)
-    return rows
+_COVARIATE_COLUMNS = ("professor_id", "uda", "age", "seniority", "gender_dummy", "u1", "u2", "u3")
 
 
-def _read_percentiles(path: Path) -> dict[str, dict[str, float]]:
-    out: dict[str, dict[str, float]] = {}
+def _csv_rows(path: Path, required: tuple[str, ...]):
+    """(line, fields in ``required`` order) for each row of a CSV file."""
     with path.open(newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            out.setdefault(rec["professor_id"], {})[rec["indicator"]] = \
-                float(rec["percentile"])
-    return out
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise IngestError(path, [f"line 1: missing column(s) {', '.join(missing)}"])
+        pick = operator.itemgetter(*[header.index(c) for c in required])
+        for rec in reader:
+            if rec:  # blank lines are skipped; missing trailing fields read as empty
+                full = rec if len(rec) >= len(header) else rec + [""] * len(header)
+                yield reader.line_num, pick(full)
+
+
+def _finite(text: str) -> float | None:
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
+    """compute's covariates.csv and percentiles.csv, validated, as one frame."""
+    problems: list[str] = []
+    rows = list(_csv_rows(cov_path, _COVARIATE_COLUMNS))
+    index: dict[str, int] = {}
+    for line, (pid, _, *values) in rows:
+        if pid in index:
+            problems.append(f"line {line}: duplicate professor_id {pid!r}")
+        index.setdefault(pid, len(index))
+        for name, text in zip(_COVARIATE_COLUMNS[2:], values):
+            if name in ("age", "seniority") and _finite(text) is None:
+                problems.append(f"line {line}: {name} must be a finite number, got {text!r}")
+            elif name not in ("age", "seniority") and text not in ("0", "1"):
+                problems.append(f"line {line}: {name} must be 0 or 1, got {text!r}")
+    if problems:
+        raise IngestError(cov_path, problems)
+
+    percentiles = np.full((len(rows), len(INDICATORS)), np.nan)
+    for line, (pid, indicator, text) in _csv_rows(pct_path,
+                                                  ("professor_id", "indicator", "percentile")):
+        value = _finite(text)
+        if pid not in index:
+            problems.append(f"line {line}: unknown professor_id {pid!r}")
+        elif indicator not in INDICATORS:
+            problems.append(f"line {line}: unknown indicator {indicator!r}")
+        elif value is None or not 0.0 <= value <= 100.0:
+            problems.append(f"line {line}: percentile must be finite and in [0, 100], got {text!r}")
+        elif not math.isnan(percentiles[index[pid], INDICATORS.index(indicator)]):
+            problems.append(f"line {line}: second {indicator} percentile for {pid!r}")
+        else:
+            percentiles[index[pid], INDICATORS.index(indicator)] = value
+    if problems:
+        raise IngestError(pct_path, problems)
+
+    numbers = np.array([fields[2:] for _, fields in rows], dtype=float).reshape(-1, 6)
+    return RegressionFrame(ids=np.array([f[0] for _, f in rows], dtype=str),
+                           uda=np.array([f[1] for _, f in rows], dtype=str),
+                           age=numbers[:, 0], covariates=numbers[:, 1:], percentiles=percentiles)
 
 
 @main.command()
@@ -253,26 +304,10 @@ def regress(data_path, dependent, max_degree, max_seniority, spec_path,
     spec_data.pop("age_degree", None)  # degree comes from AIC selection
     spec = _input_stage("model spec", ModelSpec.from_mapping, spec_data)
 
-    cov_rows = _input_stage("covariates", _read_covariates, cov_path)
-    percentiles = _input_stage("percentiles", _read_percentiles, pct_path)
-    rows = []
-    for rec in cov_rows:
-        rows.append(RegressionRow(
-            professor_id=rec["professor_id"],
-            uda=rec["uda"],
-            age=float(rec["age"]),
-            seniority=float(rec["seniority"]),
-            gender=int(rec["gender_dummy"]),
-            u1=int(rec["u1"]), u2=int(rec["u2"]), u3=int(rec["u3"]),
-            percentiles=percentiles.get(rec["professor_id"], {}),
-        ))
-
-    groups: list[tuple[str, list[RegressionRow]]] = [("Total", rows)]
+    frame = _input_stage("regression inputs", _read_frame, cov_path, pct_path)
+    groups = [("Total", frame)]
     if not total_only:
-        by_uda: dict[str, list[RegressionRow]] = {}
-        for row in rows:
-            by_uda.setdefault(row.uda, []).append(row)
-        groups.extend(sorted(by_uda.items()))
+        groups += [(str(uda), frame.subset(frame.uda == uda)) for uda in np.unique(frame.uda)]
 
     fits: dict[str, FitResult] = {}
     failures: list[str] = []
@@ -298,29 +333,14 @@ def regress(data_path, dependent, max_degree, max_seniority, spec_path,
     table = regression_table(fits, fmt=fmt)
     table_name = f"regression_table.{'txt' if fmt == 'text' else 'csv'}"
     (out / table_name).write_text(table, encoding="utf-8")
-    fits_payload = []
-    for name, fit in fits.items():
-        fits_payload.append({
-            "group": name,
-            "dependent": fit.dependent,
-            "age_degree": fit.age_degree,
-            "age_mean": fit.age_mean,
-            "n": fit.n,
-            "aic": fit.aic,
-            "qll": fit.qll,
-            "pseudo_r2": fit.pseudo_r2,
-            "converged": fit.converged,
-            "dropped_terms": list(fit.dropped_terms),
-            "vifs": fit.vifs,
-            "n_iter": fit.n_iter,
-            "terms": [{
-                "term": term,
-                "coefficient": fit.coefficients[term],
-                "robust_se": fit.robust_se[term],
-                "classical_se": fit.classical_se[term],
-                "ame": fit.ame.get(term),
-            } for term in fit.terms],
-        })
+    summary = ("dependent", "age_degree", "age_mean", "n", "aic", "qll", "pseudo_r2",
+               "converged", "dropped_terms", "vifs", "n_iter")
+    fits_payload = [{
+        "group": name, **{key: getattr(fit, key) for key in summary},
+        "terms": [{"term": term, "coefficient": fit.coefficients[term],
+                   "robust_se": fit.robust_se[term], "classical_se": fit.classical_se[term],
+                   "ame": fit.ame.get(term)} for term in fit.terms],
+    } for name, fit in fits.items()]
     (out / "fits.json").write_text(
         json.dumps(fits_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -435,9 +455,8 @@ def report_cmd(roster_path, indicators_path, window, census_date, totals_path,
             str(k): int(v) for k, v in
             json.loads(Path(p).read_text(encoding="utf-8")).items()}, totals_path)
 
-    covariates = _compute_stage(
-        "covariates", lambda: {p.id: derive_covariates(p, census, window_years)
-                               for p in roster})
+    covariates = _compute_stage("covariates", derive_all_covariates, roster, census,
+                                window_years)
     missing = [p.id for p in roster if p.id not in scores]
     if missing:
         raise click.UsageError(

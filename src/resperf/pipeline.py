@@ -1,16 +1,18 @@
-"""End-to-end orchestration: corpus -> credit -> indicators -> cohorts -> rows."""
+"""End-to-end orchestration: corpus -> credit -> indicators -> cohorts -> frame."""
 
 from __future__ import annotations
 
 from datetime import date
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .cohort import cohort_percentiles
 from .corpus import Corpus, Covariates, Professor, derive_covariates
 from .credit import ConventionMap
-from .indicators import (IndicatorScores, ScalingTable, build_scaling_table,
-                         score_roster)
-from .regress import RegressionRow
+from .indicators import (INDICATORS, IndicatorScores, ScalingTable,
+                         build_scaling_table, score_roster)
+from .regress import RegressionFrame
 
 
 def compute_indicator_scores(roster: Sequence[Professor], corpus: Corpus,
@@ -28,34 +30,28 @@ def derive_all_covariates(roster: Sequence[Professor], census_date: date,
     return {p.id: derive_covariates(p, census_date, window) for p in roster}
 
 
-def regression_rows(roster: Sequence[Professor],
-                    covariates: Mapping[str, Covariates],
-                    percentiles: Mapping[str, Mapping[str, float]]
-                    ) -> list[RegressionRow]:
+def regression_frame(roster: Sequence[Professor],
+                     covariates: Mapping[str, Covariates],
+                     percentiles: Mapping[str, Mapping[str, float]]
+                     ) -> RegressionFrame:
     """Join roster, covariates and percentile scores into regression inputs."""
-    rows = []
-    for prof in roster:
-        cov = covariates[prof.id]
-        rows.append(RegressionRow(
-            professor_id=prof.id,
-            uda=prof.uda,
-            age=cov.age,
-            seniority=cov.seniority,
-            gender=cov.gender_dummy,
-            u1=cov.u1,
-            u2=cov.u2,
-            u3=cov.u3,
-            percentiles=dict(percentiles.get(prof.id, {})),
-        ))
-    return rows
+    covs = [covariates[p.id] for p in roster]
+    return RegressionFrame(
+        ids=np.array([p.id for p in roster], dtype=str),
+        uda=np.array([p.uda for p in roster], dtype=str),
+        age=np.array([c.age for c in covs], dtype=float),
+        covariates=np.array([(c.seniority, c.gender_dummy, c.u1, c.u2, c.u3)
+                             for c in covs], dtype=float).reshape(-1, 5),
+        percentiles=np.array([[percentiles.get(p.id, {}).get(i, np.nan) for i in INDICATORS]
+                              for p in roster], dtype=float).reshape(-1, len(INDICATORS)))
 
 
 def run_scoring(roster: Sequence[Professor], corpus: Corpus,
                 conventions: ConventionMap, census_date: date,
                 window: tuple[int, int], strict: bool = False):
-    """Full scoring pass: covariates, indicator scores, cohort percentiles, rows."""
+    """Full scoring pass: covariates, indicator scores, cohort percentiles, frame."""
     covariates = derive_all_covariates(roster, census_date, window)
     scores = compute_indicator_scores(roster, corpus, conventions, window, strict)
     percentiles = cohort_percentiles(roster, scores)
-    rows = regression_rows(roster, covariates, percentiles)
-    return covariates, scores, percentiles, rows
+    frame = regression_frame(roster, covariates, percentiles)
+    return covariates, scores, percentiles, frame

@@ -23,6 +23,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .indicators import INDICATORS
+
 MAX_ITER = 100
 GRAD_TOL = 1e-8
 # Stall guard; loose enough to stop on a flat objective, tight enough that the
@@ -89,8 +91,8 @@ def fit_fractional_logit(y, X, max_iter: int = MAX_ITER,
     relative quasi-log-likelihood change falls below 1e-14.  Steps that lower
     the objective beyond rounding noise are halved.  Raises
     :class:`QuasiSeparationError` when
-    the linear predictor diverges, :class:`FitError` on a singular
-    information matrix or n <= k.
+    the linear predictor diverges, :class:`FitError` on non-finite input, a
+    singular information matrix or n <= k.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -99,6 +101,8 @@ def fit_fractional_logit(y, X, max_iter: int = MAX_ITER,
     n, k = X.shape
     if y.shape != (n,):
         raise FitError(f"y has shape {y.shape}, expected ({n},)")
+    if not (np.isfinite(y).all() and np.isfinite(X).all()):
+        raise FitError("responses and design must be finite")
     if np.any((y < 0) | (y > 1)):
         raise FitError("responses must lie in [0, 1]")
     if n <= k:
@@ -168,12 +172,14 @@ def fit_fractional_logit(y, X, max_iter: int = MAX_ITER,
 
 
 def mcfadden_pseudo_r2(fit: CoreFit, y) -> float:
-    """1 - qll_model / qll_null with an intercept-only null fit on the same y."""
+    """1 - qll_model / qll_null; the intercept-only null fit on the same y has
+    the closed form qll_null = n * [ybar log ybar + (1 - ybar) log(1 - ybar)]."""
     y = np.asarray(y, dtype=float)
-    null_fit = fit_fractional_logit(y, np.ones((y.shape[0], 1)))
-    if null_fit.qll == 0.0:
+    ybar = float(y.mean())
+    if not 0.0 < ybar < 1.0:
         raise ValueError("degenerate null model: quasi-log-likelihood is zero")
-    r2 = 1.0 - fit.qll / null_fit.qll
+    null_qll = y.shape[0] * (ybar * math.log(ybar) + (1.0 - ybar) * math.log(1.0 - ybar))
+    r2 = 1.0 - fit.qll / null_qll
     return max(0.0, r2)  # the model nests the null; clamp convergence slack
 
 
@@ -185,16 +191,6 @@ class CollinearityReport:
     vifs: dict[str, float]
 
 
-def _ols_r2(target: np.ndarray, others: np.ndarray) -> float:
-    coef, *_ = np.linalg.lstsq(others, target, rcond=None)
-    resid = target - others @ coef
-    centered = target - target.mean()
-    sst = float(centered @ centered)
-    if sst == 0.0:
-        return 1.0
-    return 1.0 - float(resid @ resid) / sst
-
-
 def collinearity_check(X, columns: Sequence[str] | None = None,
                        vif_exempt: Sequence[str] = (),
                        threshold: float = VIF_THRESHOLD) -> CollinearityReport:
@@ -203,8 +199,9 @@ def collinearity_check(X, columns: Sequence[str] | None = None,
     Exactly dependent columns go first (the later-listed duplicate is the one
     removed); then columns with VIF above ``threshold`` are removed one at a
     time, later-listed first.  Columns in ``vif_exempt`` (and any intercept)
-    are never removed for high VIF, only for exact dependence.  VIFs of the
-    retained non-intercept columns are reported.
+    are never removed for high VIF, only for exact dependence.  VIFs, taken
+    with an intercept in each auxiliary regression, are reported for the
+    retained non-constant columns.
     """
     X = np.asarray(X, dtype=float)
     n, k = X.shape
@@ -224,47 +221,44 @@ def collinearity_check(X, columns: Sequence[str] | None = None,
         else:
             dropped.append(columns[j])
 
-    def vif_of(idx: int, current: list[int]) -> float:
-        others = [i for i in current if i != idx]
-        if not others:
-            return 1.0
-        r2 = _ols_r2(X[:, idx], X[:, others])
-        if r2 >= 1.0:
-            return math.inf
-        return 1.0 / (1.0 - r2)
-
+    varies = (X != X[:1]).any(axis=0)
     while True:
-        candidates = [i for i in kept if columns[i] not in exempt
-                      and not _is_constant(X[:, i])]
-        offenders = [i for i in candidates if vif_of(i, kept) > threshold]
+        # VIFs: the diagonal of the inverse correlation matrix of the kept
+        # non-constant columns (Belsley, Kuh & Welsch 1980).
+        cols = [i for i in kept if varies[i]]
+        Z = X[:, cols] - X[:, cols].mean(axis=0)
+        Z /= np.linalg.norm(Z, axis=0)
+        vifs = dict(zip(cols, np.diag(np.linalg.inv(Z.T @ Z)).tolist()))
+        offenders = [i for i in cols if columns[i] not in exempt and vifs[i] > threshold]
         if not offenders:
             break
         worst = max(offenders)  # later-listed first
         kept.remove(worst)
         dropped.append(columns[worst])
 
-    vifs = {columns[i]: vif_of(i, kept) for i in kept if not _is_constant(X[:, i])}
     return CollinearityReport(X=X[:, kept],
                               columns=tuple(columns[i] for i in kept),
-                              dropped=tuple(dropped), vifs=vifs)
-
-
-def _is_constant(col: np.ndarray) -> bool:
-    return bool(np.all(col == col[0]))
+                              dropped=tuple(dropped),
+                              vifs={columns[i]: v for i, v in vifs.items()})
 
 
 @dataclass(frozen=True)
-class RegressionRow:
-    """One professor's regression inputs."""
-    professor_id: str
-    uda: str
-    age: float
-    seniority: float
-    gender: int
-    u1: int
-    u2: int
-    u3: int
-    percentiles: Mapping[str, float] = field(default_factory=dict)
+class RegressionFrame:
+    """Regression inputs as columns, one row per professor.
+
+    ``covariates`` is (n, 5) in ``COVARIATE_ORDER``; ``percentiles`` is
+    (n, 4) in ``INDICATORS`` order on the 0-100 scale, NaN where the
+    professor is not ranked on that indicator.
+    """
+    ids: np.ndarray
+    uda: np.ndarray
+    age: np.ndarray
+    covariates: np.ndarray
+    percentiles: np.ndarray
+
+    def subset(self, mask: np.ndarray) -> "RegressionFrame":
+        return RegressionFrame(self.ids[mask], self.uda[mask], self.age[mask],
+                               self.covariates[mask], self.percentiles[mask])
 
 
 @dataclass(frozen=True)
@@ -272,12 +266,12 @@ class ModelSpec:
     dependent: str = "FSS"
     age_degree: int = 1
     covariates: tuple[str, ...] = COVARIATE_ORDER
-    subset_filter: Callable[[RegressionRow], bool] | None = None
+    max_seniority: float | None = None  # keep rows with seniority strictly below
 
     def __post_init__(self):
         if not 1 <= self.age_degree <= 3:
             raise ValueError(f"age_degree must be 1..3, got {self.age_degree}")
-        if self.dependent not in ("FSS", "P", "IA", "IJ"):
+        if self.dependent not in INDICATORS:
             raise ValueError(f"unknown dependent indicator {self.dependent!r}")
         unknown = [c for c in self.covariates if c not in COVARIATE_ORDER]
         if unknown:
@@ -287,35 +281,18 @@ class ModelSpec:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ModelSpec":
-        """Key-value form: dependent, age_degree, covariates, max_seniority."""
-        kwargs: dict = {}
-        if "dependent" in data:
-            kwargs["dependent"] = str(data["dependent"])
-        if "age_degree" in data:
-            kwargs["age_degree"] = int(data["age_degree"])
-        if "covariates" in data:
-            kwargs["covariates"] = tuple(data["covariates"])
-        if "max_seniority" in data and data["max_seniority"] is not None:
-            bound = float(data["max_seniority"])
-            kwargs["subset_filter"] = lambda row: row.seniority < bound
-        extra = set(data) - {"dependent", "age_degree", "covariates", "max_seniority"}
+        """Key-value form: dependent, age_degree, covariates, max_seniority; null = default."""
+        casts = {"dependent": str, "age_degree": int, "covariates": tuple, "max_seniority": float}
+        extra = set(data) - set(casts)
         if extra:
             raise ValueError(f"unknown model spec keys: {', '.join(sorted(extra))}")
-        return cls(**kwargs)
-
-
-_COVARIATE_GETTERS = {
-    "Seniority": lambda r: r.seniority,
-    "Gender": lambda r: r.gender,
-    "U1": lambda r: r.u1,
-    "U2": lambda r: r.u2,
-    "U3": lambda r: r.u3,
-}
+        return cls(**{key: casts[key](value) for key, value in data.items()
+                      if value is not None})
 
 
 @dataclass
 class Design:
-    """Pruned design matrix on the centered-age scale."""
+    """Pruned design matrix on the centered-age scale, plus the columns as built."""
     y: np.ndarray
     X: np.ndarray
     columns: tuple[str, ...]
@@ -323,7 +300,9 @@ class Design:
     age_mean: float
     dropped: tuple[str, ...]
     vifs: dict[str, float]
-    row_ids: tuple[str, ...]
+    row_ids: np.ndarray
+    unpruned_X: np.ndarray
+    unpruned_columns: tuple[str, ...]
 
     def column_index(self, name: str) -> int:
         try:
@@ -331,49 +310,73 @@ class Design:
         except ValueError:
             raise ValueError(f"unknown design column {name!r}") from None
 
+    def at_degree(self, degree: int) -> "Design":
+        """The same sample with age powers up to ``degree`` (<= age_degree), pruned afresh."""
+        if degree == self.age_degree:
+            return self
+        keep = [i for i, name in enumerate(self.unpruned_columns)
+                if name not in AGE_TERMS[degree:]]
+        return _pruned(self.y, self.unpruned_X[:, keep],
+                       tuple(self.unpruned_columns[i] for i in keep),
+                       degree, self.age_mean, self.row_ids)
 
-def build_design(rows: Sequence[RegressionRow], spec: ModelSpec) -> Design:
+
+def _pruned(y, X, columns, age_degree, age_mean, row_ids) -> Design:
+    report = collinearity_check(X, columns, vif_exempt=AGE_TERMS)
+    return Design(y=y, X=report.X, columns=report.columns,
+                  age_degree=age_degree, age_mean=age_mean,
+                  dropped=report.dropped, vifs=report.vifs, row_ids=row_ids,
+                  unpruned_X=X, unpruned_columns=columns)
+
+
+def build_design(frame: RegressionFrame, spec: ModelSpec) -> Design:
     """Assemble y and X for a model spec.
 
-    Rows without a defined percentile for the dependent indicator are
-    excluded, as are rows rejected by the subset filter.  Age is centered on
-    the included sample's mean before powers are taken; exact duplicates and
-    high-VIF columns are pruned (age powers are VIF-exempt).
+    Rows not ranked on the dependent indicator (NaN percentile) are
+    excluded, as are rows at or above ``spec.max_seniority``.  Age is
+    centered on the included sample's mean before powers are taken; exact
+    duplicates and high-VIF columns are pruned (age powers are VIF-exempt).
     """
-    included = []
-    for row in rows:
-        if spec.subset_filter is not None and not spec.subset_filter(row):
-            continue
-        if spec.dependent not in row.percentiles:
-            continue
-        included.append(row)
-    if not included:
+    y = frame.percentiles[:, INDICATORS.index(spec.dependent)] / 100.0
+    rows = ~np.isnan(y)
+    if spec.max_seniority is not None:
+        rows &= frame.covariates[:, COVARIATE_ORDER.index("Seniority")] < spec.max_seniority
+    if not rows.any():
         raise FitError("empty design: no usable observations")
-
-    y = np.array([r.percentiles[spec.dependent] for r in included], dtype=float) / 100.0
+    y = y[rows]
     if np.all(y == y[0]):
         raise FitError("dependent variable is constant")
 
-    ages = np.array([r.age for r in included], dtype=float)
+    ages = frame.age[rows]
     age_mean = float(ages.mean())
     centered = ages - age_mean
+    covariates = frame.covariates[rows][:, [COVARIATE_ORDER.index(c) for c in spec.covariates]]
+    X = np.column_stack([np.ones(len(y))]
+                        + [centered ** degree for degree in range(1, spec.age_degree + 1)]
+                        + [covariates])
+    if not np.isfinite(X).all():
+        raise FitError("age and covariates must be finite")
+    columns = ("Intercept",) + AGE_TERMS[:spec.age_degree] + tuple(spec.covariates)
+    return _pruned(y, X, columns, spec.age_degree, age_mean, frame.ids[rows])
 
-    cols = [np.ones(len(included))]
-    names = ["Intercept"]
-    for degree in range(1, spec.age_degree + 1):
-        cols.append(centered ** degree)
-        names.append(AGE_TERMS[degree - 1])
-    for cov in spec.covariates:
-        getter = _COVARIATE_GETTERS[cov]
-        cols.append(np.array([float(getter(r)) for r in included]))
-        names.append(cov)
 
-    X = np.column_stack(cols)
-    report = collinearity_check(X, names, vif_exempt=AGE_TERMS)
-    return Design(y=y, X=report.X, columns=report.columns,
-                  age_degree=spec.age_degree, age_mean=age_mean,
-                  dropped=report.dropped, vifs=report.vifs,
-                  row_ids=tuple(r.professor_id for r in included))
+def _min_aic(fit_degree: Callable[[int], tuple[CoreFit, object]],
+             max_degree: int) -> tuple[int, CoreFit, object]:
+    """(degree, fit, payload) for the ``fit_degree(degree)`` of least AIC."""
+    if not 1 <= max_degree <= 3:
+        raise ValueError(f"max_degree must be 1..3, got {max_degree}")
+    best, best_aic, last_error = None, math.inf, None
+    for degree in range(1, max_degree + 1):
+        try:
+            fit, payload = fit_degree(degree)
+        except FitError as exc:
+            last_error = exc
+            continue
+        if fit.aic < best_aic:
+            best, best_aic = (degree, fit, payload), fit.aic
+    if best is None:
+        raise FitError(f"all candidate degrees failed: {last_error}")
+    return best
 
 
 def select_age_degree(design_builder: Callable[[int], tuple[np.ndarray, np.ndarray]],
@@ -383,23 +386,8 @@ def select_age_degree(design_builder: Callable[[int], tuple[np.ndarray, np.ndarr
     ``design_builder(degree)`` returns (y, X).  Degrees whose fit fails are
     skipped; if every degree fails the last error is re-raised.
     """
-    if not 1 <= max_degree <= 3:
-        raise ValueError(f"max_degree must be 1..3, got {max_degree}")
-    best_degree = None
-    best_aic = math.inf
-    last_error: Exception | None = None
-    for degree in range(1, max_degree + 1):
-        try:
-            y, X = design_builder(degree)
-            fit = fit_fractional_logit(y, X)
-        except FitError as exc:
-            last_error = exc
-            continue
-        if fit.aic < best_aic:
-            best_degree, best_aic = degree, fit.aic
-    if best_degree is None:
-        raise FitError(f"all candidate degrees failed: {last_error}")
-    return best_degree
+    return _min_aic(lambda degree: (fit_fractional_logit(*design_builder(degree)), None),
+                    max_degree)[0]
 
 
 def average_marginal_effects(beta: np.ndarray, design: Design,
@@ -499,23 +487,19 @@ class FitResult:
     n_iter: int = 0
 
 
-def fit_model(rows: Sequence[RegressionRow], spec: ModelSpec) -> FitResult:
-    """Build the design for ``spec``, fit it, and assemble reporting output."""
-    design = build_design(rows, spec)
-    core = fit_fractional_logit(design.y, design.X)
+def _fit_result(dependent: str, design: Design, core: CoreFit) -> FitResult:
+    """Reporting output of a solved design."""
     ames = average_marginal_effects(core.beta, design)
     pseudo = mcfadden_pseudo_r2(core, design.y)
 
     T = _raw_age_transform(design.columns, design.age_mean)
     beta_raw = T @ core.beta
-    cov_raw = T @ core.cov_robust @ T.T
-    cov_raw_classical = T @ core.cov_classical @ T.T
-    se_raw = np.sqrt(np.clip(np.diag(cov_raw), 0.0, None))
-    se_raw_classical = np.sqrt(np.clip(np.diag(cov_raw_classical), 0.0, None))
+    se_raw, se_raw_classical = (np.sqrt(np.clip(np.diag(T @ cov @ T.T), 0.0, None))
+                                for cov in (core.cov_robust, core.cov_classical))
 
     s = REPORT_SCALE
     return FitResult(
-        dependent=spec.dependent,
+        dependent=dependent,
         terms=design.columns,
         coefficients={c: s * float(b) for c, b in zip(design.columns, beta_raw)},
         robust_se={c: s * float(v) for c, v in zip(design.columns, se_raw)},
@@ -534,12 +518,26 @@ def fit_model(rows: Sequence[RegressionRow], spec: ModelSpec) -> FitResult:
     )
 
 
-def fit_with_selected_degree(rows: Sequence[RegressionRow], spec: ModelSpec,
-                             max_degree: int = 3) -> FitResult:
-    """AIC-select the age degree (1..max_degree), then fit at that degree."""
-    def builder(degree: int):
-        design = build_design(rows, replace(spec, age_degree=degree))
-        return design.y, design.X
+def fit_model(frame: RegressionFrame, spec: ModelSpec) -> FitResult:
+    """Build the design for ``spec``, fit it, and assemble reporting output."""
+    design = build_design(frame, spec)
+    return _fit_result(spec.dependent, design, fit_fractional_logit(design.y, design.X))
 
-    degree = select_age_degree(builder, max_degree=max_degree)
-    return fit_model(rows, replace(spec, age_degree=degree))
+
+def fit_with_selected_degree(frame: RegressionFrame, spec: ModelSpec,
+                             max_degree: int = 3) -> FitResult:
+    """AIC-select the age degree (1..max_degree) and report the winning fit.
+
+    The columns are built once; each degree is a slice of them, fitted once.
+    """
+    try:
+        top = build_design(frame, replace(spec, age_degree=max_degree))
+    except FitError as exc:  # no degree can be fitted on this sample
+        raise FitError(f"all candidate degrees failed: {exc}") from exc
+
+    def fit_degree(degree: int):
+        design = top.at_degree(degree)
+        return fit_fractional_logit(design.y, design.X), design
+
+    _, core, design = _min_aic(fit_degree, max_degree)
+    return _fit_result(spec.dependent, design, core)

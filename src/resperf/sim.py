@@ -325,20 +325,8 @@ class RecoveryReport:
     def to_dict(self) -> dict:
         cfg = {f.name: getattr(self.config, f.name) for f in fields(self.config)}
         cfg["fields"] = [[f.sds, f.uda, f.convention] for f in self.config.fields]
-        return {
-            "config": cfg,
-            "n_runs": self.n_runs,
-            "n_failed": self.n_failed,
-            "age_negative_fraction": self.age_negative_fraction,
-            "seniority_positive_fraction": self.seniority_positive_fraction,
-            "mean_age_ame": self.mean_age_ame,
-            "mean_seniority_ame": self.mean_seniority_ame,
-            "sd_age_ame": self.sd_age_ame,
-            "sd_seniority_ame": self.sd_seniority_ame,
-            "mean_pseudo_r2": self.mean_pseudo_r2,
-            "low_power": self.low_power,
-            "runs": [vars(r) for r in self.runs],
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "config": cfg, "runs": [vars(r) for r in self.runs]}
 
 
 def _mean_sd(values: list[float]) -> tuple[float | None, float | None]:
@@ -368,21 +356,18 @@ def recovery_experiment(config: SimConfig, n_runs: int,
         try:
             roster, corpus = generate_cohort(cfg)
             census = date(cfg.window[1], 12, 31)
-            _, _, _, rows = run_scoring(roster, corpus, cfg.conventions(),
-                                        census, cfg.window)
+            _, _, _, frame = run_scoring(roster, corpus, cfg.conventions(),
+                                         census, cfg.window)
             spec = ModelSpec(dependent=dependent)
             if max_degree > 1:
-                fit = fit_with_selected_degree(rows, spec, max_degree=max_degree)
+                fit = fit_with_selected_degree(frame, spec, max_degree=max_degree)
             else:
-                fit = fit_model(rows, spec)
-            outcome.n = fit.n
-            outcome.n_terms = len(fit.terms)
-            outcome.age_ame = fit.ame.get("Age")
-            outcome.seniority_ame = fit.ame.get("Seniority")
-            outcome.pseudo_r2 = fit.pseudo_r2
-            outcome.aic = fit.aic
-            outcome.age_degree = fit.age_degree
-            outcome.converged = fit.converged
+                fit = fit_model(frame, spec)
+            outcome = replace(outcome, n=fit.n, n_terms=len(fit.terms),
+                              age_ame=fit.ame.get("Age"),
+                              seniority_ame=fit.ame.get("Seniority"),
+                              pseudo_r2=fit.pseudo_r2, aic=fit.aic,
+                              age_degree=fit.age_degree, converged=fit.converged)
         except FitError as exc:  # a cohort the model cannot fit; bugs propagate
             outcome.error = f"{type(exc).__name__}: {exc}"
         results.append(outcome)

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from datetime import date
 
+import numpy as np
+
 from resperf.corpus import Authorship, Corpus, Professor, Publication
+from resperf.indicators import INDICATORS
+from resperf.regress import RegressionFrame
 
 
 def make_professor(id="P1", gender="male", birth=date(1950, 6, 30),
@@ -51,3 +55,15 @@ def build_tiny_world() -> tuple[list[Professor], Corpus]:
         make_publication("W12", 2005, "BIO/05", 2.0, 30, byline=(("P3", "U6"),)),
     ]
     return roster, Corpus(pubs)
+
+
+def make_frame(rows) -> RegressionFrame:
+    """Frame from (id, uda, age, seniority, gender, u1, u2, u3, {indicator:
+    percentile}) rows; an indicator missing from a row's mapping is NaN."""
+    return RegressionFrame(
+        ids=np.array([r[0] for r in rows], dtype=str),
+        uda=np.array([r[1] for r in rows], dtype=str),
+        age=np.array([r[2] for r in rows], dtype=float),
+        covariates=np.array([r[3:8] for r in rows], dtype=float).reshape(-1, 5),
+        percentiles=np.array([[r[8].get(i, np.nan) for i in INDICATORS] for r in rows],
+                             dtype=float).reshape(-1, len(INDICATORS)))

@@ -13,13 +13,13 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import make_professor, make_publication
+from helpers import make_frame, make_professor, make_publication
 from resperf.cohort import percentile_rank
 from resperf.corpus import Corpus, derive_covariates
 from resperf.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights
 from resperf.indicators import build_scaling_table, compute_fss, compute_ia
 from resperf.credit import ConventionMap
-from resperf.regress import (AGE_TERMS, FitResult, ModelSpec, RegressionRow,
+from resperf.regress import (AGE_TERMS, FitResult, ModelSpec,
                              average_marginal_effects, build_design,
                              fit_fractional_logit, select_age_degree)
 from resperf.report import regression_table
@@ -189,7 +189,7 @@ def test_solver_recovers_exact_coefficients():
 
 # --- marginal effects -------------------------------------------------------
 
-def synth_rows(rng, n, b_age, b_sen, b_gen, b_age2):
+def synth_frame(rng, n, b_age, b_sen, b_gen, b_age2):
     rows = []
     for i in range(n):
         age = float(rng.uniform(36, 75))
@@ -200,10 +200,9 @@ def synth_rows(rng, n, b_age, b_sen, b_gen, b_age2):
                + b_sen * (sen - 12.0) / 3.0 + b_gen * gen)
         y = min(max(1.0 / (1.0 + np.exp(-eta)) + float(rng.normal(0.0, 0.08)),
                     0.0), 1.0)
-        rows.append(RegressionRow(f"R{i}", "MAT", age, sen, gen,
-                                  int(ut == 1), int(ut == 2), int(ut == 3),
-                                  {"FSS": 100.0 * y}))
-    return rows
+        rows.append((f"R{i}", "MAT", age, sen, gen, int(ut == 1), int(ut == 2),
+                     int(ut == 3), {"FSS": 100.0 * y}))
+    return make_frame(rows)
 
 
 def fd_age_ame(beta, design, h=1e-5):
@@ -239,12 +238,12 @@ def test_marginal_effects_match_finite_difference():
         degree = seed % 3 + 1
         cubics += degree == 3
         rng = np.random.default_rng(1000 + seed)
-        rows = synth_rows(rng, n=250,
-                          b_age=float(rng.uniform(-0.08, -0.01)),
-                          b_sen=float(rng.uniform(0.01, 0.10)),
-                          b_gen=float(rng.uniform(-0.5, 0.5)),
-                          b_age2=float(rng.uniform(-0.004, 0.0)) if degree > 1 else 0.0)
-        design = build_design(rows, ModelSpec(age_degree=degree))
+        frame = synth_frame(rng, n=250,
+                            b_age=float(rng.uniform(-0.08, -0.01)),
+                            b_sen=float(rng.uniform(0.01, 0.10)),
+                            b_gen=float(rng.uniform(-0.5, 0.5)),
+                            b_age2=float(rng.uniform(-0.004, 0.0)) if degree > 1 else 0.0)
+        design = build_design(frame, ModelSpec(age_degree=degree))
         fit = fit_fractional_logit(design.y, design.X)
         ok = ok and fit.converged
         ames = average_marginal_effects(fit.beta, design)

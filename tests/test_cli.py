@@ -3,18 +3,21 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import resperf
 from helpers import build_tiny_world
-from resperf.cli import main
-from resperf.corpus import derive_covariates, write_publications, write_roster
+from resperf.cli import _read_frame, main
+from resperf.corpus import (IngestError, derive_covariates, write_publications,
+                            write_roster)
 
 runner = CliRunner()
 
@@ -164,7 +167,77 @@ class TestCompute:
         assert manifest["parameters"]["force_convention"] == "position_weighted"
 
 
+# (file, line, column, value) written into a copy of compute's output; None
+# drops the column, "<line 2>" copies line 2's value and "<cut>" ends the row
+# before the column.
+REGRESS_INPUT_PROBES = {
+    "age-not-a-number": ("covariates.csv", 2, "age", "abc"),
+    "seniority-infinite": ("covariates.csv", 4, "seniority", "inf"),
+    "gender-dummy-two": ("covariates.csv", 3, "gender_dummy", "2"),
+    "gender-dummy-column-missing": ("covariates.csv", 1, "gender_dummy", None),
+    "duplicate-professor": ("covariates.csv", 3, "professor_id", "<line 2>"),
+    "short-row": ("covariates.csv", 3, "seniority", "<cut>"),
+    "percentile-nan": ("percentiles.csv", 2, "percentile", "nan"),
+    "percentile-200": ("percentiles.csv", 5, "percentile", "200"),
+    "percentile-negative": ("percentiles.csv", 3, "percentile", "-5"),
+    "percentile-infinite": ("percentiles.csv", 4, "percentile", "inf"),
+    "unknown-indicator": ("percentiles.csv", 2, "indicator", "H"),
+    "unknown-professor": ("percentiles.csv", 2, "professor_id", "NOBODY"),
+    "repeated-percentile": ("percentiles.csv", 3, "indicator", "<line 2>"),
+}
+
+
+def rewrite_cell(path: Path, line: int, column: str, value: str | None) -> None:
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index(column)
+    if value is None:
+        rows = [r[:j] + r[j + 1:] for r in rows]
+    elif value == "<cut>":
+        rows[line - 1] = rows[line - 1][:j]
+    else:
+        rows[line - 1][j] = rows[1][j] if value == "<line 2>" else value
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 class TestRegress:
+    @pytest.mark.parametrize("probe", sorted(REGRESS_INPUT_PROBES))
+    def test_bad_inputs_exit_two_naming_file_and_line(self, sim_chain, tmp_path, probe):
+        name, line, column, value = REGRESS_INPUT_PROBES[probe]
+        data = tmp_path / "comp"
+        shutil.copytree(sim_chain / "comp", data)
+        rewrite_cell(data / name, line, column, value)
+        res = invoke("regress", "--data", data, "--out", tmp_path / "reg")
+        assert res.exit_code == 2, res.output
+        assert f"{name}: line {line}:" in res.output
+
+    def test_edge_values_give_a_valid_frame_or_ingest_error(self, sim_chain, tmp_path):
+        texts = ("", "abc", "nan", "inf", "-inf", "1e309", "-5", "-0", "0", "1", "2",
+                 "0.5", "100", "100.5", "FSS", "H", "R00001", "a,b")
+        data = tmp_path / "comp"
+        for name, columns in (("covariates.csv", ("professor_id", "age", "seniority",
+                                                  "gender_dummy", "u3")),
+                              ("percentiles.csv", ("professor_id", "indicator",
+                                                   "percentile"))):
+            for column in columns:
+                for text in texts:
+                    shutil.rmtree(data, ignore_errors=True)
+                    shutil.copytree(sim_chain / "comp", data)
+                    rewrite_cell(data / name, 3, column, text)
+                    try:
+                        frame = _read_frame(data / "covariates.csv",
+                                            data / "percentiles.csv")
+                    except IngestError as exc:
+                        assert "line " in str(exc)
+                        continue
+                    assert np.isfinite(frame.age).all()
+                    assert np.isfinite(frame.covariates).all()
+                    assert np.isin(frame.covariates[:, 1:], (0.0, 1.0)).all()
+                    ranked = frame.percentiles[~np.isnan(frame.percentiles)]
+                    assert ((ranked >= 0.0) & (ranked <= 100.0)).all()
+                    assert len(set(frame.ids)) == len(frame.ids)
+
     def test_total_only_fit(self, sim_chain):
         out = sim_chain / "reg_total"
         res = invoke("regress", "--data", sim_chain / "comp", "--total-only",

@@ -1,16 +1,17 @@
-"""Orchestration: roster scoring and row assembly."""
+"""Orchestration: roster scoring and regression-frame assembly."""
 
 from datetime import date
 
+import numpy as np
 import pytest
 
 from helpers import make_professor
 from resperf.cohort import cohort_percentiles
 from resperf.corpus import Corpus
 from resperf.credit import ConventionMap
-from resperf.indicators import build_scaling_table, compute_scores
+from resperf.indicators import INDICATORS, build_scaling_table, compute_scores
 from resperf.pipeline import (compute_indicator_scores, derive_all_covariates,
-                              regression_rows, run_scoring)
+                              regression_frame, run_scoring)
 
 WINDOW = (2006, 2010)
 CENSUS = date(2010, 12, 31)
@@ -38,18 +39,19 @@ class TestComputeIndicatorScores:
 class TestRunScoring:
     def test_outputs_align(self, tiny_world):
         roster, corpus = tiny_world
-        covariates, scores, percentiles, rows = run_scoring(
+        covariates, scores, percentiles, frame = run_scoring(
             roster, corpus, ConventionMap(), CENSUS, WINDOW)
         assert set(covariates) == set(scores) == {p.id for p in roster}
-        assert [r.professor_id for r in rows] == [p.id for p in roster]
-        for prof, row in zip(roster, rows):
+        assert list(frame.ids) == [p.id for p in roster]
+        for i, prof in enumerate(roster):
             cov = covariates[prof.id]
-            assert row.age == cov.age
-            assert row.seniority == cov.seniority
-            assert row.gender == cov.gender_dummy
-            assert (row.u1, row.u2, row.u3) == (cov.u1, cov.u2, cov.u3)
-            assert row.uda == prof.uda
-            assert row.percentiles == percentiles[prof.id]
+            assert frame.age[i] == cov.age
+            assert list(frame.covariates[i]) == [cov.seniority, cov.gender_dummy,
+                                                 cov.u1, cov.u2, cov.u3]
+            assert frame.uda[i] == prof.uda
+            ranked = {ind: frame.percentiles[i, j] for j, ind in enumerate(INDICATORS)
+                      if not np.isnan(frame.percentiles[i, j])}
+            assert ranked == percentiles[prof.id]
 
     def test_every_active_professor_has_all_percentiles(self, tiny_world):
         roster, corpus = tiny_world
@@ -67,10 +69,11 @@ class TestRunScoring:
     def test_regression_rows_tolerate_missing_percentiles(self, tiny_world):
         roster, _ = tiny_world
         covs = derive_all_covariates(roster, CENSUS, WINDOW)
-        rows = regression_rows(roster, covs, {})
-        assert all(r.percentiles == {} for r in rows)
+        frame = regression_frame(roster, covs, {})
+        assert frame.percentiles.shape == (len(roster), len(INDICATORS))
+        assert np.isnan(frame.percentiles).all()
 
     def test_missing_covariates_raise(self, tiny_world):
         roster, _ = tiny_world
         with pytest.raises(KeyError):
-            regression_rows(roster, {}, {})
+            regression_frame(roster, {}, {})

@@ -1,12 +1,16 @@
 """Quasi-likelihood solver, inference, marginal effects, and design handling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import resperf.regress
+from helpers import make_frame
+from resperf.indicators import INDICATORS
 from resperf.regress import (AGE_TERMS, CoreFit, Design, FitError, ModelSpec,
-                             QuasiSeparationError, RegressionRow,
+                             QuasiSeparationError,
                              average_marginal_effects, bernoulli_qll,
                              build_design, collinearity_check,
                              fit_fractional_logit, fit_model,
@@ -18,8 +22,8 @@ def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def synth_rows(rng, n=400, b_age=-0.05, b_sen=0.06, b_gen=0.4, b_age2=0.0,
-               noise=0.08, uda="MAT"):
+def synth_frame(rng, n=400, b_age=-0.05, b_sen=0.06, b_gen=0.4, b_age2=0.0,
+                noise=0.08, uda="MAT"):
     rows = []
     for i in range(n):
         age = float(rng.uniform(36, 75))
@@ -29,10 +33,9 @@ def synth_rows(rng, n=400, b_age=-0.05, b_sen=0.06, b_gen=0.4, b_age2=0.0,
         eta = (-0.2 + b_age * (age - 55.0) + b_age2 * (age - 55.0) ** 2
                + b_sen * (sen - 12.0) / 3.0 + b_gen * gen)
         y = min(max(sigmoid(eta) + float(rng.normal(0.0, noise)), 0.0), 1.0)
-        rows.append(RegressionRow(f"R{i}", uda, age, sen, gen,
-                                  int(ut == 1), int(ut == 2), int(ut == 3),
-                                  {"FSS": 100.0 * y}))
-    return rows
+        rows.append((f"R{i}", uda, age, sen, gen, int(ut == 1), int(ut == 2),
+                     int(ut == 3), {"FSS": 100.0 * y}))
+    return make_frame(rows)
 
 
 class TestLogisticPieces:
@@ -123,6 +126,17 @@ class TestSolver:
         with pytest.raises(FitError, match="lie in"):
             fit_fractional_logit(np.array([0.5, 1.5]), np.ones((2, 1)))
 
+    @pytest.mark.parametrize("bad", ["y", "X"])
+    def test_non_finite_input_rejected(self, bad):
+        y = np.array([0.2, 0.5, 0.7, 0.4])
+        X = np.column_stack([np.ones(4), [1.0, 2.0, 3.0, 4.0]])
+        if bad == "y":
+            y[1] = np.nan
+        else:
+            X[2, 1] = np.inf
+        with pytest.raises(FitError, match="must be finite"):
+            fit_fractional_logit(y, X)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(FitError):
             fit_fractional_logit(np.array([0.5, 0.5, 0.5]), np.ones((2, 1)))
@@ -190,6 +204,21 @@ class TestPseudoR2:
         y = np.clip(np.random.default_rng(8).random(50), 0.01, 0.99)
         fit = fit_fractional_logit(y, np.ones((50, 1)))
         assert mcfadden_pseudo_r2(fit, y) == 0.0
+
+    @pytest.mark.parametrize("n", [200, 20_000])
+    def test_matches_newton_null_fit(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(0, 1, n)
+        y = np.clip(1 / (1 + np.exp(-0.4 * x)) + rng.normal(0, 0.1, n), 0, 1)
+        fit = fit_fractional_logit(y, np.column_stack([np.ones(n), x]))
+        null_fit = fit_fractional_logit(y, np.ones((n, 1)))  # independent oracle
+        assert mcfadden_pseudo_r2(fit, y) == pytest.approx(
+            1.0 - fit.qll / null_fit.qll, rel=1e-12)
+
+    def test_degenerate_null_rejected(self):
+        fit = fit_fractional_logit(np.full(10, 0.5), np.ones((10, 1)))
+        with pytest.raises(ValueError, match="degenerate null"):
+            mcfadden_pseudo_r2(fit, np.zeros(10))
 
     def test_bounded_below_one(self):
         rng = np.random.default_rng(9)
@@ -277,10 +306,11 @@ class TestModelSpec:
     def test_from_mapping_seniority_cap(self):
         spec = ModelSpec.from_mapping({"dependent": "P", "max_seniority": 8})
         assert spec.dependent == "P"
-        row_lo = RegressionRow("a", "MAT", 50.0, 7.9, 1, 0, 0, 0, {})
-        row_hi = RegressionRow("b", "MAT", 50.0, 8.0, 1, 0, 0, 0, {})
-        assert spec.subset_filter(row_lo)
-        assert not spec.subset_filter(row_hi)
+        assert spec.max_seniority == 8.0
+        frame = make_frame([("a", "MAT", 50.0, 7.9, 1, 0, 0, 0, {"P": 10.0}),
+                            ("b", "MAT", 51.0, 8.0, 1, 0, 0, 0, {"P": 20.0}),
+                            ("c", "MAT", 52.0, 2.0, 0, 0, 0, 0, {"P": 30.0})])
+        assert list(build_design(frame, spec).row_ids) == ["a", "c"]
 
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown model spec keys"):
@@ -290,53 +320,54 @@ class TestModelSpec:
 class TestBuildDesign:
     def test_layout_and_centering(self):
         rng = np.random.default_rng(16)
-        rows = synth_rows(rng, n=50)
-        design = build_design(rows, ModelSpec(age_degree=2))
+        frame = synth_frame(rng, n=50)
+        design = build_design(frame, ModelSpec(age_degree=2))
         assert design.columns[:3] == ("Intercept", "Age", "Age^2")
-        ages = np.array([r.age for r in rows])
+        ages = frame.age
         assert design.age_mean == pytest.approx(ages.mean())
         i_age = design.column_index("Age")
         assert np.allclose(design.X[:, i_age], ages - ages.mean())
         assert np.allclose(design.X[:, i_age + 1], (ages - ages.mean()) ** 2)
-        assert np.allclose(design.y, [r.percentiles["FSS"] / 100 for r in rows])
-        assert design.row_ids == tuple(r.professor_id for r in rows)
+        assert np.allclose(design.y, frame.percentiles[:, INDICATORS.index("FSS")] / 100)
+        assert list(design.row_ids) == list(frame.ids)
 
     def test_subset_filter_and_missing_dependent(self):
         rng = np.random.default_rng(17)
-        rows = synth_rows(rng, n=60)
-        rows[5] = RegressionRow("gap", "MAT", 50.0, 5.0, 1, 0, 0, 0, {})  # no FSS
-        spec = ModelSpec(subset_filter=lambda r: r.seniority < 20.0)
-        design = build_design(rows, spec)
-        assert "gap" not in design.row_ids
-        assert all(r.seniority < 20.0 for r in rows if r.professor_id in design.row_ids)
-        assert len(design.row_ids) < len(rows)
+        frame = synth_frame(rng, n=60)
+        frame.percentiles[5] = np.nan  # R5 is not ranked
+        spec = ModelSpec(max_seniority=20.0)
+        design = build_design(frame, spec)
+        assert "R5" not in design.row_ids
+        included = np.isin(frame.ids, design.row_ids)
+        assert np.all(frame.covariates[included, 0] < 20.0)
+        assert len(design.row_ids) < len(frame.ids)
 
     def test_constant_gender_column_pruned(self):
         rng = np.random.default_rng(18)
-        rows = [RegressionRow(f"r{i}", "MAT", float(rng.uniform(40, 70)),
-                              float(rng.uniform(1, 30)), 1, 0, 0, 0,
-                              {"FSS": float(rng.uniform(5, 95))})
+        rows = [(f"r{i}", "MAT", float(rng.uniform(40, 70)),
+                 float(rng.uniform(1, 30)), 1, 0, 0, 0,
+                 {"FSS": float(rng.uniform(5, 95))})
                 for i in range(40)]
-        design = build_design(rows, ModelSpec())
+        design = build_design(make_frame(rows), ModelSpec())
         assert "Gender" in design.dropped
         assert "U1" in design.dropped  # all-zero dummy duplicates nothing to fit
         assert "Gender" not in design.columns
 
     def test_empty_design_rejected(self):
         rng = np.random.default_rng(19)
-        rows = synth_rows(rng, n=10)
+        frame = synth_frame(rng, n=10)
         with pytest.raises(FitError, match="empty design"):
-            build_design(rows, ModelSpec(subset_filter=lambda r: False))
+            build_design(frame, ModelSpec(max_seniority=0.0))
 
     def test_constant_dependent_rejected(self):
-        rows = [RegressionRow(f"r{i}", "MAT", 40.0 + i, 5.0, i % 2, 0, 0, 0,
-                              {"FSS": 50.0}) for i in range(20)]
+        rows = [(f"r{i}", "MAT", 40.0 + i, 5.0, i % 2, 0, 0, 0, {"FSS": 50.0})
+                for i in range(20)]
         with pytest.raises(FitError, match="constant"):
-            build_design(rows, ModelSpec())
+            build_design(make_frame(rows), ModelSpec())
 
     def test_unknown_column_lookup_rejected(self):
         rng = np.random.default_rng(20)
-        design = build_design(synth_rows(rng, n=30), ModelSpec())
+        design = build_design(synth_frame(rng, n=30), ModelSpec())
         with pytest.raises(ValueError, match="unknown design column"):
             design.column_index("Banana")
 
@@ -397,6 +428,14 @@ class TestDegreeSelection:
         with pytest.raises(FitError, match="all candidate degrees failed"):
             select_age_degree(builder)
 
+    def test_all_failed_message_names_the_error(self):
+        y = np.full(30, 0.4)
+        y[3] = np.nan
+        X = np.column_stack([np.ones(30), np.arange(30.0)])
+        with pytest.raises(FitError, match="all candidate degrees failed: "
+                                           "responses and design must be finite"):
+            select_age_degree(lambda degree: (y, X))
+
     def test_max_degree_validated(self):
         with pytest.raises(ValueError, match="max_degree"):
             select_age_degree(lambda d: (None, None), max_degree=5)
@@ -439,8 +478,8 @@ def discrete_contrast(beta, design, name):
 class TestMarginalEffects:
     def fitted_design(self, seed, degree):
         rng = np.random.default_rng(seed)
-        rows = synth_rows(rng, n=250, b_age2=-0.002 if degree > 1 else 0.0)
-        design = build_design(rows, ModelSpec(age_degree=degree))
+        frame = synth_frame(rng, n=250, b_age2=-0.002 if degree > 1 else 0.0)
+        design = build_design(frame, ModelSpec(age_degree=degree))
         fit = fit_fractional_logit(design.y, design.X)
         return fit.beta, design
 
@@ -489,10 +528,10 @@ class TestMarginalEffects:
 class TestFitModel:
     def test_reporting_scale_and_back_transform(self):
         rng = np.random.default_rng(50)
-        rows = synth_rows(rng, n=350, b_age2=-0.003)
+        frame = synth_frame(rng, n=350, b_age2=-0.003)
         spec = ModelSpec(age_degree=2)
-        result = fit_model(rows, spec)
-        design = build_design(rows, spec)
+        result = fit_model(frame, spec)
+        design = build_design(frame, spec)
         core = fit_fractional_logit(design.y, design.X)
 
         # raw-scale coefficients must reproduce the centered linear predictor
@@ -509,9 +548,9 @@ class TestFitModel:
 
     def test_raw_fit_agrees_with_back_transform(self):
         rng = np.random.default_rng(51)
-        rows = synth_rows(rng, n=300, b_age2=-0.002)
-        result = fit_model(rows, ModelSpec(age_degree=2))
-        design = build_design(rows, ModelSpec(age_degree=2))
+        frame = synth_frame(rng, n=300, b_age2=-0.002)
+        result = fit_model(frame, ModelSpec(age_degree=2))
+        design = build_design(frame, ModelSpec(age_degree=2))
         ages = design.X[:, 1] + design.age_mean
         X_raw = design.X.copy()
         X_raw[:, 1] = ages
@@ -525,8 +564,8 @@ class TestFitModel:
 
     def test_result_bookkeeping(self):
         rng = np.random.default_rng(52)
-        rows = synth_rows(rng, n=200)
-        result = fit_model(rows, ModelSpec())
+        frame = synth_frame(rng, n=200)
+        result = fit_model(frame, ModelSpec())
         assert result.converged
         assert result.n == 200
         assert result.terms[0] == "Intercept"
@@ -540,17 +579,56 @@ class TestFitModel:
 
     def test_selected_degree_fit(self):
         rng = np.random.default_rng(53)
-        rows = synth_rows(rng, n=700, b_age2=-0.004, noise=0.05)
-        result = fit_with_selected_degree(rows, ModelSpec(), max_degree=3)
+        frame = synth_frame(rng, n=700, b_age2=-0.004, noise=0.05)
+        result = fit_with_selected_degree(frame, ModelSpec(), max_degree=3)
         assert result.age_degree >= 2
         assert "Age^2" in result.terms
 
     def test_alternative_dependent(self):
         rng = np.random.default_rng(54)
-        rows = synth_rows(rng, n=150)
-        rows = [RegressionRow(r.professor_id, r.uda, r.age, r.seniority, r.gender,
-                              r.u1, r.u2, r.u3,
-                              {"IA": r.percentiles["FSS"]}) for r in rows]
-        result = fit_model(rows, ModelSpec(dependent="IA"))
+        frame = synth_frame(rng, n=150)
+        percentiles = np.full_like(frame.percentiles, np.nan)
+        percentiles[:, INDICATORS.index("IA")] = frame.percentiles[:, INDICATORS.index("FSS")]
+        result = fit_model(replace(frame, percentiles=percentiles), ModelSpec(dependent="IA"))
         assert result.dependent == "IA"
         assert result.n == 150
+
+    def test_non_finite_covariate_is_a_fit_error(self):
+        frame = synth_frame(np.random.default_rng(55), n=100)
+        frame.age[7] = np.nan
+        with pytest.raises(FitError, match="age and covariates must be finite"):
+            fit_model(frame, ModelSpec())
+
+
+class TestComputeOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"build_design": 0, "collinearity_check": 0, "fit_fractional_logit": 0}
+        for name in counts:
+            original = getattr(resperf.regress, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(resperf.regress, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("max_degree", [1, 2, 3])
+    def test_selected_degree_builds_once_and_solves_each_degree_once(self, calls,
+                                                                     max_degree):
+        frame = synth_frame(np.random.default_rng(60), n=300, b_age2=-0.003)
+        fit_with_selected_degree(frame, ModelSpec(), max_degree=max_degree)
+        assert calls == {"build_design": 1, "collinearity_check": max_degree,
+                         "fit_fractional_logit": max_degree}
+
+    def test_fixed_degree_model_solves_once(self, calls):
+        fit_model(synth_frame(np.random.default_rng(61), n=200), ModelSpec(age_degree=2))
+        assert calls == {"build_design": 1, "collinearity_check": 1,
+                         "fit_fractional_logit": 1}
+
+    @pytest.mark.parametrize("seed", [62, 63, 64])
+    def test_winner_equals_a_fresh_fit_at_its_degree(self, seed):
+        frame = synth_frame(np.random.default_rng(seed), n=400, b_age2=-0.002 * (seed - 62))
+        selected = fit_with_selected_degree(frame, ModelSpec(), max_degree=3)
+        fresh = fit_model(frame, ModelSpec(age_degree=selected.age_degree))
+        assert selected == fresh
