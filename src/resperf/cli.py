@@ -152,7 +152,7 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
     else:
         conventions = ConventionMap(global_override=force_convention)
 
-    covariates, scores, percentiles, _ = _compute_stage(
+    covariates, scores, percentiles = _compute_stage(
         "scoring", run_scoring, roster, corpus, conventions, census,
         window_years, strict)
 
@@ -417,15 +417,33 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
                              "recovery.json", "recovery_runs.csv", "manifest.json"])
 
 
+_INDICATOR_COLUMNS = ("professor_id", "fss", "p", "ia", "ij", "n_pubs")
+
+
 def _read_indicators(path: Path) -> dict[str, IndicatorScores]:
-    out = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            out[rec["professor_id"]] = IndicatorScores(
-                fss=float(rec["fss"]), p=float(rec["p"]),
-                ia=float(rec["ia"]) if rec["ia"] else None,
-                ij=float(rec["ij"]) if rec["ij"] else None,
-                n_pubs=int(rec["n_pubs"]))
+    """compute's indicators.csv, validated, keyed by professor id."""
+    problems: list[str] = []
+    out: dict[str, IndicatorScores] = {}
+    for line, (pid, *texts, n_pubs) in _csv_rows(path, _INDICATOR_COLUMNS):
+        if pid in out:
+            problems.append(f"line {line}: duplicate professor_id {pid!r}")
+        values = []
+        for name, text in zip(_INDICATOR_COLUMNS[1:5], texts):
+            value = _finite(text)
+            if name in ("ia", "ij") and text == "":
+                values.append(None)
+            elif value is None or value < 0:
+                empty = " or empty" if name in ("ia", "ij") else ""
+                problems.append(
+                    f"line {line}: {name} must be a finite number >= 0{empty}, got {text!r}")
+            else:
+                values.append(value)
+        if not (n_pubs.isascii() and n_pubs.isdigit()):
+            problems.append(f"line {line}: n_pubs must be a whole number >= 0, got {n_pubs!r}")
+        elif len(values) == 4:
+            out[pid] = IndicatorScores(*values, n_pubs=int(n_pubs))
+    if problems:
+        raise IngestError(path, problems)
     return out
 
 

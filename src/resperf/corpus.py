@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,11 +68,6 @@ class IngestError(ValueError):
         super().__init__(f"{self.source}: {shown}{extra}")
 
 
-class Authorship(NamedTuple):
-    author_id: str
-    university_id: str
-
-
 @dataclass(frozen=True)
 class Professor:
     id: str
@@ -83,17 +78,6 @@ class Professor:
     uda: str
     university_type: str
     active_span: tuple[date, date] | None = None
-
-
-@dataclass(frozen=True)
-class Publication:
-    id: str
-    year: int
-    subject_category: str
-    journal_if: float | None
-    citations: int
-    doc_type: str
-    byline: tuple[Authorship, ...]
 
 
 @dataclass(frozen=True)
@@ -138,29 +122,13 @@ class Corpus:
     ``position``, ``author`` (code into ``authors``) and ``university`` (code
     into ``universities``).
 
-    Ingest and the simulator build the columns directly (:meth:`from_columns`);
-    ``Corpus(publications)`` builds them from records, and ``publications``
-    rebuilds the records on demand.  Treated as read-only after construction.
+    Ingest and the simulator build the columns with :class:`_ColumnBuffer`
+    or numpy and pass them, less the derived ``shared``, ``pub`` and
+    ``position``, to the constructor.  Treated as read-only after
+    construction.
     """
 
-    def __init__(self, publications: Iterable[Publication] = (), dropped: int = 0):
-        buf = _ColumnBuffer()
-        for pub in publications:
-            buf.append(pub.id, pub.year, pub.subject_category,
-                       math.nan if pub.journal_if is None else pub.journal_if,
-                       pub.citations, pub.doc_type, [a.author_id for a in pub.byline],
-                       [a.university_id for a in pub.byline])
-        self._set(buf.columns(), dropped)
-
-    @classmethod
-    def from_columns(cls, columns: dict, dropped: int = 0) -> "Corpus":
-        """Corpus over the columns named in the class docstring, less the
-        derived ``shared``, ``pub`` and ``position``."""
-        corpus = cls.__new__(cls)
-        corpus._set(columns, dropped)
-        return corpus
-
-    def _set(self, columns: dict, dropped: int) -> None:
+    def __init__(self, columns: dict, dropped: int = 0):
         for name, value in columns.items():
             dtype = _COLUMN_DTYPES.get(name)
             setattr(self, name, value if dtype is None else np.asarray(value, dtype))
@@ -172,17 +140,9 @@ class Corpus:
         self.shared = np.zeros(len(self.ids), dtype=bool)
         has = self.n_authors > 0
         self.shared[has] = self.university[starts[has]] == self.university[ends[has] - 1]
-        self._author_codes: dict[str, int] | None = None
-        self._publications: tuple[Publication, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def author_code(self, author_id: str) -> int:
-        """Code of ``author_id`` in ``authors``, or -1 if it is on no byline."""
-        if self._author_codes is None:
-            self._author_codes = {a: i for i, a in enumerate(self.authors)}
-        return self._author_codes.get(author_id, -1)
 
     @functools.cached_property
     def cells(self) -> tuple[np.ndarray, list[tuple[int, str]]]:
@@ -192,31 +152,19 @@ class Corpus:
         return (cell.reshape(-1),
                 [(int(k) // width, self.categories[int(k) % width]) for k in keys])
 
-    @property
-    def publications(self) -> tuple[Publication, ...]:
-        """The corpus as :class:`Publication` records, built on first use."""
-        if self._publications is None:
-            slots = [Authorship(self.authors[a], self.universities[u]) for a, u in
-                     zip(self.author.tolist(), self.university.tolist())]
-            self._publications = tuple(
-                Publication(pid, year, self.categories[cat],
-                            None if math.isnan(jif) else jif, cites,
-                            self.doc_types[doc], tuple(slots[end - n:end]))
-                for pid, year, cat, jif, cites, doc, n, end in zip(
-                    self.ids, self.year.tolist(), self.category.tolist(),
-                    self.impact.tolist(), self.citations.tolist(), self.doc_type.tolist(),
-                    self.n_authors.tolist(), np.cumsum(self.n_authors).tolist()))
-        return self._publications
+    def authored_by(self, author_ids: Sequence[str], window: tuple[int, int]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The in-window authorships of ``author_ids``, in corpus order.
 
-    def authored_by(self, author_id: str,
-                    window: tuple[int, int] | None = None
-                    ) -> list[tuple[Publication, int]]:
-        """(publication, byline position) pairs for one author, window-filtered."""
-        rows = np.flatnonzero(self.author == self.author_code(author_id))
-        pairs = [(self.publications[p], pos) for p, pos in
-                 zip(self.pub[rows].tolist(), self.position[rows].tolist())]
-        return [(pub, pos) for pub, pos in pairs
-                if window is None or window[0] <= pub.year <= window[1]]
+        Returns ``who``, each authorship's index into ``author_ids``, and
+        ``rows``, its row in the authorship table.  Ids on no byline have none.
+        """
+        index = {author: i for i, author in enumerate(author_ids)}
+        owner = np.array([index.get(a, -1) for a in self.authors], dtype=np.int64)
+        who = owner[self.author]
+        year = self.year[self.pub]
+        rows = np.flatnonzero((who >= 0) & (window[0] <= year) & (year <= window[1]))
+        return who[rows], rows
 
 
 class _ColumnBuffer:
@@ -247,7 +195,7 @@ class _ColumnBuffer:
         self.university.extend([codes.setdefault(u, len(codes)) for u in universities])
 
     def columns(self) -> dict:
-        """The columns for :meth:`Corpus.from_columns`."""
+        """The columns for the :class:`Corpus` constructor."""
         vocabularies = ("categories", "doc_types", "authors", "universities")
         return {name: list(value) if name in vocabularies else value
                 for name, value in vars(self).items()}
@@ -561,7 +509,7 @@ def ingest_publications(path,
         raise IngestError(path, rows.problems)
     if not rows.rows:
         logger.warning("%s: empty publication file", path)
-    return Corpus.from_columns(rows.buffer.columns(), rows.dropped)
+    return Corpus(rows.buffer.columns(), rows.dropped)
 
 
 def _fmt_float(x: float | None) -> str:
@@ -582,9 +530,7 @@ def write_roster(path, roster: Iterable[Professor]) -> None:
                              p.sds, p.uda, p.university_type, start, end])
 
 
-def write_publications(path, corpus: Corpus | Iterable[Publication]) -> None:
-    if not isinstance(corpus, Corpus):
-        corpus = Corpus(corpus)
+def write_publications(path, corpus: Corpus) -> None:
     tokens = [f"{corpus.authors[a]}@{corpus.universities[u]}" for a, u in
               zip(corpus.author.tolist(), corpus.university.tolist())]
     ends = np.cumsum(corpus.n_authors).tolist()

@@ -24,8 +24,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Publication
-
 ALPHABETICAL = "alphabetical"
 POSITION_WEIGHTED = "position_weighted"
 CONVENTIONS = (ALPHABETICAL, POSITION_WEIGHTED)
@@ -73,8 +71,8 @@ def byline_weights(n: int, convention: str, shared_university: bool = True) -> l
     raise CreditError(f"unknown credit convention {convention!r}")
 
 
-def credit_shares(convention: np.ndarray, shared: np.ndarray, n: np.ndarray,
-                  position: np.ndarray) -> np.ndarray:
+def fractional_contribution(convention: np.ndarray, shared: np.ndarray, n: np.ndarray,
+                            position: np.ndarray) -> np.ndarray:
     """Credit share of many byline slots at once.
 
     Slot k is at ``position[k]`` of an ``n[k]``-author byline whose first and
@@ -85,6 +83,8 @@ def credit_shares(convention: np.ndarray, shared: np.ndarray, n: np.ndarray,
     """
     if not n.size:
         return np.zeros(0)
+    if not ((0 <= position) & (position < n)).all():
+        raise CreditError("byline position outside its byline")
     width = int(n.max()) + 1
     key = (convention.astype(np.int64) * 2 + shared) * width + n
     keys, which = np.unique(key, return_inverse=True)
@@ -95,19 +95,6 @@ def credit_shares(convention: np.ndarray, shared: np.ndarray, n: np.ndarray,
         starts.append(len(table))
         table.extend(byline_weights(length, CONVENTIONS[kind // 2], bool(kind % 2)))
     return np.asarray(table)[np.asarray(starts)[which.reshape(-1)] + position]
-
-
-def fractional_contribution(publication: Publication, author_position: int,
-                            convention: str) -> float:
-    """Credit share of the author at ``author_position`` in the byline."""
-    n = len(publication.byline)
-    if n == 0:
-        raise CreditError(f"publication {publication.id}: empty byline")
-    if not 0 <= author_position < n:
-        raise CreditError(
-            f"publication {publication.id}: position {author_position} outside byline of {n}")
-    shared = publication.byline[0].university_id == publication.byline[-1].university_id
-    return byline_weights(n, convention, shared)[author_position]
 
 
 @dataclass(frozen=True)

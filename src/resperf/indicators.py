@@ -16,7 +16,7 @@ to the FSS and IA sums but still count in N.  Professors without window
 publications score FSS = P = 0 and have IA/IJ undefined.
 
 A whole roster is scored in one vectorised pass over the corpus columns
-(:func:`score_roster`).  ``np.bincount`` adds each professor's terms in
+(:func:`compute_scores`).  ``np.bincount`` adds each professor's terms in
 corpus order, the order a per-professor loop adds them in, so the sums are
 bit-for-bit those of the loop.
 """
@@ -26,12 +26,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Professor, Publication, working_years
-from .credit import CONVENTIONS, ConventionMap, credit_shares
+from .corpus import Corpus, Professor, working_years
+from .credit import CONVENTIONS, ConventionMap, fractional_contribution
 
 logger = logging.getLogger(__name__)
 
@@ -82,10 +82,8 @@ class ScalingTable:
         return np.asarray(cbar, dtype=float)[cell], np.asarray(ifbar, dtype=float)[cell]
 
 
-def build_scaling_table(corpus: Corpus | Iterable[Publication]) -> ScalingTable:
+def build_scaling_table(corpus: Corpus) -> ScalingTable:
     """Compute cell means from a corpus.  The corpus must be nonempty."""
-    if not isinstance(corpus, Corpus):
-        corpus = Corpus(corpus)
     if not len(corpus):
         raise ValueError("cannot build a scaling table from an empty corpus")
     cell, keys = corpus.cells
@@ -126,9 +124,9 @@ def _mean_or_nan(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.divide(total, count, out=np.full(total.shape, math.nan), where=count > 0)
 
 
-def score_roster(roster: Sequence[Professor], corpus: Corpus, scaling: ScalingTable,
-                 conventions: ConventionMap, window: tuple[int, int],
-                 strict: bool = False) -> list[IndicatorScores]:
+def compute_scores(roster: Sequence[Professor], corpus: Corpus, scaling: ScalingTable,
+                   conventions: ConventionMap, window: tuple[int, int],
+                   strict: bool = False) -> list[IndicatorScores]:
     """All four indicators for every professor, in roster order, in one pass.
 
     A publication whose scaling mean is missing (or whose impact factor is
@@ -137,19 +135,12 @@ def score_roster(roster: Sequence[Professor], corpus: Corpus, scaling: ScalingTa
     with ``strict`` the first such publication raises :class:`MissingCellError`.
     Professor ids must be unique.
     """
-    slot = {prof.id: i for i, prof in enumerate(roster)}
-    if len(slot) != len(roster):
+    ids = [prof.id for prof in roster]
+    if len(set(ids)) != len(ids):
         raise ValueError("duplicate professor id in roster")
     t = np.array([working_years(prof.active_span, window) for prof in roster], dtype=float)
-    owner = np.full(len(corpus.authors), -1, dtype=np.int64)
-    for pid, i in slot.items():
-        code = corpus.author_code(pid)
-        if code >= 0:
-            owner[code] = i
-    who = owner[corpus.author]
-    year = corpus.year[corpus.pub]
-    rows = np.flatnonzero((who >= 0) & (window[0] <= year) & (year <= window[1]))
-    who, pub = who[rows], corpus.pub[rows]   # in-window roster authorships
+    who, rows = corpus.authored_by(ids, window)   # in-window roster authorships
+    pub = corpus.pub[rows]
 
     cbar, ifbar = scaling.publication_means(corpus)
     cited = corpus.citations > 0
@@ -167,8 +158,8 @@ def score_roster(roster: Sequence[Professor], corpus: Corpus, scaling: ScalingTa
 
     convention = np.array([CONVENTIONS.index(conventions.resolve(p.sds, p.uda))
                            for p in roster], dtype=np.int64)
-    share = credit_shares(convention[who], corpus.shared[pub], corpus.n_authors[pub],
-                          corpus.position[rows])
+    share = fractional_contribution(convention[who], corpus.shared[pub],
+                                    corpus.n_authors[pub], corpus.position[rows])
     n = len(roster)
     ratio = cite_ratio[pub]
     ia_ok = ~no_cite_cell[pub]
@@ -224,41 +215,3 @@ def _skip_message(owner: str, corpus: Corpus, p: int, reason: int, strict: bool)
     what = "impact-factor" if reason == NO_IF_CELL else "citation"
     return (f"{owner}: no {what} scaling cell for ({year}, {category!r})" if strict
             else f"{owner}: skipping {pid}, no {what} scaling cell for ({year}, {category})")
-
-
-def compute_scores(professor: Professor, corpus: Corpus, scaling: ScalingTable,
-                   conventions: ConventionMap, window: tuple[int, int],
-                   strict: bool = False) -> IndicatorScores:
-    """All four indicators for one professor."""
-    return score_roster([professor], corpus, scaling, conventions, window, strict)[0]
-
-
-# One-professor views of compute_scores, so each checks, warns and raises as
-# compute_scores does for all four indicators.
-
-def compute_fss(professor: Professor, corpus: Corpus, scaling: ScalingTable,
-                conventions: ConventionMap, window: tuple[int, int],
-                strict: bool = False) -> float:
-    """Fractional, field-normalized citation rate per working year."""
-    return compute_scores(professor, corpus, scaling, conventions, window, strict).fss
-
-
-def compute_p(professor: Professor, corpus: Corpus,
-              window: tuple[int, int]) -> float:
-    """Publications per working year."""
-    t = working_years(professor.active_span, window)
-    if t <= 0:
-        raise ValueError(f"{professor.id}: no working years inside window {window}")
-    return len(corpus.authored_by(professor.id, window)) / t
-
-
-def compute_ia(professor: Professor, corpus: Corpus, scaling: ScalingTable,
-               window: tuple[int, int], strict: bool = False) -> float | None:
-    """Mean normalized citations per publication; None without publications."""
-    return compute_scores(professor, corpus, scaling, ConventionMap(), window, strict).ia
-
-
-def compute_ij(professor: Professor, corpus: Corpus, scaling: ScalingTable,
-               window: tuple[int, int], strict: bool = False) -> float | None:
-    """Mean normalized journal impact factor; None without usable publications."""
-    return compute_scores(professor, corpus, scaling, ConventionMap(), window, strict).ij

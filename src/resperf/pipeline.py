@@ -11,7 +11,7 @@ from .cohort import cohort_percentiles
 from .corpus import Corpus, Covariates, Professor, derive_covariates
 from .credit import ConventionMap
 from .indicators import (INDICATORS, IndicatorScores, ScalingTable,
-                         build_scaling_table, score_roster)
+                         build_scaling_table, compute_scores)
 from .regress import RegressionFrame
 
 
@@ -21,7 +21,7 @@ def compute_indicator_scores(roster: Sequence[Professor], corpus: Corpus,
                              strict: bool = False) -> dict[str, IndicatorScores]:
     """Scores for every rostered professor, keyed by id, in roster order."""
     scaling = build_scaling_table(corpus) if len(corpus) else ScalingTable({})
-    scores = score_roster(roster, corpus, scaling, conventions, window, strict)
+    scores = compute_scores(roster, corpus, scaling, conventions, window, strict)
     return {prof.id: s for prof, s in zip(roster, scores)}
 
 
@@ -49,9 +49,7 @@ def regression_frame(roster: Sequence[Professor],
 def run_scoring(roster: Sequence[Professor], corpus: Corpus,
                 conventions: ConventionMap, census_date: date,
                 window: tuple[int, int], strict: bool = False):
-    """Full scoring pass: covariates, indicator scores, cohort percentiles, frame."""
+    """Full scoring pass: covariates, indicator scores and cohort percentiles."""
     covariates = derive_all_covariates(roster, census_date, window)
     scores = compute_indicator_scores(roster, corpus, conventions, window, strict)
-    percentiles = cohort_percentiles(roster, scores)
-    frame = regression_frame(roster, covariates, percentiles)
-    return covariates, scores, percentiles, frame
+    return covariates, scores, cohort_percentiles(roster, scores)

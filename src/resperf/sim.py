@@ -23,9 +23,9 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .corpus import DAYS_PER_YEAR, Corpus, Professor
+from .corpus import DAYS_PER_YEAR, Corpus, Professor, _ColumnBuffer
 from .credit import ALPHABETICAL, CONVENTIONS, POSITION_WEIGHTED, ConventionMap
-from .pipeline import run_scoring
+from .pipeline import regression_frame, run_scoring
 from .regress import FitError, ModelSpec, fit_model, fit_with_selected_degree
 
 # (low, high, share): completed-years age runs from a census-date pyramid
@@ -188,7 +188,7 @@ def generate_cohort(config: SimConfig) -> tuple[list[Professor], Corpus]:
     """Draw a roster and matching publication corpus."""
     n = config.n_professors
     if n == 0:
-        return [], Corpus(())
+        return [], Corpus(_ColumnBuffer().columns())
     rng = np.random.default_rng(config.seed)
     start_year, end_year = config.window
     census = date(end_year, 12, 31)
@@ -237,7 +237,7 @@ def generate_cohort(config: SimConfig) -> tuple[list[Professor], Corpus]:
     counts = rng.poisson(rate * span_years)
     total = int(counts.sum())
     if total == 0:
-        return roster, Corpus(())
+        return roster, Corpus(_ColumnBuffer().columns())
 
     owner = np.repeat(np.arange(n), counts)
     years = rng.integers(start_year, end_year + 1, size=total)
@@ -278,7 +278,7 @@ def generate_cohort(config: SimConfig) -> tuple[list[Professor], Corpus]:
     categories: dict[str, int] = {}
     field_category = np.array([categories.setdefault(f.sds, len(categories))
                                for f in config.fields])
-    corpus = Corpus.from_columns({
+    corpus = Corpus({
         "ids": [f"W{j + 1:07d}" for j in range(total)],
         "year": years, "category": field_category[pub_field],
         "categories": list(categories), "citations": citations, "impact": impact,
@@ -356,8 +356,9 @@ def recovery_experiment(config: SimConfig, n_runs: int,
         try:
             roster, corpus = generate_cohort(cfg)
             census = date(cfg.window[1], 12, 31)
-            _, _, _, frame = run_scoring(roster, corpus, cfg.conventions(),
-                                         census, cfg.window)
+            covariates, _, percentiles = run_scoring(roster, corpus, cfg.conventions(),
+                                                     census, cfg.window)
+            frame = regression_frame(roster, covariates, percentiles)
             spec = ModelSpec(dependent=dependent)
             if max_degree > 1:
                 fit = fit_with_selected_degree(frame, spec, max_degree=max_degree)

@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-from resperf.corpus import Authorship, Corpus, Professor, Publication
+from resperf.corpus import Corpus, Professor, _ColumnBuffer
 from resperf.indicators import INDICATORS
 from resperf.regress import RegressionFrame
+
+
+@dataclass(frozen=True)
+class Pub:
+    """One publication as a record; ``byline`` holds (author, university) pairs."""
+    id: str
+    year: int
+    subject_category: str
+    journal_if: float | None
+    citations: int
+    doc_type: str
+    byline: tuple[tuple[str, str], ...]
 
 
 def make_professor(id="P1", gender="male", birth=date(1950, 6, 30),
@@ -20,12 +34,33 @@ def make_professor(id="P1", gender="male", birth=date(1950, 6, 30),
 
 
 def make_publication(id="W1", year=2008, category="MAT/01", journal_if=1.5,
-                     citations=4, doc_type="article",
-                     byline=(("P1", "U1"),)) -> Publication:
-    return Publication(id=id, year=year, subject_category=category,
-                       journal_if=journal_if, citations=citations,
-                       doc_type=doc_type,
-                       byline=tuple(Authorship(a, u) for a, u in byline))
+                     citations=4, doc_type="article", byline=(("P1", "U1"),)) -> Pub:
+    return Pub(id, year, category, journal_if, citations, doc_type,
+               tuple((a, u) for a, u in byline))
+
+
+def make_corpus(pubs, dropped: int = 0) -> Corpus:
+    """Corpus over the records in ``pubs``, in their order."""
+    buf = _ColumnBuffer()
+    for p in pubs:
+        buf.append(p.id, p.year, p.subject_category,
+                   math.nan if p.journal_if is None else p.journal_if, p.citations,
+                   p.doc_type, [a for a, _ in p.byline], [u for _, u in p.byline])
+    return Corpus(buf.columns(), dropped)
+
+
+def records(corpus: Corpus) -> list[Pub]:
+    """The publications of ``corpus`` as records, read from its stored columns
+    (not the derived ``pub``, ``position`` and ``shared``)."""
+    slots = [(corpus.authors[a], corpus.universities[u]) for a, u in
+             zip(corpus.author.tolist(), corpus.university.tolist())]
+    return [Pub(pid, year, corpus.categories[cat], None if math.isnan(jif) else jif,
+                cites, corpus.doc_types[doc], tuple(slots[end - n:end]))
+            for pid, year, cat, jif, cites, doc, n, end in zip(
+                corpus.ids, corpus.year.tolist(), corpus.category.tolist(),
+                corpus.impact.tolist(), corpus.citations.tolist(),
+                corpus.doc_type.tolist(), corpus.n_authors.tolist(),
+                np.cumsum(corpus.n_authors).tolist())]
 
 
 def build_tiny_world() -> tuple[list[Professor], Corpus]:
@@ -54,7 +89,7 @@ def build_tiny_world() -> tuple[list[Professor], Corpus]:
         make_publication("W11", 2010, "BIO/05", 3.1, 4, byline=(("P3", "U6"), ("X12", "U9"), ("X13", "U6"), ("P4", "U2"))),
         make_publication("W12", 2005, "BIO/05", 2.0, 30, byline=(("P3", "U6"),)),
     ]
-    return roster, Corpus(pubs)
+    return roster, make_corpus(pubs)
 
 
 def make_frame(rows) -> RegressionFrame:

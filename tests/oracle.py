@@ -1,10 +1,13 @@
 """Per-professor reference implementation of scoring and percentiles.
 
 This is the loop the vectorised pass in ``resperf.indicators`` and
-``resperf.cohort`` replaced: it walks each professor's publications with
-``Corpus.authored_by`` and ``fractional_contribution``, adds terms in corpus
-order, and ranks each cohort with a Python tie loop.  The vectorised code
-adds the same terms in the same order, so tests compare the two with ``==``.
+``resperf.cohort`` replaced.  It reads the corpus back as publication records
+from its stored columns, walks each professor's publications in corpus
+order, takes each credit share from ``byline_weights`` and the byline's
+first and last universities, and ranks each cohort with a Python tie loop.
+It calls neither ``Corpus.authored_by`` nor ``fractional_contribution``,
+which it checks.  The vectorised code adds the same terms in the same order,
+so tests compare the two with ``==``.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import logging
 
 import numpy as np
 
-from resperf.corpus import Corpus, Professor, Publication, working_years
-from resperf.credit import ConventionMap, fractional_contribution
+from helpers import Pub, records
+from resperf.corpus import Corpus, Professor, working_years
+from resperf.credit import ConventionMap, byline_weights
 from resperf.indicators import (INDICATORS, CellStats, IndicatorScores,
                                 MissingCellError, ScalingTable)
 
@@ -25,7 +29,7 @@ def scaling_table(corpus: Corpus) -> ScalingTable:
     cited: dict[tuple[int, str], list[int]] = {}
     impact: dict[tuple[int, str], list[float]] = {}
     keys: dict[tuple[int, str], None] = {}
-    for pub in corpus.publications:
+    for pub in records(corpus):
         key = (pub.year, pub.subject_category)
         keys[key] = None
         if pub.citations > 0:
@@ -38,7 +42,18 @@ def scaling_table(corpus: Corpus) -> ScalingTable:
         for key in keys})
 
 
-def _citation_ratio(pub: Publication, scaling: ScalingTable, strict: bool,
+def publications_by_author(corpus: Corpus, window: tuple[int, int]
+                           ) -> dict[str, list[tuple[Pub, int]]]:
+    """Each author's in-window (publication, byline position) pairs, in corpus order."""
+    out: dict[str, list[tuple[Pub, int]]] = {}
+    for pub in records(corpus):
+        if window[0] <= pub.year <= window[1]:
+            for pos, (author, _) in enumerate(pub.byline):
+                out.setdefault(author, []).append((pub, pos))
+    return out
+
+
+def _citation_ratio(pub: Pub, scaling: ScalingTable, strict: bool,
                     owner: str) -> float | None:
     if pub.citations == 0:
         return 0.0
@@ -54,7 +69,7 @@ def _citation_ratio(pub: Publication, scaling: ScalingTable, strict: bool,
     return pub.citations / cbar
 
 
-def _impact_ratio(pub: Publication, scaling: ScalingTable, strict: bool,
+def _impact_ratio(pub: Pub, scaling: ScalingTable, strict: bool,
                   owner: str) -> float | None:
     if pub.journal_if is None:
         if strict:
@@ -80,25 +95,26 @@ def _working_years(professor: Professor, window: tuple[int, int]) -> float:
     return t
 
 
-def compute_fss(professor, corpus, scaling, conventions, window, strict=False):
+def compute_fss(professor, pubs, scaling, conventions, window, strict=False):
     t = _working_years(professor, window)
     convention = conventions.resolve(professor.sds, professor.uda)
     total = 0.0
-    for pub, pos in corpus.authored_by(professor.id, window):
+    for pub, pos in pubs:
         ratio = _citation_ratio(pub, scaling, strict, professor.id)
         if ratio is None or ratio == 0.0:
             continue
-        total += ratio * fractional_contribution(pub, pos, convention)
+        shared = pub.byline[0][1] == pub.byline[-1][1]
+        total += ratio * byline_weights(len(pub.byline), convention, shared)[pos]
     return total / t
 
 
-def compute_p(professor, corpus, window):
-    return len(corpus.authored_by(professor.id, window)) / _working_years(professor, window)
+def compute_p(professor, pubs, window):
+    return len(pubs) / _working_years(professor, window)
 
 
-def compute_ia(professor, corpus, scaling, window, strict=False):
+def compute_ia(professor, pubs, scaling, strict=False):
     num, count = 0.0, 0
-    for pub, _ in corpus.authored_by(professor.id, window):
+    for pub, _ in pubs:
         ratio = _citation_ratio(pub, scaling, strict, professor.id)
         if ratio is None:
             continue
@@ -107,9 +123,9 @@ def compute_ia(professor, corpus, scaling, window, strict=False):
     return num / count if count else None
 
 
-def compute_ij(professor, corpus, scaling, window, strict=False):
+def compute_ij(professor, pubs, scaling, strict=False):
     num, count = 0.0, 0
-    for pub, _ in corpus.authored_by(professor.id, window):
+    for pub, _ in pubs:
         ratio = _impact_ratio(pub, scaling, strict, professor.id)
         if ratio is None:
             continue
@@ -118,15 +134,16 @@ def compute_ij(professor, corpus, scaling, window, strict=False):
     return num / count if count else None
 
 
-def compute_scores(professor: Professor, corpus: Corpus, scaling: ScalingTable,
-                   conventions: ConventionMap, window: tuple[int, int],
-                   strict: bool = False) -> IndicatorScores:
+def compute_scores(professor: Professor, pubs: list[tuple[Pub, int]],
+                   scaling: ScalingTable, conventions: ConventionMap,
+                   window: tuple[int, int], strict: bool = False) -> IndicatorScores:
+    """One professor's scores from their in-window (publication, position) pairs."""
     return IndicatorScores(
-        fss=compute_fss(professor, corpus, scaling, conventions, window, strict),
-        p=compute_p(professor, corpus, window),
-        ia=compute_ia(professor, corpus, scaling, window, strict),
-        ij=compute_ij(professor, corpus, scaling, window, strict),
-        n_pubs=len(corpus.authored_by(professor.id, window)),
+        fss=compute_fss(professor, pubs, scaling, conventions, window, strict),
+        p=compute_p(professor, pubs, window),
+        ia=compute_ia(professor, pubs, scaling, strict),
+        ij=compute_ij(professor, pubs, scaling, strict),
+        n_pubs=len(pubs),
     )
 
 
@@ -134,7 +151,9 @@ def roster_scores(roster, corpus, conventions, window, strict=False, scaling=Non
     """Scores keyed by professor id, one professor at a time."""
     if scaling is None:
         scaling = scaling_table(corpus) if len(corpus) else ScalingTable({})
-    return {p.id: compute_scores(p, corpus, scaling, conventions, window, strict)
+    by_author = publications_by_author(corpus, window)
+    return {p.id: compute_scores(p, by_author.get(p.id, []), scaling, conventions,
+                                 window, strict)
             for p in roster}
 
 

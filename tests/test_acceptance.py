@@ -13,11 +13,11 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import make_frame, make_professor, make_publication
+from helpers import make_corpus, make_frame, make_professor, make_publication, records
 from resperf.cohort import percentile_rank
-from resperf.corpus import Corpus, derive_covariates
+from resperf.corpus import derive_covariates
 from resperf.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights
-from resperf.indicators import build_scaling_table, compute_fss, compute_ia
+from resperf.indicators import build_scaling_table, compute_scores
 from resperf.credit import ConventionMap
 from resperf.regress import (AGE_TERMS, FitResult, ModelSpec,
                              average_marginal_effects, build_design,
@@ -94,7 +94,7 @@ def invariance_world():
             category=INVARIANCE_CATS[int(rng.integers(0, 4))],
             journal_if=round(float(rng.uniform(0.5, 6.0)), 2),
             citations=int(rng.integers(0, 30)), byline=byline))
-    return roster, Corpus(pubs)
+    return roster, make_corpus(pubs)
 
 
 def test_citation_scale_invariance():
@@ -104,19 +104,19 @@ def test_citation_scale_invariance():
 
     def all_scores(c):
         scaling = build_scaling_table(c)
-        return {p.id: (compute_fss(p, c, scaling, conventions, window),
-                       compute_ia(p, c, scaling, window)) for p in roster}
+        scores = compute_scores(roster, c, scaling, conventions, window)
+        return {p.id: (s.fss, s.ia) for p, s in zip(roster, scores)}
 
     base = all_scores(corpus)
-    cells = sorted({(p.year, p.subject_category) for p in corpus.publications})
+    cells = sorted({(p.year, p.subject_category) for p in records(corpus)})
     ok = True
     worst = 0.0
     for k in (2, 5, 10):
         for cell in cells:
-            scaled = Corpus([
+            scaled = make_corpus([
                 replace(p, citations=p.citations * k)
                 if (p.year, p.subject_category) == cell else p
-                for p in corpus.publications])
+                for p in records(corpus)])
             for pid, (fss, ia) in all_scores(scaled).items():
                 base_fss, base_ia = base[pid]
                 worst = max(worst, abs(fss - base_fss))

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import resperf
-from helpers import build_tiny_world
+from helpers import build_tiny_world, make_corpus, records
 from resperf.cli import _read_frame, main
 from resperf.corpus import (IngestError, derive_covariates, write_publications,
                             write_roster)
@@ -320,9 +320,9 @@ class TestRegress:
     def test_nothing_fittable_exits_one_even_with_partial(self, tmp_path):
         roster, corpus = build_tiny_world()
         write_roster(tmp_path / "roster.csv", roster[:2])
-        pubs = [p for p in corpus.publications if p.id in
+        pubs = [p for p in records(corpus) if p.id in
                 {"W01", "W02", "W03", "W04", "W05"}]
-        write_publications(tmp_path / "pubs.csv", type(corpus)(pubs))
+        write_publications(tmp_path / "pubs.csv", make_corpus(pubs))
         comp = tmp_path / "comp"
         res = invoke("compute", "--roster", tmp_path / "roster.csv",
                      "--pubs", tmp_path / "pubs.csv", "--out", comp)
@@ -378,7 +378,35 @@ class TestSimulate:
         assert res.exit_code == 2
 
 
+# (line, column, value) written into a copy of compute's indicators.csv, as
+# in REGRESS_INPUT_PROBES.
+REPORT_INPUT_PROBES = {
+    "n-pubs-column-missing": (1, "n_pubs", None),
+    "fss-nan": (2, "fss", "nan"),
+    "fss-negative": (3, "fss", "-0.5"),
+    "fss-empty": (4, "fss", ""),
+    "p-not-a-number": (2, "p", "abc"),
+    "ia-infinite": (3, "ia", "inf"),
+    "ij-negative": (4, "ij", "-1"),
+    "n-pubs-fraction": (2, "n_pubs", "1.5"),
+    "n-pubs-negative": (3, "n_pubs", "-1"),
+    "duplicate-professor": (3, "professor_id", "<line 2>"),
+}
+
+
 class TestReport:
+    @pytest.mark.parametrize("probe", sorted(REPORT_INPUT_PROBES))
+    def test_bad_indicators_exit_two_naming_file_and_line(self, sim_chain, tmp_path,
+                                                          probe):
+        line, column, value = REPORT_INPUT_PROBES[probe]
+        indicators = tmp_path / "indicators.csv"
+        shutil.copy(sim_chain / "comp" / "indicators.csv", indicators)
+        rewrite_cell(indicators, line, column, value)
+        res = invoke("report", "--roster", sim_chain / "sim" / "roster.csv",
+                     "--indicators", indicators, "--out", tmp_path / "rep")
+        assert res.exit_code == 2, res.output
+        assert f"indicators.csv: line {line}:" in res.output
+
     def test_writes_tables_and_histograms(self, sim_chain, tmp_path):
         out = tmp_path / "rep"
         res = invoke("report", "--roster", sim_chain / "sim" / "roster.csv",

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import oracle
-from helpers import make_professor, make_publication
+from helpers import make_corpus, make_professor, make_publication, records
 from resperf.cohort import cohort_percentiles
-from resperf.corpus import Corpus, ingest_publications, write_publications
+from resperf.corpus import ingest_publications, write_publications
 from resperf.credit import ConventionMap
 from resperf.indicators import (MissingCellError, build_scaling_table,
-                                score_roster)
+                                compute_scores)
 from resperf.pipeline import compute_indicator_scores
 from resperf.sim import SimConfig, generate_cohort
 
@@ -50,7 +50,7 @@ def lenient_world():
             f"W{j:03d}", year, category, journal_if,
             0 if rng.random() < 0.3 else int(rng.integers(1, 50)),
             byline=[byline[k] for k in order]))
-    return roster, Corpus(pubs)
+    return roster, make_corpus(pubs)
 
 
 def messages(caplog):
@@ -90,10 +90,10 @@ class TestOracleEquality:
 
     def test_missing_citation_cells_warn_twice_in_oracle_order(self, caplog):
         roster, corpus = lenient_world()
-        table = build_scaling_table([p for p in corpus.publications
-                                     if p.subject_category != "BIO/05"])
+        table = build_scaling_table(make_corpus([p for p in records(corpus)
+                                                 if p.subject_category != "BIO/05"]))
         with caplog.at_level(logging.WARNING, logger="resperf.indicators"):
-            got = score_roster(roster, corpus, table, ConventionMap(), WINDOW)
+            got = compute_scores(roster, corpus, table, ConventionMap(), WINDOW)
             ours = messages(caplog)
             caplog.clear()
             want = oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW,
@@ -107,10 +107,10 @@ class TestOracleEquality:
     def test_strict_raises_the_oracle_message(self, external):
         roster, corpus = lenient_world()
         table = build_scaling_table(
-            [p for p in corpus.publications if p.subject_category != "BIO/05"]
+            make_corpus([p for p in records(corpus) if p.subject_category != "BIO/05"])
             if external else corpus)
         with pytest.raises(MissingCellError) as ours:
-            score_roster(roster, corpus, table, ConventionMap(), WINDOW, strict=True)
+            compute_scores(roster, corpus, table, ConventionMap(), WINDOW, strict=True)
         with pytest.raises(MissingCellError) as theirs:
             oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW, strict=True,
                                  scaling=table)
@@ -124,7 +124,7 @@ class TestOracleEquality:
             crew = roster[:at] + [idle] + roster[at + 1:]
             for strict in (False, True):
                 with pytest.raises(ValueError) as ours:
-                    score_roster(crew, corpus, table, ConventionMap(), WINDOW, strict)
+                    compute_scores(crew, corpus, table, ConventionMap(), WINDOW, strict)
                 with pytest.raises(ValueError) as theirs:
                     oracle.roster_scores(crew, corpus, ConventionMap(), WINDOW, strict,
                                          scaling=table)
@@ -156,9 +156,9 @@ class TestRoundTrip:
             "id": p.id, "year": p.year, "subject_category": p.subject_category,
             "journal_if": p.journal_if, "citations": p.citations,
             "doc_type": p.doc_type,
-            "byline": [f"{a.author_id}@{a.university_id}" for a in p.byline]}) + "\n"
-            for p in corpus.publications))
+            "byline": [f"{a}@{u}" for a, u in p.byline]}) + "\n"
+            for p in records(corpus)))
         want = decoded(corpus)
         assert decoded(ingest_publications(csv_path)) == want
         assert decoded(ingest_publications(jsonl_path)) == want
-        assert ingest_publications(csv_path).publications == corpus.publications
+        assert records(ingest_publications(csv_path)) == records(corpus)

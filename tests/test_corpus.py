@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_professor, make_publication
-from resperf.corpus import (DAYS_PER_YEAR, Authorship, Corpus, IngestError,
+from helpers import make_corpus, make_professor, make_publication, records
+from resperf.corpus import (DAYS_PER_YEAR, IngestError,
                             derive_covariates, exact_years,
                             ingest_publications, ingest_roster, load_sds_map,
                             whole_years, working_years, write_publications,
@@ -145,9 +145,8 @@ class TestPublicationIngest:
             "W2,2009,MAT/01,,0,article,P1@U1")
         corpus = ingest_publications(path)
         assert len(corpus) == 2
-        assert corpus.publications[0].byline == (Authorship("P1", "U1"),
-                                                 Authorship("X1", "U2"))
-        assert corpus.publications[1].journal_if is None
+        assert records(corpus)[0].byline == (("P1", "U1"), ("X1", "U2"))
+        assert records(corpus)[1].journal_if is None
         assert corpus.dropped == 0
 
     def test_jsonl_matches_csv(self, tmp_path):
@@ -163,8 +162,8 @@ class TestPublicationIngest:
             '{"id": "W2", "year": 2009, "subject_category": "BIO/05", '
             '"journal_if": 2.25, "citations": 0, "doc_type": "review", '
             '"byline": "P2@U3"}\n')
-        assert (ingest_publications(jsonl_path).publications
-                == ingest_publications(csv_path).publications)
+        assert (records(ingest_publications(jsonl_path))
+                == records(ingest_publications(csv_path)))
 
     def test_excluded_doc_types_counted(self, tmp_path):
         path = write_lines(
@@ -241,7 +240,7 @@ class TestPublicationIngest:
     def test_whole_float_citations_accepted(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         path.write_text(self.GOOD_JSON.replace('"citations": 4', '"citations": 4.0') + "\n")
-        assert ingest_publications(path).publications[0].citations == 4
+        assert records(ingest_publications(path))[0].citations == 4
 
     def test_problems_listed_in_line_order(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
@@ -280,8 +279,8 @@ class TestPublicationIngest:
         pubs = [make_publication("W1", byline=(("P1", "U1"), ("X1", "U2"))),
                 make_publication("W2", journal_if=None, citations=0)]
         path = tmp_path / "pubs.csv"
-        write_publications(path, pubs)
-        assert ingest_publications(path).publications == tuple(pubs)
+        write_publications(path, make_corpus(pubs))
+        assert records(ingest_publications(path)) == pubs
 
     def test_invalid_json_line_reported(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
@@ -367,12 +366,21 @@ class TestIngestNeverCrashes:
 class TestCorpusIndex:
     def test_authored_by_positions_and_window(self, tiny_world):
         _, corpus = tiny_world
-        hits = corpus.authored_by("P3", (2006, 2010))
-        assert [(pub.id, pos) for pub, pos in hits] == [
-            ("W06", 0), ("W07", 1), ("W08", 0), ("W11", 0)]
-        # no window includes the 2005 publication
-        assert len(corpus.authored_by("P3")) == 5
-        assert corpus.authored_by("NOBODY") == []
+
+        def hits(author_ids, window=(2006, 2010)):
+            who, rows = corpus.authored_by(author_ids, window)
+            return [(author_ids[i], corpus.ids[p], pos) for i, p, pos in zip(
+                who.tolist(), corpus.pub[rows].tolist(), corpus.position[rows].tolist())]
+
+        assert hits(["P3"]) == [("P3", "W06", 0), ("P3", "W07", 1), ("P3", "W08", 0),
+                                ("P3", "W11", 0)]
+        # a wider window includes the 2005 publication
+        assert len(hits(["P3"], (1900, 2100))) == 5
+        assert hits(["NOBODY"]) == []
+        # several authors at once, in corpus order, indexed into the id list
+        assert hits(["P4", "NOBODY", "P3"]) == [
+            ("P3", "W06", 0), ("P3", "W07", 1), ("P3", "W08", 0), ("P4", "W08", 1),
+            ("P4", "W09", 0), ("P4", "W10", 2), ("P3", "W11", 0), ("P4", "W11", 3)]
 
 
 class TestSdsMap:

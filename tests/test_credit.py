@@ -3,12 +3,12 @@
 import csv
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_publication
-from resperf.credit import (ALPHABETICAL, POSITION_WEIGHTED,
+from resperf.credit import (ALPHABETICAL, CONVENTIONS, POSITION_WEIGHTED,
                             POSITION_WEIGHTED_UDAS, ConventionMap, CreditError,
                             byline_weights, fractional_contribution,
                             load_convention_map, write_convention_map)
@@ -104,33 +104,50 @@ class TestBylineWeights:
         assert all(0.0 < x <= 1.0 for x in w)
 
 
+def shares(convention, shared, n, positions):
+    """fractional_contribution of the given positions on one byline."""
+    k = len(positions)
+    return fractional_contribution(
+        np.full(k, CONVENTIONS.index(convention)), np.full(k, shared),
+        np.full(k, n), np.asarray(positions, dtype=np.int64)).tolist()
+
+
 class TestFractionalContribution:
     def test_scheme_tracks_first_last_university(self):
-        same = make_publication(byline=(("A", "U1"), ("B", "U2"), ("C", "U3"), ("D", "U1")))
-        diff = make_publication(byline=(("A", "U1"), ("B", "U2"), ("C", "U3"), ("D", "U4")))
-        assert fractional_contribution(same, 0, POSITION_WEIGHTED) == 0.40
-        assert fractional_contribution(diff, 0, POSITION_WEIGHTED) == pytest.approx(1 / 3, abs=1e-12)
+        got = fractional_contribution(np.array([1, 1]), np.array([True, False]),
+                                      np.array([4, 4]), np.array([0, 0]))
+        assert got[0] == 0.40
+        assert got[1] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_position_resolves_each_author(self):
-        pub = make_publication(byline=(("A", "U1"), ("B", "U2"), ("C", "U3"),
-                                       ("D", "U2"), ("E", "U5")))
-        weights = [fractional_contribution(pub, i, POSITION_WEIGHTED) for i in range(5)]
-        assert weights == [0.30, 0.15, 0.10, 0.15, 0.30]
+        assert shares(POSITION_WEIGHTED, False, 5, range(5)) == [0.30, 0.15, 0.10, 0.15, 0.30]
 
     def test_alphabetical_ignores_affiliations(self):
-        pub = make_publication(byline=(("A", "U1"), ("B", "U2"), ("C", "U1")))
-        assert fractional_contribution(pub, 1, ALPHABETICAL) == pytest.approx(1 / 3)
+        assert shares(ALPHABETICAL, True, 3, [1]) == shares(ALPHABETICAL, False, 3, [1])
+        assert shares(ALPHABETICAL, True, 3, [1]) == [pytest.approx(1 / 3)]
 
     def test_position_out_of_range(self):
-        pub = make_publication(byline=(("A", "U1"), ("B", "U2")))
         for bad in (-1, 2, 5):
-            with pytest.raises(CreditError, match="outside byline"):
-                fractional_contribution(pub, bad, ALPHABETICAL)
+            with pytest.raises(CreditError, match="outside its byline"):
+                shares(ALPHABETICAL, False, 2, [0, bad])
 
     def test_empty_byline_rejected(self):
-        pub = make_publication(byline=())
-        with pytest.raises(CreditError, match="empty byline"):
-            fractional_contribution(pub, 0, ALPHABETICAL)
+        # a slot on an empty byline; ingest never builds one (see
+        # test_corpus' "empty byline" row) and byline_weights(0) raises
+        with pytest.raises(CreditError):
+            shares(ALPHABETICAL, True, 0, [0])
+
+    def test_matches_byline_weights_in_any_slot_order(self):
+        rng = np.random.default_rng(7)
+        slots = [(c, shared, n, pos) for n in range(1, 13) for c in range(len(CONVENTIONS))
+                 for shared in (True, False) for pos in range(n)]
+        order = rng.permutation(len(slots))
+        convention, shared, n, position = (np.array(col) for col in
+                                           zip(*[slots[k] for k in order]))
+        got = fractional_contribution(convention, shared, n, position).tolist()
+        want = [byline_weights(n, CONVENTIONS[c], shared)[pos]
+                for c, shared, n, pos in (slots[k] for k in order)]
+        assert got == want
 
 
 class TestConventionMap:

@@ -5,9 +5,8 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import make_professor
+from helpers import make_corpus, make_professor
 from resperf.cohort import cohort_percentiles
-from resperf.corpus import Corpus
 from resperf.credit import ConventionMap
 from resperf.indicators import INDICATORS, build_scaling_table, compute_scores
 from resperf.pipeline import (compute_indicator_scores, derive_all_covariates,
@@ -24,12 +23,12 @@ class TestComputeIndicatorScores:
         scores = compute_indicator_scores(roster, corpus, conventions, WINDOW)
         table = build_scaling_table(corpus)
         for prof in roster:
-            assert scores[prof.id] == compute_scores(prof, corpus, table,
-                                                     conventions, WINDOW)
+            assert scores[prof.id] == compute_scores([prof], corpus, table,
+                                                     conventions, WINDOW)[0]
 
     def test_empty_corpus_marks_everyone_inactive(self):
         roster = [make_professor("P1"), make_professor("P2")]
-        scores = compute_indicator_scores(roster, Corpus(()), ConventionMap(),
+        scores = compute_indicator_scores(roster, make_corpus(()), ConventionMap(),
                                           WINDOW)
         assert all(s.inactive for s in scores.values())
         pcts = cohort_percentiles(roster, scores)
@@ -39,8 +38,9 @@ class TestComputeIndicatorScores:
 class TestRunScoring:
     def test_outputs_align(self, tiny_world):
         roster, corpus = tiny_world
-        covariates, scores, percentiles, frame = run_scoring(
+        covariates, scores, percentiles = run_scoring(
             roster, corpus, ConventionMap(), CENSUS, WINDOW)
+        frame = regression_frame(roster, covariates, percentiles)
         assert set(covariates) == set(scores) == {p.id for p in roster}
         assert list(frame.ids) == [p.id for p in roster]
         for i, prof in enumerate(roster):
@@ -55,8 +55,8 @@ class TestRunScoring:
 
     def test_every_active_professor_has_all_percentiles(self, tiny_world):
         roster, corpus = tiny_world
-        _, scores, percentiles, _ = run_scoring(roster, corpus, ConventionMap(),
-                                                CENSUS, WINDOW)
+        _, scores, percentiles = run_scoring(roster, corpus, ConventionMap(),
+                                             CENSUS, WINDOW)
         for prof in roster:
             if not scores[prof.id].inactive:
                 assert set(percentiles[prof.id]) == {"FSS", "P", "IA", "IJ"}

@@ -7,6 +7,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from helpers import records
 from resperf.corpus import derive_covariates, write_publications, write_roster
 from resperf.credit import ALPHABETICAL, POSITION_WEIGHTED
 from resperf.sim import (AGE_BRACKETS, FieldSpec, SimConfig, generate_cohort,
@@ -26,7 +27,7 @@ def cohort_age_seniority(roster, window):
 
 
 def serialize(roster, corpus):
-    return tuple(roster), corpus.publications
+    return tuple(roster), records(corpus)
 
 
 class TestConfig:
@@ -115,8 +116,8 @@ class TestGenerateCohort:
     def test_focal_professor_on_every_byline(self):
         roster, corpus = generate_cohort(FAST)
         ids = {p.id for p in roster}
-        for pub in corpus.publications:
-            focal = [a for a in pub.byline if a.author_id in ids]
+        for pub in records(corpus):
+            focal = [a for a, _ in pub.byline if a in ids]
             assert len(focal) == 1
             assert pub.year in range(2006, 2011)
             assert pub.citations >= 0
@@ -157,7 +158,7 @@ class TestGenerateCohort:
 
         def inactive_share(cfg):
             roster, corpus = generate_cohort(cfg)
-            active = {a.author_id for p in corpus.publications for a in p.byline}
+            active = {a for p in records(corpus) for a, _ in p.byline}
             return np.mean([p.id not in active for p in roster])
 
         assert inactive_share(noisy) > inactive_share(base) + 0.02
