@@ -7,13 +7,12 @@ against known ground truth.
 """
 
 from .cohort import cohort_percentiles, percentile_rank
-from .corpus import (Corpus, Covariates, IngestError, Professor,
-                     derive_covariates, ingest_publications, ingest_roster,
-                     working_years)
+from .corpus import (Corpus, IngestError, Roster, derive_covariates,
+                     ingest_publications, ingest_roster, working_years)
 from .credit import (ALPHABETICAL, POSITION_WEIGHTED, ConventionMap,
                      CreditError, byline_weights, fractional_contribution)
-from .indicators import (INDICATORS, IndicatorScores, MissingCellError,
-                         ScalingTable, build_scaling_table, compute_scores)
+from .indicators import (INDICATORS, MissingCellError, ScalingTable,
+                         build_scaling_table, compute_scores)
 from .pipeline import compute_indicator_scores, regression_frame, run_scoring
 from .regress import (Design, FitError, FitResult, ModelSpec,
                       QuasiSeparationError, RegressionFrame,

@@ -25,12 +25,13 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, ingest_publications,
-                     ingest_roster, load_sds_map, write_publications, write_roster)
+from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, derive_covariates,
+                     ingest_publications, ingest_roster, load_sds_map, write_publications,
+                     write_roster)
 from .credit import (CONVENTIONS, ConventionMap, CreditError,
                      load_convention_map, write_convention_map)
-from .indicators import INDICATORS, IndicatorScores
-from .pipeline import derive_all_covariates, run_scoring
+from .indicators import INDICATORS
+from .pipeline import run_scoring
 from .regress import (FitError, FitResult, ModelSpec, RegressionFrame,
                       fit_with_selected_degree)
 from .report import (descriptive_table, distribution_histogram,
@@ -102,6 +103,10 @@ def _fmt_opt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _fmt_defined(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
+
+
 @click.group()
 @click.option("-v", "--verbose", is_flag=True, help="Debug-level logging.")
 def main(verbose: bool) -> None:
@@ -142,49 +147,45 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
     sds_map = _input_stage("sds map", load_sds_map, sds_map_path) \
         if sds_map_path else None
     roster = _input_stage("roster ingest", ingest_roster, roster_path, sds_map)
+    covariates = _input_stage("roster covariates", derive_covariates, roster, census,
+                              window_years)
     excluded = tuple(excluded_doc_types) or DEFAULT_EXCLUDED_DOC_TYPES
     corpus = _input_stage(
         "publication ingest", ingest_publications, pubs_path, excluded,
-        roster_ids={p.id for p in roster} if strict else None, strict=strict)
+        roster_ids=set(roster.ids) if strict else None, strict=strict)
     if conventions_path:
         conventions = _input_stage("convention map", load_convention_map,
                                    conventions_path, force_convention)
     else:
         conventions = ConventionMap(global_override=force_convention)
 
-    covariates, scores, percentiles = _compute_stage(
-        "scoring", run_scoring, roster, corpus, conventions, census,
+    scores, percentiles = _compute_stage(
+        "scoring", run_scoring, roster, corpus, conventions, covariates,
         window_years, strict)
 
+    # csv writes a float as its repr, as the files promise
+    sds = [roster.sds_names[c] for c in roster.sds.tolist()]
+    uda = [roster.uda_names[c] for c in roster.uda.tolist()]
     out = _out_dir(out_path)
     with (out / "indicators.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["professor_id", "sds", "fss", "p", "ia", "ij",
                          "n_pubs", "inactive_flag"])
-        for prof in roster:
-            s = scores[prof.id]
-            writer.writerow([prof.id, prof.sds, repr(s.fss), repr(s.p),
-                             _fmt_opt(s.ia), _fmt_opt(s.ij), s.n_pubs,
-                             int(s.inactive)])
+        writer.writerows(
+            [pid, field, fss, p, _fmt_defined(ia), _fmt_defined(ij), n, int(n == 0)]
+            for pid, field, fss, p, ia, ij, n in zip(
+                roster.ids, sds, *(scores[c].tolist() for c in INDICATORS),
+                scores["n_pubs"].tolist()))
+    ranked, indicator = np.nonzero(~np.isnan(percentiles))
     with (out / "percentiles.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["professor_id", "indicator", "percentile"])
-        for prof in roster:
-            for indicator in INDICATORS:
-                if indicator in percentiles[prof.id]:
-                    writer.writerow([prof.id, indicator,
-                                     repr(percentiles[prof.id][indicator])])
+        writer.writerows([roster.ids[i], INDICATORS[j], value] for i, j, value in zip(
+            ranked.tolist(), indicator.tolist(), percentiles[ranked, indicator].tolist()))
     with (out / "covariates.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["professor_id", "uda", "sds", "age", "seniority",
-                         "age_years", "seniority_years", "gender_dummy",
-                         "u1", "u2", "u3", "t", "recently_promoted"])
-        for prof in roster:
-            c = covariates[prof.id]
-            writer.writerow([prof.id, prof.uda, prof.sds, repr(c.age),
-                             repr(c.seniority), c.age_years, c.seniority_years,
-                             c.gender_dummy, c.u1, c.u2, c.u3, repr(c.t),
-                             int(c.recently_promoted)])
+        writer.writerow(["professor_id", "uda", "sds", *covariates])
+        writer.writerows(zip(roster.ids, uda, sds, *(c.tolist() for c in covariates.values())))
 
     click.echo(f"scored {len(roster)} professors over {len(corpus)} publications "
                f"({corpus.dropped} dropped by document type)")
@@ -389,7 +390,7 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
                          {f.sds: f.convention for f in config.fields})
 
     rep = _compute_stage("recovery", recovery_experiment, config, runs,
-                         max_degree, dependent)
+                         max_degree, dependent, first=(roster, corpus))
     (out / "recovery.json").write_text(
         json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     with (out / "recovery_runs.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -420,31 +421,31 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
 _INDICATOR_COLUMNS = ("professor_id", "fss", "p", "ia", "ij", "n_pubs")
 
 
-def _read_indicators(path: Path) -> dict[str, IndicatorScores]:
-    """compute's indicators.csv, validated, keyed by professor id."""
+def _read_indicators(path: Path) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """compute's indicators.csv, validated: each professor id's row, and the
+    fss and n_pubs columns."""
     problems: list[str] = []
-    out: dict[str, IndicatorScores] = {}
-    for line, (pid, *texts, n_pubs) in _csv_rows(path, _INDICATOR_COLUMNS):
-        if pid in out:
+    rows: dict[str, int] = {}
+    fss: list[float | None] = []
+    n_pubs: list[int] = []
+    for line, (pid, *texts, count) in _csv_rows(path, _INDICATOR_COLUMNS):
+        if pid in rows:
             problems.append(f"line {line}: duplicate professor_id {pid!r}")
-        values = []
+        rows[pid] = len(fss)
         for name, text in zip(_INDICATOR_COLUMNS[1:5], texts):
             value = _finite(text)
-            if name in ("ia", "ij") and text == "":
-                values.append(None)
-            elif value is None or value < 0:
-                empty = " or empty" if name in ("ia", "ij") else ""
-                problems.append(
-                    f"line {line}: {name} must be a finite number >= 0{empty}, got {text!r}")
-            else:
-                values.append(value)
-        if not (n_pubs.isascii() and n_pubs.isdigit()):
-            problems.append(f"line {line}: n_pubs must be a whole number >= 0, got {n_pubs!r}")
-        elif len(values) == 4:
-            out[pid] = IndicatorScores(*values, n_pubs=int(n_pubs))
+            optional = name in ("ia", "ij")
+            if (value is None or value < 0) and not (optional and text == ""):
+                problems.append(f"line {line}: {name} must be a finite number >= 0"
+                                f"{' or empty' if optional else ''}, got {text!r}")
+        whole = count.isascii() and count.isdigit()
+        if not whole:
+            problems.append(f"line {line}: n_pubs must be a whole number >= 0, got {count!r}")
+        fss.append(_finite(texts[0]))
+        n_pubs.append(int(count) if whole else 0)
     if problems:
         raise IngestError(path, problems)
-    return out
+    return rows, np.array(fss, dtype=float), np.array(n_pubs, dtype=np.int64)
 
 
 @main.command("report")
@@ -466,38 +467,37 @@ def report_cmd(roster_path, indicators_path, window, census_date, totals_path,
     window_years = _parse_window(window)
     census = _parse_census(census_date, window_years)
     roster = _input_stage("roster ingest", ingest_roster, roster_path)
-    scores = _input_stage("indicators", _read_indicators, Path(indicators_path))
+    index, fss, n_pubs = _input_stage("indicators", _read_indicators, Path(indicators_path))
     totals = None
     if totals_path:
         totals = _input_stage("totals", lambda p: {
             str(k): int(v) for k, v in
             json.loads(Path(p).read_text(encoding="utf-8")).items()}, totals_path)
 
-    covariates = _compute_stage("covariates", derive_all_covariates, roster, census,
-                                window_years)
-    missing = [p.id for p in roster if p.id not in scores]
+    covariates = _input_stage("roster covariates", derive_covariates, roster, census,
+                              window_years)
+    rows = np.array([index.get(pid, -1) for pid in roster.ids], dtype=np.int64)
+    missing = [roster.ids[i] for i in np.flatnonzero(rows < 0)[:5].tolist()]
     if missing:
         raise click.UsageError(
-            f"indicators: no scores for professor(s) {', '.join(missing[:5])}")
+            f"indicators: no scores for professor(s) {', '.join(missing)}")
+    fss, inactive = fss[rows], n_pubs[rows] == 0
 
     out = _out_dir(out_path)
     tables = _compute_stage("descriptives", descriptive_table, roster, covariates,
-                            scores, totals, fmt)
+                            inactive, totals, fmt)
     desc_name = f"descriptives.{'txt' if fmt == 'text' else 'csv'}"
     (out / desc_name).write_text(tables, encoding="utf-8")
 
-    ages = [covariates[p.id].age for p in roster]
-    app_ages = [covariates[p.id].age - covariates[p.id].seniority for p in roster]
+    ages = covariates["age"]
     (out / "age_histogram.csv").write_text(
         histogram_csv(distribution_histogram(ages, age_bin_width)), encoding="utf-8")
     (out / "appointment_age_histogram.csv").write_text(
-        histogram_csv(distribution_histogram(app_ages, age_bin_width)),
+        histogram_csv(distribution_histogram(ages - covariates["seniority"], age_bin_width)),
         encoding="utf-8")
 
-    fss_by_sds: dict[str, list[float]] = {}
-    for prof in roster:
-        fss_by_sds.setdefault(prof.sds, []).append(scores[prof.id].fss)
-    cvs = group_coefficient_of_variation(fss_by_sds)
+    cvs = group_coefficient_of_variation({roster.sds_names[c]: fss[roster.sds == c]
+                                          for c in np.unique(roster.sds).tolist()})
     with (out / "fss_cv_by_sds.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sds", "coefficient_of_variation"])
@@ -505,7 +505,7 @@ def report_cmd(roster_path, indicators_path, window, census_date, totals_path,
             writer.writerow([sds, repr(cv)])
 
     click.echo(f"reported on {len(roster)} professors across "
-               f"{len({p.uda for p in roster})} discipline(s)")
+               f"{np.unique(roster.uda).size} discipline(s)")
     _write_manifest(out, "report",
                     inputs={"roster": str(roster_path),
                             "indicators": str(indicators_path),

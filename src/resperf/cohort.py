@@ -13,8 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Professor
-from .indicators import INDICATORS, IndicatorScores
+from .corpus import Roster
+from .indicators import INDICATORS
 
 
 def _group_percentiles(group: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -61,30 +61,22 @@ def percentile_rank(values: Sequence[float]) -> list[float]:
     return _group_percentiles(np.zeros(arr.size, dtype=np.int64), arr).tolist()
 
 
-def cohort_percentiles(roster: Sequence[Professor],
-                       scores: Mapping[str, IndicatorScores]) -> dict[str, dict[str, float]]:
+def cohort_percentiles(roster: Roster, scores: Mapping[str, np.ndarray]) -> np.ndarray:
     """Percentile of every professor, per indicator, within SDS cohorts.
 
-    FSS and P cover everybody (inactive professors keep their zeros); IA and
-    IJ cohorts contain only professors with a defined value, so undefined
-    entries are simply absent from the result.
+    Returns an (n, 4) matrix in roster and ``INDICATORS`` order.  FSS and P
+    cover everybody (inactive professors keep their zeros); IA and IJ
+    cohorts contain only professors with a defined (non-NaN) value, and the
+    others are NaN, unranked.
     """
-    records = []
-    for prof in roster:
-        if prof.id not in scores:
-            raise KeyError(f"no scores for professor {prof.id}")
-        records.append(scores[prof.id])
-    cohorts: dict[str, int] = {}
-    group = np.array([cohorts.setdefault(p.sds, len(cohorts)) for p in roster],
-                     dtype=np.int64)
-    out: dict[str, dict[str, float]] = {p.id: {} for p in roster}
-    for indicator in INDICATORS:
-        raw = [r.value(indicator) for r in records]
-        values = np.array([math.nan if v is None else v for v in raw], dtype=float)
-        held = np.flatnonzero(~np.isnan(values))
-        if held.size + raw.count(None) != len(raw):
+    out = np.full((len(roster), len(INDICATORS)), math.nan)
+    for j, indicator in enumerate(INDICATORS):
+        values = np.asarray(scores[indicator], dtype=float)
+        if values.shape != (len(roster),):
+            raise ValueError(f"{values.size} {indicator} scores for a roster of "
+                             f"{len(roster)} professors")
+        held = ~np.isnan(values)
+        if indicator in ("FSS", "P") and not held.all():
             raise ValueError("cohort contains NaN")
-        pct = _group_percentiles(group[held], values[held])
-        for i, value in zip(held.tolist(), pct.tolist()):
-            out[roster[i].id][indicator] = value
+        out[held, j] = _group_percentiles(roster.sds[held], values[held])
     return out

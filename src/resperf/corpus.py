@@ -1,9 +1,10 @@
 """Roster and publication ingestion plus census-date covariate derivation.
 
 Rosters are CSV; publication corpora are CSV or JSON-lines (one object per
-line).  Ingestion either returns fully validated records or fails with a
-row-addressed error listing every problem found; publications go straight
-into the columns of a :class:`Corpus`.
+line).  Ingestion either returns fully validated columns or fails with a
+row-addressed error listing every problem found: a roster goes straight into
+the columns of a :class:`Roster`, publications into those of a
+:class:`Corpus`.
 """
 
 from __future__ import annotations
@@ -68,39 +69,47 @@ class IngestError(ValueError):
         super().__init__(f"{self.source}: {shown}{extra}")
 
 
-@dataclass(frozen=True)
-class Professor:
-    id: str
-    gender: str  # "male" | "female"
-    birth_date: date
-    appointment_date: date
-    sds: str
-    uda: str
-    university_type: str
-    active_span: tuple[date, date] | None = None
+# Roster columns and their dtypes; ``ids`` and the name lists stay Python lists.
+_ROSTER_DTYPES = {"male": bool, "birth": np.int64, "appointed": np.int64,
+                  "sds": np.int32, "uda": np.int32, "utype": np.int32,
+                  "active_start": np.int64, "active_end": np.int64}
 
 
-@dataclass(frozen=True)
-class Covariates:
-    """Professor covariates at a census date.
+@dataclass(eq=False)
+class Roster:
+    """Professor roster held as columns, one row per professor in roster order.
 
-    ``age`` and ``seniority`` are exact day-difference/365.2425 values (these
-    feed the regressions and are shown to 2 decimals in reports);
-    ``age_years``/``seniority_years`` are the completed whole-year counts.
-    ``t`` is the fractional-year overlap of the active span with the
-    observation window.
+    Dates are day ordinals (``date.toordinal``).  ``sds`` and ``uda`` are
+    codes into ``sds_names`` and ``uda_names``, ``utype`` a code into
+    ``UNIVERSITY_TYPES``.  ``active_start``/``active_end`` bound each
+    employment span; both are 0 where none is given, meaning employed
+    throughout.  ``lines`` holds each row's line in the roster file, when
+    read from one, and ``source`` names the roster in error messages.
+    Ingest and the simulator build it directly; treated as read-only.
     """
 
-    age: float
-    seniority: float
-    age_years: int
-    seniority_years: int
-    gender_dummy: int   # 1 = male
-    u1: int             # private university
-    u2: int             # advanced school
-    u3: int             # polytechnic
-    t: float
-    recently_promoted: bool
+    ids: list[str]
+    male: np.ndarray
+    birth: np.ndarray
+    appointed: np.ndarray
+    sds: np.ndarray
+    sds_names: list[str]
+    uda: np.ndarray
+    uda_names: list[str]
+    utype: np.ndarray
+    active_start: np.ndarray
+    active_end: np.ndarray
+    lines: np.ndarray | None = None
+    source: str = "roster"
+
+    def __post_init__(self):
+        for name, dtype in _ROSTER_DTYPES.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype))
+        if self.lines is not None:
+            self.lines = np.asarray(self.lines, np.int64)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 # Numeric corpus columns; every other column is a list of strings.
@@ -124,8 +133,9 @@ class Corpus:
 
     Ingest and the simulator build the columns with :class:`_ColumnBuffer`
     or numpy and pass them, less the derived ``shared``, ``pub`` and
-    ``position``, to the constructor.  Treated as read-only after
-    construction.
+    ``position``, to the constructor; ingest also passes ``author_codes``,
+    the author-to-code map it built.  The simulator codes roster authors
+    first, in roster order.  Treated as read-only after construction.
     """
 
     def __init__(self, columns: dict, dropped: int = 0):
@@ -145,6 +155,11 @@ class Corpus:
         return len(self.ids)
 
     @functools.cached_property
+    def author_codes(self) -> dict[str, int]:
+        """Each author's code; ingest passes in the map it built."""
+        return {author: code for code, author in enumerate(self.authors)}
+
+    @functools.cached_property
     def cells(self) -> tuple[np.ndarray, list[tuple[int, str]]]:
         """Each publication's (year, subject category) cell index, and the cells."""
         width = max(len(self.categories), 1)
@@ -159,8 +174,15 @@ class Corpus:
         Returns ``who``, each authorship's index into ``author_ids``, and
         ``rows``, its row in the authorship table.  Ids on no byline have none.
         """
-        index = {author: i for i, author in enumerate(author_ids)}
-        owner = np.array([index.get(a, -1) for a in self.authors], dtype=np.int64)
+        n = len(author_ids)
+        if self.authors[:n] == list(author_ids):  # roster-first codes, as the simulator's
+            codes = np.arange(n)
+        else:
+            codes = np.array([self.author_codes.get(a, -1) for a in author_ids],
+                             dtype=np.int64)
+        known = np.flatnonzero(codes >= 0)
+        owner = np.full(len(self.authors), -1, dtype=np.int64)
+        owner[codes[known]] = known
         who = owner[self.author]
         year = self.year[self.pub]
         rows = np.flatnonzero((who >= 0) & (window[0] <= year) & (year <= window[1]))
@@ -197,20 +219,32 @@ class _ColumnBuffer:
     def columns(self) -> dict:
         """The columns for the :class:`Corpus` constructor."""
         vocabularies = ("categories", "doc_types", "authors", "universities")
-        return {name: list(value) if name in vocabularies else value
-                for name, value in vars(self).items()}
+        return {**{name: list(value) if name in vocabularies else value
+                   for name, value in vars(self).items()},
+                "author_codes": self.authors}
 
 
-def exact_years(start: date, end: date) -> float:
-    return (end - start).days / DAYS_PER_YEAR
+_EPOCH = date(1970, 1, 1).toordinal()
 
 
-def whole_years(start: date, end: date) -> int:
-    """Completed years from start to end (anniversary arithmetic)."""
-    years = end.year - start.year
-    if (end.month, end.day) < (start.month, start.day):
-        years -= 1
-    return years
+def _calendar(ordinals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Year, month and day of each day ordinal."""
+    days = (np.asarray(ordinals, dtype=np.int64) - _EPOCH).astype("datetime64[D]")
+    years, months = days.astype("datetime64[Y]"), days.astype("datetime64[M]")
+    return (years.astype(np.int64) + 1970, (months - years).astype(np.int64) + 1,
+            (days - months).astype(np.int64) + 1)
+
+
+def exact_years(start, end) -> np.ndarray:
+    """Day count from start to end (day ordinals) over DAYS_PER_YEAR."""
+    return (end - start) / DAYS_PER_YEAR
+
+
+def whole_years(start, end) -> np.ndarray:
+    """Completed years from each start to each end (day ordinals), by anniversary."""
+    y0, m0, d0 = _calendar(start)
+    y1, m1, d1 = _calendar(end)
+    return y1 - y0 - (m1 * 32 + d1 < m0 * 32 + d0)
 
 
 def _parse_date(text: str, what: str, problems: list[str], line: int) -> date | None:
@@ -221,17 +255,18 @@ def _parse_date(text: str, what: str, problems: list[str], line: int) -> date | 
         return None
 
 
-def _parse_gender(text: str, problems: list[str], line: int) -> str | None:
+def _parse_gender(text: str, problems: list[str], line: int) -> bool | None:
+    """True for male, False for female."""
     token = text.strip().lower()
     if token in ("m", "male"):
-        return "male"
+        return True
     if token in ("f", "female"):
-        return "female"
+        return False
     problems.append(f"line {line}: gender must be M or F, got {text!r}")
     return None
 
 
-def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> list[Professor]:
+def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> Roster:
     """Read a professor roster CSV.
 
     ``sds_map`` optionally maps field (SDS) codes to their discipline (UDA);
@@ -240,22 +275,33 @@ def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> list[Profes
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in ROSTER_FIELDS if c not in header]
         if missing:
             raise IngestError(path, [f"missing required columns: {', '.join(missing)}"])
-        has_span = all(c in header for c in ROSTER_OPTIONAL_FIELDS)
+        column = {name: i for i, name in enumerate(header)}
+        has_span = all(c in column for c in ROSTER_OPTIONAL_FIELDS)
+        fields = operator.itemgetter(*(column[c] for c in ROSTER_FIELDS
+                                       + ROSTER_OPTIONAL_FIELDS * has_span))
+        width = len(header)
 
-        professors: list[Professor] = []
+        kept: list[tuple] = []
+        sds_codes: dict[str, int] = {}
+        uda_codes: dict[str, int] = {}
         problems: list[str] = []
         seen: dict[str, int] = {}
         sds_to_uda: dict[str, tuple[str, int]] = {}
         n_rows = 0
         for row in reader:
+            if not row:
+                continue
             n_rows += 1
             line = reader.line_num
-            pid = (row.get("id") or "").strip()
+            if len(row) < width:  # short rows read as missing values
+                row += [None] * (width - len(row))
+            pid, gender, birth, appointed, sds, uda, utype_raw, *span = fields(row)
+            pid = (pid or "").strip()
             if not pid:
                 problems.append(f"line {line}: empty id")
                 continue
@@ -265,20 +311,18 @@ def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> list[Profes
                 continue
             seen[pid] = line
 
-            gender = _parse_gender(row.get("gender") or "", problems, line)
-            birth = _parse_date(row.get("birth_date") or "", "birth_date", problems, line)
-            appointed = _parse_date(row.get("appointment_date") or "",
-                                    "appointment_date", problems, line)
-            sds = (row.get("sds") or "").strip()
-            uda = (row.get("uda") or "").strip()
-            utype = (row.get("university_type") or "").strip().lower()
+            male = _parse_gender(gender or "", problems, line)
+            birth = _parse_date(birth or "", "birth_date", problems, line)
+            appointed = _parse_date(appointed or "", "appointment_date", problems, line)
+            sds = (sds or "").strip()
+            uda = (uda or "").strip()
+            utype = (utype_raw or "").strip().lower()
 
             if not sds or not uda:
                 problems.append(f"line {line}: empty sds or uda")
                 continue
             if utype not in UNIVERSITY_TYPES:
-                problems.append(
-                    f"line {line}: unknown university_type {row.get('university_type')!r}")
+                problems.append(f"line {line}: unknown university_type {utype_raw!r}")
                 continue
             if sds_map is not None:
                 if sds not in sds_map:
@@ -295,40 +339,46 @@ def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> list[Profes
                 continue
             sds_to_uda.setdefault(sds, (uda, line))
 
-            if gender is None or birth is None or appointed is None:
+            if male is None or birth is None or appointed is None:
                 continue
-            if whole_years(birth, appointed) < MIN_APPOINTMENT_AGE:
+            age = appointed.year - birth.year - (
+                (appointed.month, appointed.day) < (birth.month, birth.day))
+            if age < MIN_APPOINTMENT_AGE:
                 problems.append(
-                    f"line {line}: appointed at {whole_years(birth, appointed)} "
-                    f"(before age {MIN_APPOINTMENT_AGE})")
+                    f"line {line}: appointed at {age} (before age {MIN_APPOINTMENT_AGE})")
                 continue
 
-            span = None
-            if has_span:
-                s_raw = (row.get("active_start") or "").strip()
-                e_raw = (row.get("active_end") or "").strip()
-                if s_raw or e_raw:
-                    if not (s_raw and e_raw):
-                        problems.append(
-                            f"line {line}: active_start/active_end must be given together")
-                        continue
-                    s = _parse_date(s_raw, "active_start", problems, line)
-                    e = _parse_date(e_raw, "active_end", problems, line)
-                    if s is None or e is None:
-                        continue
-                    if s > e:
-                        problems.append(f"line {line}: active_start after active_end")
-                        continue
-                    span = (s, e)
+            start = end = 0
+            s_raw, e_raw = ((span[0] or "").strip(), (span[1] or "").strip()) \
+                if has_span else ("", "")
+            if s_raw or e_raw:
+                if not (s_raw and e_raw):
+                    problems.append(
+                        f"line {line}: active_start/active_end must be given together")
+                    continue
+                s = _parse_date(s_raw, "active_start", problems, line)
+                e = _parse_date(e_raw, "active_end", problems, line)
+                if s is None or e is None:
+                    continue
+                if s > e:
+                    problems.append(f"line {line}: active_start after active_end")
+                    continue
+                start, end = s.toordinal(), e.toordinal()
 
-            professors.append(Professor(pid, gender, birth, appointed, sds, uda,
-                                        utype, span))
+            kept.append((pid, male, birth.toordinal(), appointed.toordinal(),
+                         sds_codes.setdefault(sds, len(sds_codes)),
+                         uda_codes.setdefault(uda, len(uda_codes)),
+                         UNIVERSITY_TYPES.index(utype), start, end, line))
 
     if problems:
         raise IngestError(path, problems)
     if n_rows == 0:
         logger.warning("%s: empty roster", path)
-    return professors
+    ids, male, birth, appointed, sds, uda, utype, start, end, lines = \
+        map(list, zip(*kept)) if kept else [[]] * 10
+    return Roster(ids, male, birth, appointed, sds, list(sds_codes), uda,
+                  list(uda_codes), utype, start, end, np.array(lines, dtype=np.int64),
+                  str(path))
 
 
 def _whole_number(raw) -> int | None:
@@ -516,18 +566,23 @@ def _fmt_float(x: float | None) -> str:
     return "" if x is None or math.isnan(x) else repr(float(x))
 
 
-def write_roster(path, roster: Iterable[Professor]) -> None:
+def _iso(ordinal: int) -> str:
+    return date.fromordinal(ordinal).isoformat() if ordinal else ""
+
+
+def write_roster(path, roster: Roster) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ROSTER_FIELDS + ROSTER_OPTIONAL_FIELDS)
-        for p in roster:
-            start, end = ("", "")
-            if p.active_span is not None:
-                start, end = p.active_span[0].isoformat(), p.active_span[1].isoformat()
-            writer.writerow([p.id, "M" if p.gender == "male" else "F",
-                             p.birth_date.isoformat(), p.appointment_date.isoformat(),
-                             p.sds, p.uda, p.university_type, start, end])
+        writer.writerows(
+            [pid, "M" if male else "F", _iso(birth), _iso(appointed), roster.sds_names[sds],
+             roster.uda_names[uda], UNIVERSITY_TYPES[utype], _iso(start), _iso(end)]
+            for pid, male, birth, appointed, sds, uda, utype, start, end in zip(
+                roster.ids, roster.male.tolist(), roster.birth.tolist(),
+                roster.appointed.tolist(), roster.sds.tolist(), roster.uda.tolist(),
+                roster.utype.tolist(), roster.active_start.tolist(),
+                roster.active_end.tolist()))
 
 
 def write_publications(path, corpus: Corpus) -> None:
@@ -569,54 +624,67 @@ def load_sds_map(path) -> dict[str, str]:
     return mapping
 
 
-def working_years(active_span: tuple[date, date] | None,
-                  window: tuple[int, int]) -> float:
-    """Fractional years of the active span inside the observation window.
+def working_years(start: np.ndarray, end: np.ndarray,
+                  window: tuple[int, int]) -> np.ndarray:
+    """Fractional years of each active span [start, end] inside the window.
 
-    Each calendar year contributes (covered days)/(days in that year), so a
-    span covering the whole window yields exactly the window length in years.
+    ``start``/``end`` are day ordinals, 0 in both for no span (the whole
+    window).  Each calendar year adds (covered days)/(days in that year), in
+    year order, so a span covering the whole window yields exactly the window
+    length in years.
     """
-    start_year, end_year = window
-    if start_year > end_year:
+    first, last = window
+    if first > last:
         raise ValueError(f"invalid window {window}")
-    if active_span is None:
-        return float(end_year - start_year + 1)
-    a, b = active_span
-    total = 0.0
-    for year in range(start_year, end_year + 1):
-        y0, y1 = date(year, 1, 1), date(year, 12, 31)
-        lo, hi = max(a, y0), min(b, y1)
-        if lo <= hi:
-            days_in_year = (date(year + 1, 1, 1) - y0).days
-            total += ((hi - lo).days + 1) / days_in_year
+    spanned = np.asarray(start) > 0
+    total = np.zeros(spanned.shape)
+    for year in range(first, last + 1):
+        y0, y1 = date(year, 1, 1).toordinal(), date(year, 12, 31).toordinal()
+        covered = np.minimum(end, y1) - np.maximum(start, y0) + 1
+        total += np.where(spanned, np.maximum(covered, 0), y1 - y0 + 1) / (y1 - y0 + 1)
     return total
 
 
-def derive_covariates(professor: Professor, census_date: date,
-                      window: tuple[int, int]) -> Covariates:
-    """Covariates at the census date: exact and whole-year age/seniority,
-    regression dummies, and working years t inside the window."""
-    if census_date <= professor.birth_date:
-        raise ValueError(f"{professor.id}: census date before birth")
-    if census_date < professor.appointment_date:
-        raise ValueError(f"{professor.id}: census date before appointment")
+# Roster rows the covariates cannot be derived for, by condition.
+_COVARIATE_CHECKS = ("census date before birth", "census date before appointment",
+                     "no working years inside window {window}")
 
-    age = exact_years(professor.birth_date, census_date)
-    seniority = exact_years(professor.appointment_date, census_date)
-    t = working_years(professor.active_span, window)
-    if t <= 0:
-        raise ValueError(f"{professor.id}: no working years inside window {window}")
 
-    utype = professor.university_type
-    return Covariates(
-        age=age,
-        seniority=seniority,
-        age_years=whole_years(professor.birth_date, census_date),
-        seniority_years=whole_years(professor.appointment_date, census_date),
-        gender_dummy=1 if professor.gender == "male" else 0,
-        u1=1 if utype == "private" else 0,
-        u2=1 if utype == "advanced_school" else 0,
-        u3=1 if utype == "polytechnic" else 0,
-        t=t,
-        recently_promoted=seniority < RECENT_PROMOTION_YEARS,
-    )
+def derive_covariates(roster: Roster, census_date: date,
+                      window: tuple[int, int]) -> dict[str, np.ndarray]:
+    """Covariates of every professor at the census date, as columns named and
+    ordered like those of compute's covariates.csv.
+
+    ``age`` and ``seniority`` are exact day-difference/365.2425 values (these
+    feed the regressions and are shown to 2 decimals in reports);
+    ``age_years``/``seniority_years`` are the completed whole-year counts.
+    The 0/1 flags are ``gender_dummy`` (male), ``u1``, ``u2`` and ``u3``
+    (private university, advanced school, polytechnic) and
+    ``recently_promoted`` (seniority under RECENT_PROMOTION_YEARS).  ``t`` is
+    the fractional-year overlap of the active span with the window.  Raises
+    :class:`IngestError` naming every row born or appointed after the census
+    date or with no working years in the window.
+    """
+    census = census_date.toordinal()
+    t = working_years(roster.active_start, roster.active_end, window)
+    failed = np.stack([census <= roster.birth, census < roster.appointed, t <= 0])
+    if failed.any():
+        rows, checks = np.nonzero(failed.T)
+        raise IngestError(roster.source, [
+            ("" if roster.lines is None else f"line {roster.lines[i]}: ")
+            + f"{roster.ids[i]}: {_COVARIATE_CHECKS[c].format(window=window)}"
+            for i, c in zip(rows.tolist(), checks.tolist())])
+    seniority = exact_years(roster.appointed, census)
+    utype = roster.utype
+    return {
+        "age": exact_years(roster.birth, census),
+        "seniority": seniority,
+        "age_years": whole_years(roster.birth, census),
+        "seniority_years": whole_years(roster.appointed, census),
+        "gender_dummy": roster.male.astype(np.int64),
+        "u1": (utype == UNIVERSITY_TYPES.index("private")).astype(np.int64),
+        "u2": (utype == UNIVERSITY_TYPES.index("advanced_school")).astype(np.int64),
+        "u3": (utype == UNIVERSITY_TYPES.index("polytechnic")).astype(np.int64),
+        "t": t,
+        "recently_promoted": (seniority < RECENT_PROMOTION_YEARS).astype(np.int64),
+    }

@@ -26,11 +26,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Professor, working_years
+from .corpus import Corpus, Roster, working_years
 from .credit import CONVENTIONS, ConventionMap, fractional_contribution
 
 logger = logging.getLogger(__name__)
@@ -101,45 +100,41 @@ def build_scaling_table(corpus: Corpus) -> ScalingTable:
         for j, key in enumerate(keys)})
 
 
-@dataclass(frozen=True)
-class IndicatorScores:
-    fss: float
-    p: float
-    ia: float | None
-    ij: float | None
-    n_pubs: int
-
-    @property
-    def inactive(self) -> bool:
-        return self.n_pubs == 0
-
-    def value(self, indicator: str) -> float | None:
-        return getattr(self, _FIELDS[indicator])
-
-
-_FIELDS = {"FSS": "fss", "P": "p", "IA": "ia", "IJ": "ij"}
-
-
 def _mean_or_nan(total: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.divide(total, count, out=np.full(total.shape, math.nan), where=count > 0)
 
 
-def compute_scores(roster: Sequence[Professor], corpus: Corpus, scaling: ScalingTable,
+def _roster_conventions(roster: Roster, conventions: ConventionMap) -> np.ndarray:
+    """Each professor's credit convention, as an index into CONVENTIONS."""
+    width = max(len(roster.uda_names), 1)
+    pairs, pair = np.unique(roster.sds.astype(np.int64) * width + roster.uda,
+                            return_inverse=True)
+    codes = [CONVENTIONS.index(conventions.resolve(roster.sds_names[k // width],
+                                                   roster.uda_names[k % width]))
+             for k in pairs.tolist()]
+    return np.array(codes, dtype=np.int64)[pair.reshape(-1)]
+
+
+def compute_scores(roster: Roster, corpus: Corpus, scaling: ScalingTable,
                    conventions: ConventionMap, window: tuple[int, int],
-                   strict: bool = False) -> list[IndicatorScores]:
+                   strict: bool = False, t: np.ndarray | None = None
+                   ) -> dict[str, np.ndarray]:
     """All four indicators for every professor, in roster order, in one pass.
 
-    A publication whose scaling mean is missing (or whose impact factor is
-    unknown) is skipped by the indicators that need it, with one warning per
-    professor, publication and indicator in roster and then corpus order;
-    with ``strict`` the first such publication raises :class:`MissingCellError`.
-    Professor ids must be unique.
+    Returns a column per indicator (``FSS``, ``P``, ``IA``, ``IJ``; IA and IJ
+    are NaN where undefined) and ``n_pubs``, the in-window publication count
+    (0 = inactive).  ``t`` is each professor's working years, derived from the
+    roster when not given.  A publication whose scaling mean is missing (or
+    whose impact factor is unknown) is skipped by the indicators that need it,
+    with one warning per professor, publication and indicator in roster and
+    then corpus order; with ``strict`` the first such publication raises
+    :class:`MissingCellError`.  Professor ids must be unique.
     """
-    ids = [prof.id for prof in roster]
-    if len(set(ids)) != len(ids):
+    if len(set(roster.ids)) != len(roster):
         raise ValueError("duplicate professor id in roster")
-    t = np.array([working_years(prof.active_span, window) for prof in roster], dtype=float)
-    who, rows = corpus.authored_by(ids, window)   # in-window roster authorships
+    if t is None:
+        t = working_years(roster.active_start, roster.active_end, window)
+    who, rows = corpus.authored_by(roster.ids, window)   # in-window roster authorships
     pub = corpus.pub[rows]
 
     cbar, ifbar = scaling.publication_means(corpus)
@@ -153,37 +148,36 @@ def compute_scores(roster: Sequence[Professor], corpus: Corpus, scaling: Scaling
     if_ratio = np.divide(corpus.impact, ifbar, out=np.zeros(len(corpus)), where=if_ok)
 
     if_reason = np.where(unknown_if, UNKNOWN_IF, np.where(no_if_cell, NO_IF_CELL, 0))
-    _check_and_warn(roster, corpus, window, t, who, pub, no_cite_cell[pub],
+    _check_and_warn(roster.ids, corpus, window, t, who, pub, no_cite_cell[pub],
                     if_reason[pub], strict)
 
-    convention = np.array([CONVENTIONS.index(conventions.resolve(p.sds, p.uda))
-                           for p in roster], dtype=np.int64)
-    share = fractional_contribution(convention[who], corpus.shared[pub],
-                                    corpus.n_authors[pub], corpus.position[rows])
+    share = fractional_contribution(_roster_conventions(roster, conventions)[who],
+                                    corpus.shared[pub], corpus.n_authors[pub],
+                                    corpus.position[rows])
     n = len(roster)
     ratio = cite_ratio[pub]
     ia_ok = ~no_cite_cell[pub]
     ij_ok = if_ok[pub]
-    fss = np.bincount(who, weights=ratio * share, minlength=n) / t
     n_pubs = np.bincount(who, minlength=n)
-    p = n_pubs / t
-    ia = _mean_or_nan(np.bincount(who[ia_ok], weights=ratio[ia_ok], minlength=n),
-                      np.bincount(who[ia_ok], minlength=n))
-    ij = _mean_or_nan(np.bincount(who[ij_ok], weights=if_ratio[pub][ij_ok], minlength=n),
-                      np.bincount(who[ij_ok], minlength=n))
-    return [IndicatorScores(f, q, None if math.isnan(a) else a,
-                            None if math.isnan(j) else j, k)
-            for f, q, a, j, k in zip(fss.tolist(), p.tolist(), ia.tolist(), ij.tolist(),
-                                     n_pubs.tolist())]
+    return {
+        "FSS": np.bincount(who, weights=ratio * share, minlength=n) / t,
+        "P": n_pubs / t,
+        "IA": _mean_or_nan(np.bincount(who[ia_ok], weights=ratio[ia_ok], minlength=n),
+                           np.bincount(who[ia_ok], minlength=n)),
+        "IJ": _mean_or_nan(np.bincount(who[ij_ok], weights=if_ratio[pub][ij_ok],
+                                       minlength=n),
+                           np.bincount(who[ij_ok], minlength=n)),
+        "n_pubs": n_pubs,
+    }
 
 
-def _check_and_warn(roster: Sequence[Professor], corpus: Corpus, window: tuple[int, int],
+def _check_and_warn(ids: list[str], corpus: Corpus, window: tuple[int, int],
                     t: np.ndarray, who: np.ndarray, pub: np.ndarray,
                     bad_cite: np.ndarray, bad_if: np.ndarray, strict: bool) -> None:
     """Raise for the first professor with no working years or, under ``strict``,
     a skipped publication; otherwise log every skip.
 
-    ``who``/``pub`` give each in-window authorship's roster index and
+    ``who``/``pub`` give each in-window authorship's index into ``ids`` and
     publication; ``bad_cite`` marks a missing citation cell and ``bad_if``
     holds UNKNOWN_IF or NO_IF_CELL.  Skips are reported per professor in the
     order of the per-indicator walks: FSS and IA over citation cells, then IJ.
@@ -198,11 +192,11 @@ def _check_and_warn(roster: Sequence[Professor], corpus: Corpus, window: tuple[i
     idle = np.flatnonzero(t <= 0)
     if strict and events and (not idle.size or events[0][0] < idle[0]):
         i, p, reason = events[0]
-        raise MissingCellError(_skip_message(roster[i].id, corpus, p, reason, strict))
+        raise MissingCellError(_skip_message(ids[i], corpus, p, reason, strict))
     if idle.size:
-        raise ValueError(f"{roster[idle[0]].id}: no working years inside window {window}")
+        raise ValueError(f"{ids[idle[0]]}: no working years inside window {window}")
     for i, p, reason in events:
-        logger.warning(_skip_message(roster[i].id, corpus, p, reason, strict=False))
+        logger.warning(_skip_message(ids[i], corpus, p, reason, strict=False))
 
 
 def _skip_message(owner: str, corpus: Corpus, p: int, reason: int, strict: bool) -> str:

@@ -2,54 +2,44 @@
 
 from __future__ import annotations
 
-from datetime import date
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .cohort import cohort_percentiles
-from .corpus import Corpus, Covariates, Professor, derive_covariates
+from .corpus import Corpus, Roster
 from .credit import ConventionMap
-from .indicators import (INDICATORS, IndicatorScores, ScalingTable,
-                         build_scaling_table, compute_scores)
+from .indicators import ScalingTable, build_scaling_table, compute_scores
 from .regress import RegressionFrame
 
+# the covariates columns behind regress.COVARIATE_ORDER
+_FRAME_COVARIATES = ("seniority", "gender_dummy", "u1", "u2", "u3")
 
-def compute_indicator_scores(roster: Sequence[Professor], corpus: Corpus,
-                             conventions: ConventionMap,
-                             window: tuple[int, int],
-                             strict: bool = False) -> dict[str, IndicatorScores]:
-    """Scores for every rostered professor, keyed by id, in roster order."""
+
+def compute_indicator_scores(roster: Roster, corpus: Corpus, conventions: ConventionMap,
+                             window: tuple[int, int], strict: bool = False,
+                             t: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Score columns for every rostered professor, in roster order."""
     scaling = build_scaling_table(corpus) if len(corpus) else ScalingTable({})
-    scores = compute_scores(roster, corpus, scaling, conventions, window, strict)
-    return {prof.id: s for prof, s in zip(roster, scores)}
+    return compute_scores(roster, corpus, scaling, conventions, window, strict, t)
 
 
-def derive_all_covariates(roster: Sequence[Professor], census_date: date,
-                          window: tuple[int, int]) -> dict[str, Covariates]:
-    return {p.id: derive_covariates(p, census_date, window) for p in roster}
-
-
-def regression_frame(roster: Sequence[Professor],
-                     covariates: Mapping[str, Covariates],
-                     percentiles: Mapping[str, Mapping[str, float]]
-                     ) -> RegressionFrame:
-    """Join roster, covariates and percentile scores into regression inputs."""
-    covs = [covariates[p.id] for p in roster]
+def regression_frame(roster: Roster, covariates: Mapping[str, np.ndarray],
+                     percentiles: np.ndarray) -> RegressionFrame:
+    """Stack roster, covariate and percentile columns into regression inputs."""
     return RegressionFrame(
-        ids=np.array([p.id for p in roster], dtype=str),
-        uda=np.array([p.uda for p in roster], dtype=str),
-        age=np.array([c.age for c in covs], dtype=float),
-        covariates=np.array([(c.seniority, c.gender_dummy, c.u1, c.u2, c.u3)
-                             for c in covs], dtype=float).reshape(-1, 5),
-        percentiles=np.array([[percentiles.get(p.id, {}).get(i, np.nan) for i in INDICATORS]
-                              for p in roster], dtype=float).reshape(-1, len(INDICATORS)))
+        ids=np.array(roster.ids, dtype=str),
+        uda=np.array(roster.uda_names, dtype=str)[roster.uda],
+        age=covariates["age"],
+        covariates=np.column_stack([covariates[c] for c in _FRAME_COVARIATES]).astype(float),
+        percentiles=percentiles)
 
 
-def run_scoring(roster: Sequence[Professor], corpus: Corpus,
-                conventions: ConventionMap, census_date: date,
-                window: tuple[int, int], strict: bool = False):
-    """Full scoring pass: covariates, indicator scores and cohort percentiles."""
-    covariates = derive_all_covariates(roster, census_date, window)
-    scores = compute_indicator_scores(roster, corpus, conventions, window, strict)
-    return covariates, scores, cohort_percentiles(roster, scores)
+def run_scoring(roster: Roster, corpus: Corpus, conventions: ConventionMap,
+                covariates: Mapping[str, np.ndarray], window: tuple[int, int],
+                strict: bool = False) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Indicator scores and cohort percentiles of a roster whose covariates
+    (see ``corpus.derive_covariates``) are already derived."""
+    scores = compute_indicator_scores(roster, corpus, conventions, window, strict,
+                                      covariates["t"])
+    return scores, cohort_percentiles(roster, scores)

@@ -18,8 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Covariates, Professor, exact_years, whole_years
-from .indicators import IndicatorScores
+from .corpus import Roster, exact_years, whole_years
 from .regress import FitResult
 
 logger = logging.getLogger(__name__)
@@ -145,65 +144,54 @@ def regression_table(fits: Mapping[str, FitResult], fmt: str = "text",
     return _render(header, rows, fmt)
 
 
-def descriptive_table(roster: Sequence[Professor],
-                      covariates: Mapping[str, Covariates],
-                      scores: Mapping[str, IndicatorScores] | None = None,
+def descriptive_table(roster: Roster,
+                      covariates: Mapping[str, np.ndarray],
+                      inactive: np.ndarray | None = None,
                       population_totals: Mapping[str, int] | None = None,
                       fmt: str = "text") -> str:
     """Headcounts, coverage, mean ages and inactivity by discipline, plus an
     appointment-age breakdown (share appointed strictly before 41 and strictly
-    after 55, in whole years).  Returns both tables in one string."""
-    if not roster:
+    after 55, in whole years).  ``inactive`` flags each professor without
+    window publications.  Returns both tables in one string."""
+    if not len(roster):
         raise ValueError("empty roster")
-    by_uda: dict[str, list[Professor]] = {}
-    for prof in roster:
-        by_uda.setdefault(prof.uda, []).append(prof)
-    if population_totals:
-        for uda in population_totals:
-            if uda not in by_uda:
-                logger.warning("population total for %r has no rostered professors; "
-                               "row omitted", uda)
+    groups = sorted(((roster.uda_names[c], roster.uda == c)
+                     for c in np.unique(roster.uda).tolist()), key=lambda g: g[0])
+    for uda in population_totals or ():
+        if uda not in {name for name, _ in groups}:
+            logger.warning("population total for %r has no rostered professors; "
+                           "row omitted", uda)
+    groups.append(("Total", np.ones(len(roster), dtype=bool)))
+    app_ages = exact_years(roster.birth, roster.appointed)
+    app_years = whole_years(roster.birth, roster.appointed)
 
-    def stats(profs: list[Professor]) -> list[str]:
-        n = len(profs)
-        uda_counts: dict[str, int] = {}
-        for p in profs:
-            uda_counts[p.uda] = uda_counts.get(p.uda, 0) + 1
+    def stats(members: np.ndarray) -> list[str]:
+        n = int(members.sum())
         if population_totals:
-            total = sum(population_totals.get(uda, cnt)
-                        for uda, cnt in uda_counts.items())
+            present, counts = np.unique(roster.uda[members], return_counts=True)
+            total = sum(population_totals.get(roster.uda_names[c], k)
+                        for c, k in zip(present.tolist(), counts.tolist()))
         else:
             total = n
         coverage = 100.0 * n / total if total else 100.0
-        ages = [covariates[p.id].age for p in profs]
-        app_ages = [exact_years(p.birth_date, p.appointment_date) for p in profs]
-        row = [str(n), f"{coverage:.2f}", f"{np.mean(ages):.2f}",
-               f"{np.mean(app_ages):.2f}"]
-        if scores is not None:
-            inactive = sum(scores[p.id].inactive for p in profs)
-            row.append(f"{100.0 * inactive / n:.2f}")
-        else:
-            row.append(ABSENT)
+        row = [str(n), f"{coverage:.2f}", f"{np.mean(covariates['age'][members]):.2f}",
+               f"{np.mean(app_ages[members]):.2f}"]
+        row.append(ABSENT if inactive is None
+                   else f"{100.0 * int(inactive[members].sum()) / n:.2f}")
         return row
+
+    def appointment_shares(members: np.ndarray) -> list[str]:
+        n = int(members.sum())
+        early = int((app_years[members] < APPOINTMENT_EARLY_BOUND).sum())
+        late = int((app_years[members] > APPOINTMENT_LATE_BOUND).sum())
+        return [f"{100.0 * early / n:.2f}", f"{100.0 * late / n:.2f}"]
 
     header = ["UDA", "Professors", "Coverage %", "Mean age", "Mean age at appointment",
               "Inactive %"]
-    rows = [[uda] + stats(profs) for uda, profs in sorted(by_uda.items())]
-    rows.append(["Total"] + stats(list(roster)))
-
-    def appointment_shares(profs: list[Professor]) -> list[str]:
-        n = len(profs)
-        early = sum(whole_years(p.birth_date, p.appointment_date)
-                    < APPOINTMENT_EARLY_BOUND for p in profs)
-        late = sum(whole_years(p.birth_date, p.appointment_date)
-                   > APPOINTMENT_LATE_BOUND for p in profs)
-        return [f"{100.0 * early / n:.2f}", f"{100.0 * late / n:.2f}"]
-
     header2 = ["UDA", f"Appointed before {APPOINTMENT_EARLY_BOUND} %",
                f"Appointed after {APPOINTMENT_LATE_BOUND} %"]
-    rows2 = [[uda] + appointment_shares(profs) for uda, profs in sorted(by_uda.items())]
-    rows2.append(["Total"] + appointment_shares(list(roster)))
-
+    rows = [[uda] + stats(members) for uda, members in groups]
+    rows2 = [[uda] + appointment_shares(members) for uda, members in groups]
     return _render(header, rows, fmt) + "\n" + _render(header2, rows2, fmt)
 
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
-from .corpus import DAYS_PER_YEAR, Corpus, Professor, _ColumnBuffer
+from .corpus import DAYS_PER_YEAR, Corpus, Roster, _ColumnBuffer, derive_covariates
 from .credit import ALPHABETICAL, CONVENTIONS, POSITION_WEIGHTED, ConventionMap
 from .pipeline import regression_frame, run_scoring
 from .regress import FitError, ModelSpec, fit_model, fit_with_selected_degree
@@ -184,14 +184,33 @@ def _seniority_share_params(ages: np.ndarray, corr_target: float,
     return mu, min(s, 1e7)
 
 
-def generate_cohort(config: SimConfig) -> tuple[list[Professor], Corpus]:
+def _roster(config: SimConfig, census: int, ages: np.ndarray, seniority: np.ndarray,
+            male: np.ndarray, field_idx: np.ndarray, type_idx: np.ndarray) -> Roster:
+    """The roster of drawn professors; dates are rounded to whole days, half to even."""
+    birth = census - np.rint(ages * DAYS_PER_YEAR).astype(np.int64)
+    appointed = birth + np.rint((ages - seniority) * DAYS_PER_YEAR).astype(np.int64)
+    sds_codes: dict[str, int] = {}
+    uda_codes: dict[str, int] = {}
+    field_sds = np.array([sds_codes.setdefault(f.sds, len(sds_codes)) for f in config.fields])
+    field_uda = np.array([uda_codes.setdefault(f.uda, len(uda_codes)) for f in config.fields])
+    none = np.zeros(len(ages), dtype=np.int64)
+    return Roster(ids=[f"P{i + 1:05d}" for i in range(len(ages))], male=male, birth=birth,
+                  appointed=np.minimum(appointed, census), sds=field_sds[field_idx],
+                  sds_names=list(sds_codes), uda=field_uda[field_idx],
+                  uda_names=list(uda_codes), utype=type_idx, active_start=none,
+                  active_end=none)
+
+
+def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
     """Draw a roster and matching publication corpus."""
     n = config.n_professors
-    if n == 0:
-        return [], Corpus(_ColumnBuffer().columns())
-    rng = np.random.default_rng(config.seed)
     start_year, end_year = config.window
-    census = date(end_year, 12, 31)
+    census = date(end_year, 12, 31).toordinal()
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return (_roster(config, census, empty, empty, empty, empty, empty),
+                Corpus(_ColumnBuffer().columns()))
+    rng = np.random.default_rng(config.seed)
     span_years = end_year - start_year + 1
 
     ages = _sample_ages(rng, n)
@@ -203,27 +222,12 @@ def generate_cohort(config: SimConfig) -> tuple[list[Professor], Corpus]:
     male = rng.random(n) < config.gender_male_share
     field_idx = rng.integers(0, len(config.fields), size=n)
 
+    # UNIVERSITY_POOLS lists the types in corpus.UNIVERSITY_TYPES order
     type_idx = rng.choice(len(UNIVERSITY_POOLS), size=n,
                           p=np.asarray(config.university_type_shares))
     pool_sizes = np.array([p[2] for p in UNIVERSITY_POOLS])
     univ_num = rng.integers(0, pool_sizes[type_idx])
-
-    roster: list[Professor] = []
-    for i in range(n):
-        birth = census - timedelta(days=round(ages[i] * DAYS_PER_YEAR))
-        appointment_age = ages[i] - seniority[i]
-        appointment = birth + timedelta(days=round(appointment_age * DAYS_PER_YEAR))
-        fld = config.fields[field_idx[i]]
-        roster.append(Professor(
-            id=f"P{i + 1:05d}",
-            gender="male" if male[i] else "female",
-            birth_date=birth,
-            appointment_date=min(appointment, census),
-            sds=fld.sds,
-            uda=fld.uda,
-            university_type=UNIVERSITY_POOLS[type_idx[i]][0],
-            active_span=None,
-        ))
+    roster = _roster(config, census, ages, seniority, male, field_idx, type_idx)
 
     # Latent productivity and publication counts.
     log_rate = (config.base_log_rate
@@ -284,7 +288,7 @@ def generate_cohort(config: SimConfig) -> tuple[list[Professor], Corpus]:
         "categories": list(categories), "citations": citations, "impact": impact,
         "doc_type": np.zeros(total, dtype=np.int32), "doc_types": ["article"],
         "n_authors": n_authors, "author": author,
-        "authors": [p.id for p in roster] + [f"X{k + 1}" for k in range(n_co)],
+        "authors": roster.ids + [f"X{k + 1}" for k in range(n_co)],
         "university": university,
         "universities": [f"{prefix}{k}" for _, prefix, size in UNIVERSITY_POOLS
                          for k in range(size)]
@@ -339,10 +343,12 @@ def _mean_sd(values: list[float]) -> tuple[float | None, float | None]:
 
 def recovery_experiment(config: SimConfig, n_runs: int,
                         max_degree: int = 1,
-                        dependent: str = "FSS") -> RecoveryReport:
+                        dependent: str = "FSS",
+                        first: tuple[Roster, Corpus] | None = None) -> RecoveryReport:
     """Repeated generate -> score -> percentile -> fit cycles.
 
-    Run r uses seed ``config.seed + r``.  A run whose model cannot be fitted
+    Run r uses seed ``config.seed + r``; ``first``, when given, is run 0's
+    cohort, already generated from ``config``.  A run whose model cannot be fitted
     (:class:`FitError`) is recorded as failed and does not stop the
     experiment; any other exception propagates.  Sign-recovery fractions are taken over the runs
     that produced the corresponding effect.
@@ -354,10 +360,10 @@ def recovery_experiment(config: SimConfig, n_runs: int,
         cfg = replace(config, seed=config.seed + run)
         outcome = RunResult(run=run, seed=cfg.seed)
         try:
-            roster, corpus = generate_cohort(cfg)
-            census = date(cfg.window[1], 12, 31)
-            covariates, _, percentiles = run_scoring(roster, corpus, cfg.conventions(),
-                                                     census, cfg.window)
+            roster, corpus = first if run == 0 and first is not None else generate_cohort(cfg)
+            covariates = derive_covariates(roster, date(cfg.window[1], 12, 31), cfg.window)
+            _, percentiles = run_scoring(roster, corpus, cfg.conventions(), covariates,
+                                         cfg.window)
             frame = regression_frame(roster, covariates, percentiles)
             spec = ModelSpec(dependent=dependent)
             if max_degree > 1:

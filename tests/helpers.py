@@ -8,9 +8,22 @@ from datetime import date
 
 import numpy as np
 
-from resperf.corpus import Corpus, Professor, _ColumnBuffer
+from resperf.corpus import UNIVERSITY_TYPES, Corpus, Roster, _ColumnBuffer
 from resperf.indicators import INDICATORS
 from resperf.regress import RegressionFrame
+
+
+@dataclass(frozen=True)
+class Prof:
+    """One professor as a record; ``span`` is the (start, end) employment span."""
+    id: str
+    gender: str  # "male" | "female"
+    birth_date: date
+    appointment_date: date
+    sds: str
+    uda: str
+    university_type: str
+    span: tuple[date, date] | None = None
 
 
 @dataclass(frozen=True)
@@ -27,10 +40,44 @@ class Pub:
 
 def make_professor(id="P1", gender="male", birth=date(1950, 6, 30),
                    appointed=date(1985, 3, 1), sds="MAT/01", uda="MAT",
-                   university_type="public", span=None) -> Professor:
-    return Professor(id=id, gender=gender, birth_date=birth,
-                     appointment_date=appointed, sds=sds, uda=uda,
-                     university_type=university_type, active_span=span)
+                   university_type="public", span=None) -> Prof:
+    return Prof(id, gender, birth, appointed, sds, uda, university_type, span)
+
+
+def make_roster(profs) -> Roster:
+    """Roster over the records in ``profs``, in their order."""
+    profs = list(profs)
+    sds: dict[str, int] = {}
+    uda: dict[str, int] = {}
+    return Roster(
+        ids=[p.id for p in profs], male=[p.gender == "male" for p in profs],
+        birth=[p.birth_date.toordinal() for p in profs],
+        appointed=[p.appointment_date.toordinal() for p in profs],
+        sds=[sds.setdefault(p.sds, len(sds)) for p in profs], sds_names=list(sds),
+        uda=[uda.setdefault(p.uda, len(uda)) for p in profs], uda_names=list(uda),
+        utype=[UNIVERSITY_TYPES.index(p.university_type) for p in profs],
+        active_start=[p.span[0].toordinal() if p.span else 0 for p in profs],
+        active_end=[p.span[1].toordinal() if p.span else 0 for p in profs])
+
+
+def professors(roster: Roster) -> list[Prof]:
+    """The professors of ``roster`` as records, read from its columns."""
+    day = date.fromordinal
+    return [Prof(pid, "male" if male else "female", day(birth), day(appointed),
+                 roster.sds_names[sds], roster.uda_names[uda], UNIVERSITY_TYPES[utype],
+                 (day(start), day(end)) if start else None)
+            for pid, male, birth, appointed, sds, uda, utype, start, end in zip(
+                roster.ids, roster.male.tolist(), roster.birth.tolist(),
+                roster.appointed.tolist(), roster.sds.tolist(), roster.uda.tolist(),
+                roster.utype.tolist(), roster.active_start.tolist(),
+                roster.active_end.tolist())]
+
+
+def plain(columns) -> dict[str, list]:
+    """Score or covariate columns as lists, NaN as None, for ``==`` comparisons."""
+    return {name: [None if isinstance(v, float) and math.isnan(v) else v
+                   for v in np.asarray(values).tolist()]
+            for name, values in columns.items()}
 
 
 def make_publication(id="W1", year=2008, category="MAT/01", journal_if=1.5,
@@ -63,9 +110,9 @@ def records(corpus: Corpus) -> list[Pub]:
                 np.cumsum(corpus.n_authors).tolist())]
 
 
-def build_tiny_world() -> tuple[list[Professor], Corpus]:
+def build_tiny_world() -> tuple[Roster, Corpus]:
     """Four professors in two fields, twelve publications (one pre-window)."""
-    roster = [
+    profs = [
         make_professor("P1", sds="MAT/01", uda="MAT"),
         make_professor("P2", gender="female", birth=date(1955, 2, 10),
                        appointed=date(1990, 10, 1), sds="MAT/01", uda="MAT",
@@ -89,7 +136,7 @@ def build_tiny_world() -> tuple[list[Professor], Corpus]:
         make_publication("W11", 2010, "BIO/05", 3.1, 4, byline=(("P3", "U6"), ("X12", "U9"), ("X13", "U6"), ("P4", "U2"))),
         make_publication("W12", 2005, "BIO/05", 2.0, 30, byline=(("P3", "U6"),)),
     ]
-    return roster, make_corpus(pubs)
+    return make_roster(profs), make_corpus(pubs)
 
 
 def make_frame(rows) -> RegressionFrame:

@@ -1,28 +1,95 @@
-"""Per-professor reference implementation of scoring and percentiles.
+"""Per-professor reference implementation of covariates, scoring and percentiles.
 
-This is the loop the vectorised pass in ``resperf.indicators`` and
-``resperf.cohort`` replaced.  It reads the corpus back as publication records
-from its stored columns, walks each professor's publications in corpus
-order, takes each credit share from ``byline_weights`` and the byline's
-first and last universities, and ranks each cohort with a Python tie loop.
-It calls neither ``Corpus.authored_by`` nor ``fractional_contribution``,
-which it checks.  The vectorised code adds the same terms in the same order,
-so tests compare the two with ``==``.
+This is the loop the vectorised passes in ``resperf.corpus``,
+``resperf.indicators`` and ``resperf.cohort`` replaced.  It reads the roster
+and the corpus back as records from their columns.  Covariates come from
+``datetime.date`` arithmetic, one professor at a time.  Scoring walks each
+professor's publications in corpus order, takes each credit share from
+``byline_weights`` and the byline's first and last universities, and ranks
+each cohort with a Python tie loop.  It calls neither
+``Corpus.authored_by`` nor ``fractional_contribution``, which it checks.
+The vectorised code adds the same terms in the same order, so tests compare
+the two with ``==``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from datetime import date
 
 import numpy as np
 
-from helpers import Pub, records
-from resperf.corpus import Corpus, Professor, working_years
+from helpers import Prof, Pub, professors, records
+from resperf.corpus import DAYS_PER_YEAR, RECENT_PROMOTION_YEARS, Corpus
 from resperf.credit import ConventionMap, byline_weights
-from resperf.indicators import (INDICATORS, CellStats, IndicatorScores,
-                                MissingCellError, ScalingTable)
+from resperf.indicators import (INDICATORS, CellStats, MissingCellError,
+                                ScalingTable)
 
 logger = logging.getLogger("resperf.indicators")
+
+
+def exact_years(start: date, end: date) -> float:
+    return (end - start).days / DAYS_PER_YEAR
+
+
+def whole_years(start: date, end: date) -> int:
+    """Completed years from start to end (anniversary arithmetic)."""
+    years = end.year - start.year
+    if (end.month, end.day) < (start.month, start.day):
+        years -= 1
+    return years
+
+
+def working_years(active_span: tuple[date, date] | None,
+                  window: tuple[int, int]) -> float:
+    """Fractional years of the active span inside the observation window.
+
+    Each calendar year contributes (covered days)/(days in that year), so a
+    span covering the whole window yields exactly the window length in years.
+    """
+    start_year, end_year = window
+    if start_year > end_year:
+        raise ValueError(f"invalid window {window}")
+    if active_span is None:
+        return float(end_year - start_year + 1)
+    a, b = active_span
+    total = 0.0
+    for year in range(start_year, end_year + 1):
+        y0, y1 = date(year, 1, 1), date(year, 12, 31)
+        lo, hi = max(a, y0), min(b, y1)
+        if lo <= hi:
+            days_in_year = (date(year + 1, 1, 1) - y0).days
+            total += ((hi - lo).days + 1) / days_in_year
+    return total
+
+
+def derive_covariates(professor: Prof, census_date: date,
+                      window: tuple[int, int]) -> dict:
+    """One professor's covariates, keyed like the columns of
+    ``resperf.corpus.derive_covariates``."""
+    if census_date <= professor.birth_date:
+        raise ValueError(f"{professor.id}: census date before birth")
+    if census_date < professor.appointment_date:
+        raise ValueError(f"{professor.id}: census date before appointment")
+    age = exact_years(professor.birth_date, census_date)
+    seniority = exact_years(professor.appointment_date, census_date)
+    t = working_years(professor.span, window)
+    if t <= 0:
+        raise ValueError(f"{professor.id}: no working years inside window {window}")
+    utype = professor.university_type
+    return {
+        "age": age,
+        "seniority": seniority,
+        "age_years": whole_years(professor.birth_date, census_date),
+        "seniority_years": whole_years(professor.appointment_date, census_date),
+        "gender_dummy": 1 if professor.gender == "male" else 0,
+        "u1": 1 if utype == "private" else 0,
+        "u2": 1 if utype == "advanced_school" else 0,
+        "u3": 1 if utype == "polytechnic" else 0,
+        "t": t,
+        "recently_promoted": seniority < RECENT_PROMOTION_YEARS,
+    }
 
 
 def scaling_table(corpus: Corpus) -> ScalingTable:
@@ -88,8 +155,8 @@ def _impact_ratio(pub: Pub, scaling: ScalingTable, strict: bool,
     return pub.journal_if / ifbar
 
 
-def _working_years(professor: Professor, window: tuple[int, int]) -> float:
-    t = working_years(professor.active_span, window)
+def _working_years(professor: Prof, window: tuple[int, int]) -> float:
+    t = working_years(professor.span, window)
     if t <= 0:
         raise ValueError(f"{professor.id}: no working years inside window {window}")
     return t
@@ -134,27 +201,31 @@ def compute_ij(professor, pubs, scaling, strict=False):
     return num / count if count else None
 
 
-def compute_scores(professor: Professor, pubs: list[tuple[Pub, int]],
+def compute_scores(professor: Prof, pubs: list[tuple[Pub, int]],
                    scaling: ScalingTable, conventions: ConventionMap,
-                   window: tuple[int, int], strict: bool = False) -> IndicatorScores:
-    """One professor's scores from their in-window (publication, position) pairs."""
-    return IndicatorScores(
-        fss=compute_fss(professor, pubs, scaling, conventions, window, strict),
-        p=compute_p(professor, pubs, window),
-        ia=compute_ia(professor, pubs, scaling, strict),
-        ij=compute_ij(professor, pubs, scaling, strict),
-        n_pubs=len(pubs),
-    )
+                   window: tuple[int, int], strict: bool = False) -> tuple:
+    """One professor's (FSS, P, IA, IJ, n_pubs) from their in-window
+    (publication, position) pairs; an undefined IA or IJ is None."""
+    return (compute_fss(professor, pubs, scaling, conventions, window, strict),
+            compute_p(professor, pubs, window),
+            compute_ia(professor, pubs, scaling, strict),
+            compute_ij(professor, pubs, scaling, strict),
+            len(pubs))
 
 
 def roster_scores(roster, corpus, conventions, window, strict=False, scaling=None):
-    """Scores keyed by professor id, one professor at a time."""
+    """Score columns, as ``resperf.indicators.compute_scores`` returns them,
+    built one professor at a time."""
     if scaling is None:
         scaling = scaling_table(corpus) if len(corpus) else ScalingTable({})
     by_author = publications_by_author(corpus, window)
-    return {p.id: compute_scores(p, by_author.get(p.id, []), scaling, conventions,
-                                 window, strict)
-            for p in roster}
+    rows = [compute_scores(p, by_author.get(p.id, []), scaling, conventions, window, strict)
+            for p in professors(roster)]
+    columns = list(zip(*rows)) or [()] * 5
+    out = {name: np.array([math.nan if v is None else v for v in values], dtype=float)
+           for name, values in zip(INDICATORS, columns)}
+    out["n_pubs"] = np.array(columns[4], dtype=np.int64)
+    return out
 
 
 def percentile_rank(values) -> list[float]:
@@ -175,17 +246,18 @@ def percentile_rank(values) -> list[float]:
     return (100.0 * (ranks - 1.0) / (n - 1)).tolist()
 
 
-def cohort_percentiles(roster, scores) -> dict[str, dict[str, float]]:
-    groups: dict[str, list[Professor]] = {}
-    for prof in roster:
-        groups.setdefault(prof.sds, []).append(prof)
-    out: dict[str, dict[str, float]] = {p.id: {} for p in roster}
+def cohort_percentiles(roster, scores) -> np.ndarray:
+    """(n, 4) percentile matrix, NaN where unranked, one cohort at a time."""
+    groups: dict[str, list[int]] = {}
+    for i, prof in enumerate(professors(roster)):
+        groups.setdefault(prof.sds, []).append(i)
+    out = np.full((len(roster), len(INDICATORS)), math.nan)
     for members in groups.values():
-        for indicator in INDICATORS:
-            holders = [p for p in members if scores[p.id].value(indicator) is not None]
+        for j, indicator in enumerate(INDICATORS):
+            holders = [i for i in members if not math.isnan(scores[indicator][i])]
             if not holders:
                 continue
-            values = [scores[p.id].value(indicator) for p in holders]
-            for prof, pct in zip(holders, percentile_rank(values)):
-                out[prof.id][indicator] = pct
+            values = [float(scores[indicator][i]) for i in holders]
+            for i, pct in zip(holders, percentile_rank(values)):
+                out[i, j] = pct
     return out

@@ -13,7 +13,8 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import make_corpus, make_frame, make_professor, make_publication, records
+from helpers import (make_corpus, make_frame, make_professor, make_publication, make_roster,
+                     records)
 from resperf.cohort import percentile_rank
 from resperf.corpus import derive_covariates
 from resperf.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights
@@ -94,7 +95,7 @@ def invariance_world():
             category=INVARIANCE_CATS[int(rng.integers(0, 4))],
             journal_if=round(float(rng.uniform(0.5, 6.0)), 2),
             citations=int(rng.integers(0, 30)), byline=byline))
-    return roster, make_corpus(pubs)
+    return make_roster(roster), make_corpus(pubs)
 
 
 def test_citation_scale_invariance():
@@ -105,7 +106,8 @@ def test_citation_scale_invariance():
     def all_scores(c):
         scaling = build_scaling_table(c)
         scores = compute_scores(roster, c, scaling, conventions, window)
-        return {p.id: (s.fss, s.ia) for p, s in zip(roster, scores)}
+        return {pid: (fss, None if np.isnan(ia) else ia) for pid, fss, ia in zip(
+            roster.ids, scores["FSS"].tolist(), scores["IA"].tolist())}
 
     base = all_scores(corpus)
     cells = sorted({(p.year, p.subject_category) for p in records(corpus)})
@@ -302,9 +304,8 @@ def test_end_to_end_sign_recovery(hundred_runs):
     corr_off = 0.0
     for offset in range(10):
         roster, _ = generate_cohort(replace(config, seed=config.seed + offset))
-        cov = [derive_covariates(p, census, config.window) for p in roster]
-        corr = float(np.corrcoef([c.age for c in cov],
-                                 [c.seniority for c in cov])[0, 1])
+        cov = derive_covariates(roster, census, config.window)
+        corr = float(np.corrcoef(cov["age"], cov["seniority"])[0, 1])
         corr_off = max(corr_off,
                        abs(corr - config.age_seniority_corr_target))
     ok = joint >= 95 and corr_off <= 0.05 and elapsed < 60.0

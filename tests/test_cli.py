@@ -14,7 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 import resperf
-from helpers import build_tiny_world, make_corpus, records
+import resperf.sim
+from helpers import build_tiny_world, make_corpus, make_roster, professors, records
 from resperf.cli import _read_frame, main
 from resperf.corpus import (IngestError, derive_covariates, write_publications,
                             write_roster)
@@ -81,11 +82,11 @@ class TestCompute:
         invoke("compute", "--roster", tiny_files / "roster.csv",
                "--pubs", tiny_files / "pubs.csv", "--out", out)
         roster, _ = build_tiny_world()
-        want = derive_covariates(roster[0], date(2010, 12, 31), (2006, 2010))
+        want = derive_covariates(roster, date(2010, 12, 31), (2006, 2010))
         with (out / "covariates.csv").open(newline="") as fh:
             row = next(csv.DictReader(fh))
-        assert float(row["age"]) == want.age
-        assert float(row["seniority"]) == want.seniority
+        assert float(row["age"]) == want["age"][0]
+        assert float(row["seniority"]) == want["seniority"][0]
         assert row["age_years"] == "60"
         assert row["t"] == "5.0"
 
@@ -156,6 +157,28 @@ class TestCompute:
                      "--out", tmp_path / "x")
         assert res.exit_code == 2
         assert "unknown author" in res.output
+
+    @pytest.mark.parametrize("command", ["compute", "report"])
+    def test_invalid_roster_covariates_exit_two_naming_every_row(self, tiny_files, tmp_path,
+                                                                 command):
+        lines = (tiny_files / "roster.csv").read_text().splitlines()
+        lines[2] = lines[2].replace("1990-10-01", "2011-05-01")          # P2: after the census
+        lines[4] = lines[4].removesuffix(",,") + ",2011-01-01,2011-12-31"  # P4: idle in window
+        roster = tmp_path / "roster.csv"
+        roster.write_text("\n".join(lines) + "\n")
+        if command == "compute":
+            res = invoke("compute", "--roster", roster, "--pubs", tiny_files / "pubs.csv",
+                         "--out", tmp_path / "x")
+        else:
+            comp = tmp_path / "comp"
+            assert invoke("compute", "--roster", tiny_files / "roster.csv",
+                          "--pubs", tiny_files / "pubs.csv", "--out", comp).exit_code == 0
+            res = invoke("report", "--roster", roster, "--indicators",
+                         comp / "indicators.csv", "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert "line 3: P2: census date before appointment" in res.output
+        assert "line 5: P4: no working years inside window (2006, 2010)" in res.output
+        assert not (tmp_path / "x").exists()
 
     def test_force_convention_recorded(self, tiny_files, tmp_path):
         out = tmp_path / "out"
@@ -319,7 +342,7 @@ class TestRegress:
 
     def test_nothing_fittable_exits_one_even_with_partial(self, tmp_path):
         roster, corpus = build_tiny_world()
-        write_roster(tmp_path / "roster.csv", roster[:2])
+        write_roster(tmp_path / "roster.csv", make_roster(professors(roster)[:2]))
         pubs = [p for p in records(corpus) if p.id in
                 {"W01", "W02", "W03", "W04", "W05"}]
         write_publications(tmp_path / "pubs.csv", make_corpus(pubs))
@@ -365,6 +388,20 @@ class TestSimulate:
         assert manifest["parameters"]["n_professors"] == 120
         with (out / "roster.csv").open(newline="") as fh:
             assert len(list(csv.reader(fh))) == 121
+
+    def test_each_run_generates_its_cohort_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = resperf.sim.generate_cohort
+
+        def counted(config):
+            calls.append(config.seed)
+            return original(config)
+        monkeypatch.setattr(resperf.sim, "generate_cohort", counted)
+        monkeypatch.setattr(resperf.cli, "generate_cohort", counted)
+        res = invoke("simulate", "--runs", 3, "--seed", 40, "--n-professors", 150,
+                     "--out", tmp_path / "out")
+        assert res.exit_code == 0, res.output
+        assert calls == [40, 41, 42]
 
     def test_zero_runs_exits_two(self, tmp_path):
         res = invoke("simulate", "--runs", 0, "--out", tmp_path / "x")

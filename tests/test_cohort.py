@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_professor
+from helpers import make_professor, make_roster
 from resperf.cohort import cohort_percentiles, percentile_rank
-from resperf.indicators import IndicatorScores
+from resperf.indicators import INDICATORS
 
 
 def brute_force_percentiles(values):
@@ -96,49 +96,59 @@ class TestPercentileRank:
         assert float(np.mean(pcts)) == pytest.approx(50.0, abs=1e-9)
 
 
-def scores(fss=0.0, p=0.0, ia=None, ij=None, n_pubs=0):
-    return IndicatorScores(fss=fss, p=p, ia=ia, ij=ij, n_pubs=n_pubs)
+def scores(*rows):
+    """Score columns from (fss, p, ia, ij) rows; None is an undefined IA or IJ."""
+    columns = np.array([[np.nan if v is None else v for v in r] for r in rows],
+                       dtype=float).reshape(-1, 4)
+    return dict(zip(INDICATORS, columns.T))
+
+
+def by_id(roster, pcts):
+    """Each professor's ranked percentiles, keyed by id and indicator."""
+    return {pid: {ind: v for ind, v in zip(INDICATORS, row) if not math.isnan(v)}
+            for pid, row in zip(roster.ids, pcts.tolist())}
 
 
 class TestCohortPercentiles:
     def test_groups_are_per_sds(self):
-        roster = [make_professor("A1", sds="MAT/01"),
-                  make_professor("A2", sds="MAT/01"),
-                  make_professor("B1", sds="MAT/02"),
-                  make_professor("B2", sds="MAT/02"),
-                  make_professor("B3", sds="MAT/02")]
-        table = {
-            "A1": scores(fss=1.0, p=1.0, ia=1.0, ij=1.0, n_pubs=3),
-            "A2": scores(fss=2.0, p=2.0, ia=2.0, ij=2.0, n_pubs=4),
-            "B1": scores(fss=5.0, p=1.0, ia=0.5, ij=2.0, n_pubs=2),
-            "B2": scores(fss=1.0, p=2.0, ia=1.5, ij=1.0, n_pubs=2),
-            "B3": scores(fss=3.0, p=3.0, ia=1.0, ij=3.0, n_pubs=2),
-        }
-        pcts = cohort_percentiles(roster, table)
+        roster = make_roster([make_professor("A1", sds="MAT/01"),
+                              make_professor("A2", sds="MAT/01"),
+                              make_professor("B1", sds="MAT/02"),
+                              make_professor("B2", sds="MAT/02"),
+                              make_professor("B3", sds="MAT/02")])
+        table = scores((1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 2.0, 2.0), (5.0, 1.0, 0.5, 2.0),
+                       (1.0, 2.0, 1.5, 1.0), (3.0, 3.0, 1.0, 3.0))
+        pcts = by_id(roster, cohort_percentiles(roster, table))
         assert pcts["A1"]["FSS"] == 0.0 and pcts["A2"]["FSS"] == 100.0
         assert [pcts[p]["FSS"] for p in ("B1", "B2", "B3")] == [100.0, 0.0, 50.0]
         assert [pcts[p]["IJ"] for p in ("B1", "B2", "B3")] == [50.0, 0.0, 100.0]
 
     def test_inactive_kept_for_fss_and_p_only(self):
-        roster = [make_professor("A1"), make_professor("A2"), make_professor("A3")]
-        table = {"A1": scores(), "A2": scores(fss=1.0, p=0.5, ia=2.0, ij=1.0, n_pubs=1),
-                 "A3": scores(fss=2.0, p=1.0, ia=1.0, ij=2.0, n_pubs=2)}
-        pcts = cohort_percentiles(roster, table)
+        roster = make_roster([make_professor("A1"), make_professor("A2"),
+                              make_professor("A3")])
+        table = scores((0.0, 0.0, None, None), (1.0, 0.5, 2.0, 1.0), (2.0, 1.0, 1.0, 2.0))
+        pcts = by_id(roster, cohort_percentiles(roster, table))
         assert pcts["A1"]["FSS"] == 0.0 and pcts["A1"]["P"] == 0.0
         assert "IA" not in pcts["A1"] and "IJ" not in pcts["A1"]
         # the defined-IA cohort has two members, not three
         assert sorted([pcts["A2"]["IA"], pcts["A3"]["IA"]]) == [0.0, 100.0]
 
     def test_missing_scores_rejected(self):
-        roster = [make_professor("A1"), make_professor("A2")]
-        with pytest.raises(KeyError, match="A2"):
-            cohort_percentiles(roster, {"A1": scores()})
+        roster = make_roster([make_professor("A1"), make_professor("A2")])
+        with pytest.raises(ValueError, match="roster of 2 professors"):
+            cohort_percentiles(roster, scores((0.0, 0.0, None, None)))
+
+    def test_undefined_fss_rejected(self):
+        roster = make_roster([make_professor("A1"), make_professor("A2")])
+        with pytest.raises(ValueError, match="cohort contains NaN"):
+            cohort_percentiles(roster, scores((0.0, 0.0, None, None),
+                                              (None, 0.0, None, None)))
 
     def test_all_inactive_cohort_ties_at_fifty(self):
-        roster = [make_professor(f"A{i}") for i in range(4)]
-        table = {p.id: scores() for p in roster}
-        pcts = cohort_percentiles(roster, table)
-        for p in roster:
-            assert pcts[p.id]["FSS"] == 50.0
-            assert pcts[p.id]["P"] == 50.0
-            assert "IA" not in pcts[p.id]
+        roster = make_roster([make_professor(f"A{i}") for i in range(4)])
+        table = scores(*[(0.0, 0.0, None, None)] * 4)
+        pcts = by_id(roster, cohort_percentiles(roster, table))
+        for pid in roster.ids:
+            assert pcts[pid]["FSS"] == 50.0
+            assert pcts[pid]["P"] == 50.0
+            assert "IA" not in pcts[pid]

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_corpus, make_professor, make_publication, records
+import numpy as np
+
+from helpers import (make_corpus, make_professor, make_publication, make_roster,
+                     professors, records)
 from resperf.corpus import (DAYS_PER_YEAR, IngestError,
                             derive_covariates, exact_years,
                             ingest_publications, ingest_roster, load_sds_map,
@@ -33,20 +36,24 @@ class TestRosterIngest:
             "P1,M,1950-06-30,1985-03-01,MAT/01,MAT,public",
             "P2,f,1955-02-10,1990-10-01,BIO/05,BIO,Private")
         roster = ingest_roster(path)
-        assert [p.id for p in roster] == ["P1", "P2"]
-        assert roster[0].gender == "male" and roster[1].gender == "female"
-        assert roster[1].university_type == "private"
-        assert roster[0].birth_date == date(1950, 6, 30)
-        assert roster[0].active_span is None
+        assert roster.ids == ["P1", "P2"]
+        assert roster.male.tolist() == [True, False]
+        assert [p.university_type for p in professors(roster)] == ["public", "private"]
+        assert roster.birth[0] == date(1950, 6, 30).toordinal()
+        assert roster.active_start.tolist() == [0, 0]
+        assert roster.lines.tolist() == [2, 3]
+        first = professors(roster)[0]
+        assert first == make_professor("P1", birth=date(1950, 6, 30),
+                                       appointed=date(1985, 3, 1))
 
     def test_round_trip(self, tmp_path):
-        roster = [make_professor("P1"),
-                  make_professor("P2", gender="female", sds="BIO/05", uda="BIO",
-                                 university_type="advanced_school",
-                                 span=(date(2007, 3, 1), date(2010, 12, 31)))]
+        profs = [make_professor("P1"),
+                 make_professor("P2", gender="female", sds="BIO/05", uda="BIO",
+                                university_type="advanced_school",
+                                span=(date(2007, 3, 1), date(2010, 12, 31)))]
         path = tmp_path / "roster.csv"
-        write_roster(path, roster)
-        assert ingest_roster(path) == roster
+        write_roster(path, make_roster(profs))
+        assert professors(ingest_roster(path)) == profs
 
     def test_duplicate_id_names_both_lines(self, tmp_path):
         path = write_lines(
@@ -133,7 +140,7 @@ class TestRosterIngest:
     def test_empty_roster_warns(self, tmp_path, caplog):
         path = write_lines(tmp_path / "roster.csv", ROSTER_HEADER)
         with caplog.at_level(logging.WARNING):
-            assert ingest_roster(path) == []
+            assert professors(ingest_roster(path)) == []
         assert "empty roster" in caplog.text
 
 
@@ -394,43 +401,54 @@ class TestSdsMap:
             load_sds_map(path)
 
 
+def day(d: date) -> int:
+    return d.toordinal()
+
+
 class TestYearArithmetic:
     def test_whole_years_anniversary(self):
-        birth = date(1950, 6, 30)
-        assert whole_years(birth, date(2010, 6, 29)) == 59
-        assert whole_years(birth, date(2010, 6, 30)) == 60
-        assert whole_years(birth, date(2010, 12, 31)) == 60
+        birth = day(date(1950, 6, 30))
+        ends = [day(date(2010, 6, 29)), day(date(2010, 6, 30)), day(date(2010, 12, 31))]
+        assert whole_years(birth, np.array(ends)).tolist() == [59, 60, 60]
 
     def test_exact_years_is_day_count_scaled(self):
         start, end = date(1950, 6, 30), date(2010, 12, 31)
-        assert exact_years(start, end) == (end - start).days / DAYS_PER_YEAR
+        assert exact_years(day(start), day(end)) == (end - start).days / DAYS_PER_YEAR
 
     def test_working_years_defaults_to_window_length(self):
-        assert working_years(None, (2006, 2010)) == 5.0
-        assert working_years(None, (2008, 2008)) == 1.0
+        none = np.zeros(2, dtype=np.int64)
+        assert working_years(none, none, (2006, 2010)).tolist() == [5.0, 5.0]
+        assert working_years(none, none, (2008, 2008)).tolist() == [1.0, 1.0]
 
     def test_working_years_half_leap_year(self):
         # day 184 of the 366-day 2008 leaves exactly 183 covered days
-        span = (date(2008, 7, 2), date(2010, 12, 31))
-        assert working_years(span, (2006, 2010)) == 2.5
+        t = working_years(np.array([day(date(2008, 7, 2))]),
+                          np.array([day(date(2010, 12, 31))]), (2006, 2010))
+        assert t.tolist() == [2.5]
 
     def test_working_years_partial_overlap(self):
-        span = (date(2005, 1, 1), date(2006, 12, 31))
-        assert working_years(span, (2006, 2010)) == 1.0
-        assert working_years((date(2011, 1, 1), date(2012, 1, 1)), (2006, 2010)) == 0.0
+        starts = np.array([day(date(2005, 1, 1)), day(date(2011, 1, 1))])
+        ends = np.array([day(date(2006, 12, 31)), day(date(2012, 1, 1))])
+        assert working_years(starts, ends, (2006, 2010)).tolist() == [1.0, 0.0]
 
     def test_working_years_rejects_reversed_window(self):
+        none = np.zeros(1, dtype=np.int64)
         with pytest.raises(ValueError, match="invalid window"):
-            working_years(None, (2010, 2006))
+            working_years(none, none, (2010, 2006))
 
     @given(start_off=st.integers(min_value=0, max_value=3000),
            length=st.integers(min_value=0, max_value=3000))
     @settings(deadline=None, max_examples=200)
     def test_working_years_bounded_by_window(self, start_off, length):
         a = date(2004, 1, 1).toordinal() + start_off
-        span = (date.fromordinal(a), date.fromordinal(a + length))
-        t = working_years(span, (2006, 2010))
-        assert 0.0 <= t <= 5.0
+        t = working_years(np.array([a]), np.array([a + length]), (2006, 2010))
+        assert 0.0 <= t[0] <= 5.0
+
+
+def covariates_of(prof, census=date(2010, 12, 31), window=(2006, 2010)) -> dict:
+    """The one professor's covariates, as Python scalars."""
+    return {name: values[0].item()
+            for name, values in derive_covariates(make_roster([prof]), census, window).items()}
 
 
 class TestDeriveCovariates:
@@ -439,54 +457,69 @@ class TestDeriveCovariates:
 
     def test_reference_professor(self):
         prof = make_professor(birth=date(1950, 6, 30), appointed=date(2003, 1, 1))
-        cov = derive_covariates(prof, self.CENSUS, self.WINDOW)
-        assert cov.age_years == 60
-        assert cov.seniority_years == 7
-        assert cov.age == exact_years(date(1950, 6, 30), self.CENSUS)
-        assert cov.seniority == exact_years(date(2003, 1, 1), self.CENSUS)
-        assert cov.seniority < 8.0 and cov.recently_promoted
-        assert cov.t == 5.0
-        assert cov.gender_dummy == 1
+        cov = covariates_of(prof, self.CENSUS, self.WINDOW)
+        assert cov["age_years"] == 60
+        assert cov["seniority_years"] == 7
+        assert cov["age"] == (self.CENSUS - date(1950, 6, 30)).days / DAYS_PER_YEAR
+        assert cov["seniority"] == (self.CENSUS - date(2003, 1, 1)).days / DAYS_PER_YEAR
+        assert cov["seniority"] < 8.0 and cov["recently_promoted"]
+        assert cov["t"] == 5.0
+        assert cov["gender_dummy"] == 1
 
     def test_recent_promotion_boundary(self):
         # appointed 2922 days before the census: 2922 / 365.2425 > 8
         prof = make_professor(appointed=date(2002, 12, 31))
-        cov = derive_covariates(prof, self.CENSUS, self.WINDOW)
-        assert cov.seniority_years == 8
-        assert cov.seniority > 8.0
-        assert not cov.recently_promoted
+        cov = covariates_of(prof, self.CENSUS, self.WINDOW)
+        assert cov["seniority_years"] == 8
+        assert cov["seniority"] > 8.0
+        assert not cov["recently_promoted"]
 
     def test_university_type_dummies(self):
         for utype, expected in [("public", (0, 0, 0)), ("private", (1, 0, 0)),
                                 ("advanced_school", (0, 1, 0)),
                                 ("polytechnic", (0, 0, 1))]:
-            cov = derive_covariates(make_professor(university_type=utype),
-                                    self.CENSUS, self.WINDOW)
-            assert (cov.u1, cov.u2, cov.u3) == expected
+            cov = covariates_of(make_professor(university_type=utype),
+                                self.CENSUS, self.WINDOW)
+            assert (cov["u1"], cov["u2"], cov["u3"]) == expected
 
     def test_gender_dummy(self):
-        cov = derive_covariates(make_professor(gender="female"),
-                                self.CENSUS, self.WINDOW)
-        assert cov.gender_dummy == 0
+        cov = covariates_of(make_professor(gender="female"), self.CENSUS, self.WINDOW)
+        assert cov["gender_dummy"] == 0
 
     def test_partial_span_t(self):
         prof = make_professor(span=(date(2008, 7, 2), date(2010, 12, 31)))
-        assert derive_covariates(prof, self.CENSUS, self.WINDOW).t == 2.5
+        assert covariates_of(prof, self.CENSUS, self.WINDOW)["t"] == 2.5
 
     def test_census_before_birth_rejected(self):
         prof = make_professor(birth=date(1950, 6, 30))
         with pytest.raises(ValueError, match="before birth"):
-            derive_covariates(prof, date(1950, 6, 30), self.WINDOW)
+            covariates_of(prof, date(1950, 6, 30), self.WINDOW)
 
     def test_census_before_appointment_rejected(self):
         prof = make_professor(appointed=date(2011, 3, 1))
         with pytest.raises(ValueError, match="before appointment"):
-            derive_covariates(prof, self.CENSUS, self.WINDOW)
+            covariates_of(prof, self.CENSUS, self.WINDOW)
 
     def test_span_outside_window_rejected(self):
         prof = make_professor(span=(date(2011, 1, 1), date(2012, 1, 1)))
         with pytest.raises(ValueError, match="no working years"):
-            derive_covariates(prof, date(2012, 6, 1), self.WINDOW)
+            covariates_of(prof, date(2012, 6, 1), self.WINDOW)
+
+    def test_every_invalid_row_named_with_its_line(self, tmp_path):
+        path = write_lines(
+            tmp_path / "roster.csv", ROSTER_HEADER + ",active_start,active_end",
+            "P1,M,1950-06-30,2011-03-01,MAT/01,MAT,public,,",
+            "P2,M,1950-06-30,1985-03-01,MAT/01,MAT,public,,",
+            "P3,F,1950-06-30,1985-03-01,MAT/01,MAT,public,2011-01-01,2012-01-01",
+            "P4,F,1950-06-30,2012-03-01,MAT/01,MAT,public,2011-01-01,2012-01-01")
+        with pytest.raises(IngestError) as info:
+            derive_covariates(ingest_roster(path), self.CENSUS, self.WINDOW)
+        assert info.value.problems == [
+            "line 2: P1: census date before appointment",
+            "line 4: P3: no working years inside window (2006, 2010)",
+            "line 5: P4: census date before appointment",
+            "line 5: P4: no working years inside window (2006, 2010)"]
+        assert info.value.source == str(path)
 
     @given(birth_off=st.integers(min_value=0, max_value=8000),
            wait_days=st.integers(min_value=7305, max_value=20000))
@@ -495,7 +528,7 @@ class TestDeriveCovariates:
         birth = date.fromordinal(date(1930, 1, 1).toordinal() + birth_off)
         appointed = date.fromordinal(birth.toordinal() + wait_days)
         prof = make_professor(birth=birth, appointed=appointed)
-        cov = derive_covariates(prof, date(2010, 12, 31), (2006, 2010))
-        assert cov.seniority < cov.age
-        assert cov.seniority_years <= cov.age_years
-        assert not math.isnan(cov.age)
+        cov = covariates_of(prof, date(2010, 12, 31), (2006, 2010))
+        assert cov["seniority"] < cov["age"]
+        assert cov["seniority_years"] <= cov["age_years"]
+        assert not math.isnan(cov["age"])

@@ -2,11 +2,13 @@
 
 import logging
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from helpers import make_corpus, make_professor, make_publication, records
+from helpers import (make_corpus, make_professor, make_publication, make_roster,
+                     professors, records)
 from resperf.credit import (ALPHABETICAL, POSITION_WEIGHTED, ConventionMap,
                             byline_weights)
 from resperf.indicators import (MissingCellError, build_scaling_table,
@@ -17,9 +19,25 @@ ALPHA = ConventionMap(global_override=ALPHABETICAL)
 
 
 def score(prof, corpus, table=None, conventions=ALPHA, window=WINDOW, strict=False):
-    """compute_scores of a one-professor roster; ``table`` defaults to the corpus's."""
+    """compute_scores of a one-professor roster, as a record of Python scalars
+    (an undefined IA or IJ is None); ``table`` defaults to the corpus's."""
     table = build_scaling_table(corpus) if table is None else table
-    return compute_scores([prof], corpus, table, conventions, window, strict)[0]
+    return row(compute_scores(make_roster([prof]), corpus, table, conventions, window,
+                              strict), 0)
+
+
+def row(scores, i):
+    """Professor ``i``'s scores from the score columns."""
+    fss, p, ia, ij, n_pubs = (scores[c][i].item() for c in ("FSS", "P", "IA", "IJ", "n_pubs"))
+    return Scores(fss, p, None if np.isnan(ia) else ia, None if np.isnan(ij) else ij, n_pubs)
+
+
+class Scores(NamedTuple):
+    fss: float
+    p: float
+    ia: float | None
+    ij: float | None
+    n_pubs: int
 
 
 def random_corpus(rng, n_pubs=120, n_profs=8, years=(2006, 2010),
@@ -322,7 +340,7 @@ class TestComputeScores:
         corpus = make_corpus([make_publication("W1", byline=(("X1", "U2"),))])
         table = build_scaling_table(corpus)
         s = score(prof, corpus, table)
-        assert s.inactive
+        assert s.n_pubs == 0
         assert (s.fss, s.p, s.ia, s.ij, s.n_pubs) == (0.0, 0.0, None, None, 0)
 
     def test_agrees_with_individual_functions(self, tiny_world):
@@ -331,7 +349,8 @@ class TestComputeScores:
         table = build_scaling_table(corpus)
         conventions = ConventionMap()
         scores = compute_scores(roster, corpus, table, conventions, WINDOW)
-        for prof, s in zip(roster, scores):
+        for i, prof in enumerate(professors(roster)):
+            s = row(scores, i)
             assert s == score(prof, corpus, table, conventions)
             assert s.n_pubs == corpus.authored_by([prof.id], WINDOW)[1].size
-            assert s.value("FSS") == s.fss and s.value("IJ") == s.ij
+        assert set(scores) == {"FSS", "P", "IA", "IJ", "n_pubs"}

@@ -5,12 +5,12 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import make_corpus, make_professor
+from helpers import make_corpus, make_professor, make_roster, plain, professors
 from resperf.cohort import cohort_percentiles
+from resperf.corpus import derive_covariates
 from resperf.credit import ConventionMap
 from resperf.indicators import INDICATORS, build_scaling_table, compute_scores
-from resperf.pipeline import (compute_indicator_scores, derive_all_covariates,
-                              regression_frame, run_scoring)
+from resperf.pipeline import compute_indicator_scores, regression_frame, run_scoring
 
 WINDOW = (2006, 2010)
 CENSUS = date(2010, 12, 31)
@@ -22,58 +22,60 @@ class TestComputeIndicatorScores:
         conventions = ConventionMap()
         scores = compute_indicator_scores(roster, corpus, conventions, WINDOW)
         table = build_scaling_table(corpus)
-        for prof in roster:
-            assert scores[prof.id] == compute_scores([prof], corpus, table,
-                                                     conventions, WINDOW)[0]
+        for i, prof in enumerate(professors(roster)):
+            alone = compute_scores(make_roster([prof]), corpus, table, conventions, WINDOW)
+            assert plain(alone) == plain({k: v[i:i + 1] for k, v in scores.items()})
 
     def test_empty_corpus_marks_everyone_inactive(self):
-        roster = [make_professor("P1"), make_professor("P2")]
+        roster = make_roster([make_professor("P1"), make_professor("P2")])
         scores = compute_indicator_scores(roster, make_corpus(()), ConventionMap(),
                                           WINDOW)
-        assert all(s.inactive for s in scores.values())
+        assert scores["n_pubs"].tolist() == [0, 0]
         pcts = cohort_percentiles(roster, scores)
-        assert pcts["P1"]["FSS"] == 50.0 and pcts["P2"]["FSS"] == 50.0
+        assert pcts[:, INDICATORS.index("FSS")].tolist() == [50.0, 50.0]
 
 
 class TestRunScoring:
     def test_outputs_align(self, tiny_world):
         roster, corpus = tiny_world
-        covariates, scores, percentiles = run_scoring(
-            roster, corpus, ConventionMap(), CENSUS, WINDOW)
+        covariates = derive_covariates(roster, CENSUS, WINDOW)
+        scores, percentiles = run_scoring(roster, corpus, ConventionMap(), covariates,
+                                          WINDOW)
         frame = regression_frame(roster, covariates, percentiles)
-        assert set(covariates) == set(scores) == {p.id for p in roster}
-        assert list(frame.ids) == [p.id for p in roster]
-        for i, prof in enumerate(roster):
-            cov = covariates[prof.id]
-            assert frame.age[i] == cov.age
-            assert list(frame.covariates[i]) == [cov.seniority, cov.gender_dummy,
-                                                 cov.u1, cov.u2, cov.u3]
+        assert {len(v) for v in (*covariates.values(), *scores.values())} == {len(roster)}
+        assert list(frame.ids) == roster.ids
+        for i, prof in enumerate(professors(roster)):
+            assert frame.age[i] == covariates["age"][i]
+            assert list(frame.covariates[i]) == [
+                covariates[c][i] for c in ("seniority", "gender_dummy", "u1", "u2", "u3")]
             assert frame.uda[i] == prof.uda
-            ranked = {ind: frame.percentiles[i, j] for j, ind in enumerate(INDICATORS)
-                      if not np.isnan(frame.percentiles[i, j])}
-            assert ranked == percentiles[prof.id]
+        assert frame.percentiles is percentiles
 
     def test_every_active_professor_has_all_percentiles(self, tiny_world):
         roster, corpus = tiny_world
-        _, scores, percentiles = run_scoring(roster, corpus, ConventionMap(),
-                                             CENSUS, WINDOW)
-        for prof in roster:
-            if not scores[prof.id].inactive:
-                assert set(percentiles[prof.id]) == {"FSS", "P", "IA", "IJ"}
+        covariates = derive_covariates(roster, CENSUS, WINDOW)
+        scores, percentiles = run_scoring(roster, corpus, ConventionMap(), covariates,
+                                          WINDOW)
+        active = scores["n_pubs"] > 0
+        assert active.any()
+        assert not np.isnan(percentiles[active]).any()
 
     def test_derive_all_covariates_keys(self, tiny_world):
         roster, _ = tiny_world
-        covs = derive_all_covariates(roster, CENSUS, WINDOW)
-        assert list(covs) == [p.id for p in roster]
+        covs = derive_covariates(roster, CENSUS, WINDOW)
+        assert list(covs) == ["age", "seniority", "age_years", "seniority_years",
+                              "gender_dummy", "u1", "u2", "u3", "t", "recently_promoted"]
+        assert all(len(v) == len(roster) for v in covs.values())
 
     def test_regression_rows_tolerate_missing_percentiles(self, tiny_world):
         roster, _ = tiny_world
-        covs = derive_all_covariates(roster, CENSUS, WINDOW)
-        frame = regression_frame(roster, covs, {})
+        covs = derive_covariates(roster, CENSUS, WINDOW)
+        frame = regression_frame(roster, covs,
+                                 np.full((len(roster), len(INDICATORS)), np.nan))
         assert frame.percentiles.shape == (len(roster), len(INDICATORS))
         assert np.isnan(frame.percentiles).all()
 
     def test_missing_covariates_raise(self, tiny_world):
         roster, _ = tiny_world
         with pytest.raises(KeyError):
-            regression_frame(roster, {}, {})
+            regression_frame(roster, {}, np.full((len(roster), len(INDICATORS)), np.nan))

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_professor
+from helpers import make_professor, make_roster
 from resperf.corpus import derive_covariates
-from resperf.indicators import IndicatorScores
 from resperf.regress import FitResult
 from resperf.report import (coefficient_of_variation, descriptive_table,
                             distribution_histogram, format_cell, format_number,
@@ -141,25 +140,24 @@ class TestRegressionTable:
 
 
 def small_roster():
-    return [
+    return make_roster([
         make_professor("P1", birth=date(1950, 6, 30), appointed=date(1985, 3, 1),
                        sds="MAT/01", uda="MAT"),
         make_professor("P2", birth=date(1948, 1, 15), appointed=date(2005, 6, 1),
                        sds="MAT/02", uda="MAT"),
         make_professor("P3", birth=date(1960, 9, 9), appointed=date(1995, 2, 1),
                        sds="BIO/05", uda="BIO"),
-    ]
+    ])
 
 
 class TestDescriptiveTable:
     CENSUS = date(2010, 12, 31)
     WINDOW = (2006, 2010)
 
-    def build(self, scores=None, totals=None, fmt="csv"):
+    def build(self, inactive=None, totals=None, fmt="csv"):
         roster = small_roster()
-        covs = {p.id: derive_covariates(p, self.CENSUS, self.WINDOW)
-                for p in roster}
-        return descriptive_table(roster, covs, scores, totals, fmt=fmt), roster, covs
+        covs = derive_covariates(roster, self.CENSUS, self.WINDOW)
+        return descriptive_table(roster, covs, inactive, totals, fmt=fmt), roster, covs
 
     def test_headcounts_and_means(self):
         text, roster, covs = self.build()
@@ -167,15 +165,12 @@ class TestDescriptiveTable:
         rows = {r[0]: r for r in csv.reader(io.StringIO(tables[0]))}
         assert rows["MAT"][1] == "2" and rows["BIO"][1] == "1"
         assert rows["Total"][1] == "3"
-        mat_ages = [covs["P1"].age, covs["P2"].age]
+        mat_ages = [covs["age"][0], covs["age"][1]]
         assert rows["MAT"][3] == f"{np.mean(mat_ages):.2f}"
         assert rows["MAT"][5] == "-"  # no scores supplied
 
     def test_inactive_share_with_scores(self):
-        scores = {"P1": IndicatorScores(1.0, 1.0, 1.0, 1.0, 5),
-                  "P2": IndicatorScores(0.0, 0.0, None, None, 0),
-                  "P3": IndicatorScores(2.0, 1.0, 1.0, 1.0, 3)}
-        text, _, _ = self.build(scores=scores)
+        text, _, _ = self.build(inactive=np.array([False, True, False]))
         rows = {r[0]: r for r in csv.reader(io.StringIO(text.split("\n\n")[0]))}
         assert rows["MAT"][5] == "50.00"
         assert rows["Total"][5] == f"{100 / 3:.2f}"
@@ -206,19 +201,18 @@ class TestDescriptiveTable:
 
     def test_boundary_appointment_ages_excluded(self):
         # exactly 41 and exactly 55 whole years are neither early nor late
-        roster = [make_professor("E1", birth=date(1950, 1, 1),
-                                 appointed=date(1991, 1, 1)),
-                  make_professor("E2", birth=date(1950, 1, 1),
-                                 appointed=date(2005, 1, 1))]
-        covs = {p.id: derive_covariates(p, self.CENSUS, self.WINDOW)
-                for p in roster}
+        roster = make_roster([make_professor("E1", birth=date(1950, 1, 1),
+                                             appointed=date(1991, 1, 1)),
+                              make_professor("E2", birth=date(1950, 1, 1),
+                                             appointed=date(2005, 1, 1))])
+        covs = derive_covariates(roster, self.CENSUS, self.WINDOW)
         text = descriptive_table(roster, covs, fmt="csv")
         rows = {r[0]: r for r in csv.reader(io.StringIO(text.split("\n\n")[1]))}
         assert rows["Total"][1] == "0.00" and rows["Total"][2] == "0.00"
 
     def test_empty_roster_rejected(self):
         with pytest.raises(ValueError, match="empty roster"):
-            descriptive_table([], {})
+            descriptive_table(make_roster([]), {})
 
     def test_text_format_is_aligned(self):
         text, _, _ = self.build(fmt="text")

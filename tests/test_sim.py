@@ -7,7 +7,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import records
+from helpers import professors, records
 from resperf.corpus import derive_covariates, write_publications, write_roster
 from resperf.credit import ALPHABETICAL, POSITION_WEIGHTED
 from resperf.sim import (AGE_BRACKETS, FieldSpec, SimConfig, generate_cohort,
@@ -17,17 +17,12 @@ FAST = SimConfig(n_professors=300, seed=77)
 
 
 def cohort_age_seniority(roster, window):
-    census = date(window[1], 12, 31)
-    ages, sens = [], []
-    for prof in roster:
-        cov = derive_covariates(prof, census, window)
-        ages.append(cov.age)
-        sens.append(cov.seniority)
-    return np.array(ages), np.array(sens)
+    cov = derive_covariates(roster, date(window[1], 12, 31), window)
+    return cov["age"], cov["seniority"]
 
 
 def serialize(roster, corpus):
-    return tuple(roster), records(corpus)
+    return professors(roster), records(corpus)
 
 
 class TestConfig:
@@ -99,23 +94,23 @@ class TestGenerateCohort:
 
     def test_empty_cohort(self):
         roster, corpus = generate_cohort(replace(FAST, n_professors=0))
-        assert roster == [] and len(corpus) == 0
+        assert professors(roster) == [] and len(corpus) == 0
 
     def test_roster_is_valid(self):
         roster, corpus = generate_cohort(FAST)
         assert len(roster) == 300
-        assert len({p.id for p in roster}) == 300
+        assert len(set(roster.ids)) == 300
         census = date(2010, 12, 31)
-        for prof in roster:
+        for prof in professors(roster):
             assert prof.birth_date < prof.appointment_date <= census
-            cov = derive_covariates(prof, census, FAST.window)
-            # birth dates are rounded to days, so allow half a day of slack
-            assert 35.99 <= cov.age <= 76.01
-            assert cov.seniority >= 0.0
+        cov = derive_covariates(roster, census, FAST.window)
+        # birth dates are rounded to days, so allow half a day of slack
+        assert ((35.99 <= cov["age"]) & (cov["age"] <= 76.01)).all()
+        assert (cov["seniority"] >= 0.0).all()
 
     def test_focal_professor_on_every_byline(self):
         roster, corpus = generate_cohort(FAST)
-        ids = {p.id for p in roster}
+        ids = set(roster.ids)
         for pub in records(corpus):
             focal = [a for a, _ in pub.byline if a in ids]
             assert len(focal) == 1
@@ -126,8 +121,7 @@ class TestGenerateCohort:
     def test_age_pyramid_on_target(self):
         roster, _ = generate_cohort(replace(FAST, n_professors=20000, seed=5))
         census = date(2010, 12, 31)
-        ages = np.array([derive_covariates(p, census, FAST.window).age_years
-                         for p in roster])
+        ages = derive_covariates(roster, census, FAST.window)["age_years"]
         shares = {
             "under_41": float((ages < 41).mean()),
             "under_51": float((ages < 51).mean()),
@@ -159,19 +153,19 @@ class TestGenerateCohort:
         def inactive_share(cfg):
             roster, corpus = generate_cohort(cfg)
             active = {a for p in records(corpus) for a, _ in p.byline}
-            return np.mean([p.id not in active for p in roster])
+            return np.mean([pid not in active for pid in roster.ids])
 
         assert inactive_share(noisy) > inactive_share(base) + 0.02
 
     def test_gender_share(self):
         roster, _ = generate_cohort(replace(FAST, n_professors=4000, seed=3))
-        male = np.mean([p.gender == "male" for p in roster])
+        male = np.mean(roster.male)
         assert abs(male - FAST.gender_male_share) < 0.03
 
     def test_mean_appointment_age_on_target(self):
         roster, _ = generate_cohort(replace(FAST, n_professors=8000, seed=19))
         app_ages = [(p.appointment_date - p.birth_date).days / 365.2425
-                    for p in roster]
+                    for p in professors(roster)]
         assert abs(float(np.mean(app_ages)) - FAST.mean_appointment_age) < 1.0
 
 
