@@ -25,9 +25,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, derive_covariates,
-                     ingest_publications, ingest_roster, load_sds_map, write_publications,
-                     write_roster)
+from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, _fmt_float,
+                     derive_covariates, ingest_publications, ingest_roster, load_sds_map,
+                     write_publications, write_roster)
 from .credit import (CONVENTIONS, ConventionMap, CreditError,
                      load_convention_map, write_convention_map)
 from .indicators import INDICATORS
@@ -99,14 +99,6 @@ def _write_manifest(out: Path, command: str, inputs: dict, params: dict,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _fmt_opt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _fmt_defined(value: float) -> str:
-    return "" if math.isnan(value) else repr(value)
-
-
 @click.group()
 @click.option("-v", "--verbose", is_flag=True, help="Debug-level logging.")
 def main(verbose: bool) -> None:
@@ -172,7 +164,7 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
         writer.writerow(["professor_id", "sds", "fss", "p", "ia", "ij",
                          "n_pubs", "inactive_flag"])
         writer.writerows(
-            [pid, field, fss, p, _fmt_defined(ia), _fmt_defined(ij), n, int(n == 0)]
+            [pid, field, fss, p, _fmt_float(ia), _fmt_float(ij), n, int(n == 0)]
             for pid, field, fss, p, ia, ij, n in zip(
                 roster.ids, sds, *(scores[c].tolist() for c in INDICATORS),
                 scores["n_pubs"].tolist()))
@@ -398,9 +390,9 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
         writer.writerow(["run", "seed", "n", "n_terms", "age_ame", "seniority_ame",
                          "pseudo_r2", "aic", "age_degree", "converged", "error"])
         for r in rep.runs:
-            writer.writerow([r.run, r.seed, r.n, r.n_terms, _fmt_opt(r.age_ame),
-                             _fmt_opt(r.seniority_ame), _fmt_opt(r.pseudo_r2),
-                             _fmt_opt(r.aic), "" if r.age_degree is None else r.age_degree,
+            writer.writerow([r.run, r.seed, r.n, r.n_terms, _fmt_float(r.age_ame),
+                             _fmt_float(r.seniority_ame), _fmt_float(r.pseudo_r2),
+                             _fmt_float(r.aic), "" if r.age_degree is None else r.age_degree,
                              int(r.converged), r.error or ""])
 
     frac_age = rep.age_negative_fraction

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Roster, working_years
+from .corpus import Corpus, Roster
 from .credit import CONVENTIONS, ConventionMap, fractional_contribution
 
 logger = logging.getLogger(__name__)
@@ -117,23 +117,21 @@ def _roster_conventions(roster: Roster, conventions: ConventionMap) -> np.ndarra
 
 def compute_scores(roster: Roster, corpus: Corpus, scaling: ScalingTable,
                    conventions: ConventionMap, window: tuple[int, int],
-                   strict: bool = False, t: np.ndarray | None = None
-                   ) -> dict[str, np.ndarray]:
+                   t: np.ndarray, strict: bool = False) -> dict[str, np.ndarray]:
     """All four indicators for every professor, in roster order, in one pass.
 
     Returns a column per indicator (``FSS``, ``P``, ``IA``, ``IJ``; IA and IJ
     are NaN where undefined) and ``n_pubs``, the in-window publication count
-    (0 = inactive).  ``t`` is each professor's working years, derived from the
-    roster when not given.  A publication whose scaling mean is missing (or
-    whose impact factor is unknown) is skipped by the indicators that need it,
-    with one warning per professor, publication and indicator in roster and
-    then corpus order; with ``strict`` the first such publication raises
-    :class:`MissingCellError`.  Professor ids must be unique.
+    (0 = inactive).  ``t`` is each professor's working years in the window
+    (the ``t`` column of ``corpus.derive_covariates``).  A publication whose
+    scaling mean is missing (or whose impact factor is unknown) is skipped by
+    the indicators that need it, with one warning per professor, publication
+    and indicator in roster and then corpus order; with ``strict`` the first
+    such publication raises :class:`MissingCellError`.  Professor ids must be
+    unique.
     """
     if len(set(roster.ids)) != len(roster):
         raise ValueError("duplicate professor id in roster")
-    if t is None:
-        t = working_years(roster.active_start, roster.active_end, window)
     who, rows = corpus.authored_by(roster.ids, window)   # in-window roster authorships
     pub = corpus.pub[rows]
 

@@ -17,11 +17,12 @@ _FRAME_COVARIATES = ("seniority", "gender_dummy", "u1", "u2", "u3")
 
 
 def compute_indicator_scores(roster: Roster, corpus: Corpus, conventions: ConventionMap,
-                             window: tuple[int, int], strict: bool = False,
-                             t: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Score columns for every rostered professor, in roster order."""
+                             window: tuple[int, int], t: np.ndarray,
+                             strict: bool = False) -> dict[str, np.ndarray]:
+    """Score columns for every rostered professor, in roster order; ``t`` is
+    each one's working years in the window."""
     scaling = build_scaling_table(corpus) if len(corpus) else ScalingTable({})
-    return compute_scores(roster, corpus, scaling, conventions, window, strict, t)
+    return compute_scores(roster, corpus, scaling, conventions, window, t, strict)
 
 
 def regression_frame(roster: Roster, covariates: Mapping[str, np.ndarray],
@@ -40,6 +41,6 @@ def run_scoring(roster: Roster, corpus: Corpus, conventions: ConventionMap,
                 strict: bool = False) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Indicator scores and cohort percentiles of a roster whose covariates
     (see ``corpus.derive_covariates``) are already derived."""
-    scores = compute_indicator_scores(roster, corpus, conventions, window, strict,
-                                      covariates["t"])
+    scores = compute_indicator_scores(roster, corpus, conventions, window,
+                                      covariates["t"], strict)
     return scores, cohort_percentiles(roster, scores)

@@ -23,7 +23,8 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import DAYS_PER_YEAR, Corpus, Roster, _ColumnBuffer, derive_covariates
+from .corpus import (DAYS_PER_YEAR, UNIVERSITY_TYPES, Corpus, Roster, _ColumnBuffer,
+                     derive_covariates)
 from .credit import ALPHABETICAL, CONVENTIONS, POSITION_WEIGHTED, ConventionMap
 from .pipeline import regression_frame, run_scoring
 from .regress import FitError, ModelSpec, fit_model, fit_with_selected_degree
@@ -44,6 +45,8 @@ MIN_CAREER_START_AGE = 26.0
 
 UNIVERSITY_POOLS = (("public", "PUB", 10), ("private", "PRI", 3),
                     ("polytechnic", "POL", 3), ("advanced_school", "ADV", 2))
+# each pool's corpus.UNIVERSITY_TYPES code
+_POOL_TYPES = np.array([UNIVERSITY_TYPES.index(name) for name, _, _ in UNIVERSITY_POOLS])
 
 # Mean byline length by credit convention of the professor's field.
 BYLINE_MEAN = {POSITION_WEIGHTED: 5.0, ALPHABETICAL: 3.0}
@@ -197,7 +200,7 @@ def _roster(config: SimConfig, census: int, ages: np.ndarray, seniority: np.ndar
     return Roster(ids=[f"P{i + 1:05d}" for i in range(len(ages))], male=male, birth=birth,
                   appointed=np.minimum(appointed, census), sds=field_sds[field_idx],
                   sds_names=list(sds_codes), uda=field_uda[field_idx],
-                  uda_names=list(uda_codes), utype=type_idx, active_start=none,
+                  uda_names=list(uda_codes), utype=_POOL_TYPES[type_idx], active_start=none,
                   active_end=none)
 
 
@@ -222,7 +225,6 @@ def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
     male = rng.random(n) < config.gender_male_share
     field_idx = rng.integers(0, len(config.fields), size=n)
 
-    # UNIVERSITY_POOLS lists the types in corpus.UNIVERSITY_TYPES order
     type_idx = rng.choice(len(UNIVERSITY_POOLS), size=n,
                           p=np.asarray(config.university_type_shares))
     pool_sizes = np.array([p[2] for p in UNIVERSITY_POOLS])

@@ -8,7 +8,7 @@ from datetime import date
 
 import numpy as np
 
-from resperf.corpus import UNIVERSITY_TYPES, Corpus, Roster, _ColumnBuffer
+from resperf.corpus import UNIVERSITY_TYPES, Corpus, Roster, _ColumnBuffer, working_years
 from resperf.indicators import INDICATORS
 from resperf.regress import RegressionFrame
 
@@ -58,6 +58,11 @@ def make_roster(profs) -> Roster:
         utype=[UNIVERSITY_TYPES.index(p.university_type) for p in profs],
         active_start=[p.span[0].toordinal() if p.span else 0 for p in profs],
         active_end=[p.span[1].toordinal() if p.span else 0 for p in profs])
+
+
+def years(roster: Roster, window: tuple[int, int]) -> np.ndarray:
+    """Each rostered professor's working years in ``window``."""
+    return working_years(roster.active_start, roster.active_end, window)
 
 
 def professors(roster: Roster) -> list[Prof]:

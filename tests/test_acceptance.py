@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import (make_corpus, make_frame, make_professor, make_publication, make_roster,
-                     records)
+                     records, years)
 from resperf.cohort import percentile_rank
 from resperf.corpus import derive_covariates
 from resperf.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights
@@ -105,7 +105,8 @@ def test_citation_scale_invariance():
 
     def all_scores(c):
         scaling = build_scaling_table(c)
-        scores = compute_scores(roster, c, scaling, conventions, window)
+        scores = compute_scores(roster, c, scaling, conventions, window,
+                                years(roster, window))
         return {pid: (fss, None if np.isnan(ia) else ia) for pid, fss, ia in zip(
             roster.ids, scores["FSS"].tolist(), scores["IA"].tolist())}
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracle
 from helpers import (make_corpus, make_professor, make_publication, make_roster, plain,
-                     professors, records)
+                     professors, records, years)
 from resperf.cohort import cohort_percentiles
 from resperf.corpus import (UNIVERSITY_TYPES, derive_covariates, ingest_publications,
                             write_publications)
@@ -70,7 +70,8 @@ class TestOracleEquality:
     def test_tiny_world(self, tiny_world):
         roster, corpus = tiny_world
         for conventions in (ConventionMap(), ConventionMap(global_override="alphabetical")):
-            got = compute_indicator_scores(roster, corpus, conventions, WINDOW)
+            got = compute_indicator_scores(roster, corpus, conventions, WINDOW,
+                                           years(roster, WINDOW))
             want = oracle.roster_scores(roster, corpus, conventions, WINDOW)
             assert plain(got) == plain(want)
             assert same_percentiles(cohort_percentiles(roster, got),
@@ -82,7 +83,8 @@ class TestOracleEquality:
         assert len(roster) == 2000
         covariates = derive_covariates(roster, CENSUS, WINDOW)
         assert plain(covariates) == plain(oracle_covariates(roster, CENSUS, WINDOW))
-        got = compute_indicator_scores(roster, corpus, config.conventions(), WINDOW)
+        got = compute_indicator_scores(roster, corpus, config.conventions(), WINDOW,
+                                       covariates["t"])
         want = oracle.roster_scores(roster, corpus, config.conventions(), WINDOW)
         assert plain(got) == plain(want)
         assert same_percentiles(cohort_percentiles(roster, got),
@@ -92,7 +94,8 @@ class TestOracleEquality:
         roster, corpus = lenient_world()
         assert build_scaling_table(corpus).mean_impact_factor(2009, "FIS/01") is None
         with caplog.at_level(logging.WARNING, logger="resperf.indicators"):
-            got = compute_indicator_scores(roster, corpus, ConventionMap(), WINDOW)
+            got = compute_indicator_scores(roster, corpus, ConventionMap(), WINDOW,
+                                           years(roster, WINDOW))
             ours = messages(caplog)
             caplog.clear()
             want = oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW)
@@ -109,7 +112,8 @@ class TestOracleEquality:
         table = build_scaling_table(make_corpus([p for p in records(corpus)
                                                  if p.subject_category != "BIO/05"]))
         with caplog.at_level(logging.WARNING, logger="resperf.indicators"):
-            got = compute_scores(roster, corpus, table, ConventionMap(), WINDOW)
+            got = compute_scores(roster, corpus, table, ConventionMap(), WINDOW,
+                                 years(roster, WINDOW))
             ours = messages(caplog)
             caplog.clear()
             want = oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW,
@@ -126,7 +130,8 @@ class TestOracleEquality:
             make_corpus([p for p in records(corpus) if p.subject_category != "BIO/05"])
             if external else corpus)
         with pytest.raises(MissingCellError) as ours:
-            compute_scores(roster, corpus, table, ConventionMap(), WINDOW, strict=True)
+            compute_scores(roster, corpus, table, ConventionMap(), WINDOW,
+                           years(roster, WINDOW), strict=True)
         with pytest.raises(MissingCellError) as theirs:
             oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW, strict=True,
                                  scaling=table)
@@ -141,7 +146,8 @@ class TestOracleEquality:
             crew = make_roster(profs[:at] + [idle] + profs[at + 1:])
             for strict in (False, True):
                 with pytest.raises(ValueError) as ours:
-                    compute_scores(crew, corpus, table, ConventionMap(), WINDOW, strict)
+                    compute_scores(crew, corpus, table, ConventionMap(), WINDOW,
+                                   years(crew, WINDOW), strict)
                 with pytest.raises(ValueError) as theirs:
                     oracle.roster_scores(crew, corpus, ConventionMap(), WINDOW, strict,
                                          scaling=table)

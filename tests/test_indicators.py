@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (make_corpus, make_professor, make_publication, make_roster,
-                     professors, records)
+                     professors, records, years)
 from resperf.credit import (ALPHABETICAL, POSITION_WEIGHTED, ConventionMap,
                             byline_weights)
 from resperf.indicators import (MissingCellError, build_scaling_table,
@@ -22,8 +22,9 @@ def score(prof, corpus, table=None, conventions=ALPHA, window=WINDOW, strict=Fal
     """compute_scores of a one-professor roster, as a record of Python scalars
     (an undefined IA or IJ is None); ``table`` defaults to the corpus's."""
     table = build_scaling_table(corpus) if table is None else table
-    return row(compute_scores(make_roster([prof]), corpus, table, conventions, window,
-                              strict), 0)
+    roster = make_roster([prof])
+    return row(compute_scores(roster, corpus, table, conventions, window,
+                              years(roster, window), strict), 0)
 
 
 def row(scores, i):
@@ -348,7 +349,8 @@ class TestComputeScores:
         roster, corpus = tiny_world
         table = build_scaling_table(corpus)
         conventions = ConventionMap()
-        scores = compute_scores(roster, corpus, table, conventions, WINDOW)
+        scores = compute_scores(roster, corpus, table, conventions, WINDOW,
+                                years(roster, WINDOW))
         for i, prof in enumerate(professors(roster)):
             s = row(scores, i)
             assert s == score(prof, corpus, table, conventions)

@@ -5,7 +5,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import make_corpus, make_professor, make_roster, plain, professors
+from helpers import make_corpus, make_professor, make_roster, plain, professors, years
 from resperf.cohort import cohort_percentiles
 from resperf.corpus import derive_covariates
 from resperf.credit import ConventionMap
@@ -20,16 +20,19 @@ class TestComputeIndicatorScores:
     def test_matches_serial_per_professor_computation(self, tiny_world):
         roster, corpus = tiny_world
         conventions = ConventionMap()
-        scores = compute_indicator_scores(roster, corpus, conventions, WINDOW)
+        scores = compute_indicator_scores(roster, corpus, conventions, WINDOW,
+                                          years(roster, WINDOW))
         table = build_scaling_table(corpus)
         for i, prof in enumerate(professors(roster)):
-            alone = compute_scores(make_roster([prof]), corpus, table, conventions, WINDOW)
+            alone = make_roster([prof])
+            alone = compute_scores(alone, corpus, table, conventions, WINDOW,
+                                   years(alone, WINDOW))
             assert plain(alone) == plain({k: v[i:i + 1] for k, v in scores.items()})
 
     def test_empty_corpus_marks_everyone_inactive(self):
         roster = make_roster([make_professor("P1"), make_professor("P2")])
         scores = compute_indicator_scores(roster, make_corpus(()), ConventionMap(),
-                                          WINDOW)
+                                          WINDOW, years(roster, WINDOW))
         assert scores["n_pubs"].tolist() == [0, 0]
         pcts = cohort_percentiles(roster, scores)
         assert pcts[:, INDICATORS.index("FSS")].tolist() == [50.0, 50.0]
