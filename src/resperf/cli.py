@@ -16,7 +16,6 @@ import csv
 import json
 import logging
 import math
-import operator
 import sys
 from dataclasses import replace
 from datetime import date
@@ -25,9 +24,10 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, _fmt_float,
-                     derive_covariates, ingest_publications, ingest_roster, load_sds_map,
-                     write_publications, write_roster)
+from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, _fmt_float, _real_number,
+                     csv_rows, derive_covariates, ingest_publications, ingest_roster,
+                     json_number, load_sds_map, read_json_object, write_publications,
+                     write_roster)
 from .credit import (CONVENTIONS, ConventionMap, CreditError,
                      load_convention_map, write_convention_map)
 from .indicators import INDICATORS
@@ -197,40 +197,17 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
 _COVARIATE_COLUMNS = ("professor_id", "uda", "age", "seniority", "gender_dummy", "u1", "u2", "u3")
 
 
-def _csv_rows(path: Path, required: tuple[str, ...]):
-    """(line, fields in ``required`` order) for each row of a CSV file."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise IngestError(path, [f"line 1: missing column(s) {', '.join(missing)}"])
-        pick = operator.itemgetter(*[header.index(c) for c in required])
-        for rec in reader:
-            if rec:  # blank lines are skipped; missing trailing fields read as empty
-                full = rec if len(rec) >= len(header) else rec + [""] * len(header)
-                yield reader.line_num, pick(full)
-
-
-def _finite(text: str) -> float | None:
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
     """compute's covariates.csv and percentiles.csv, validated, as one frame."""
     problems: list[str] = []
-    rows = list(_csv_rows(cov_path, _COVARIATE_COLUMNS))
+    rows = list(csv_rows(cov_path, _COVARIATE_COLUMNS))
     index: dict[str, int] = {}
     for line, (pid, _, *values) in rows:
         if pid in index:
             problems.append(f"line {line}: duplicate professor_id {pid!r}")
         index.setdefault(pid, len(index))
         for name, text in zip(_COVARIATE_COLUMNS[2:], values):
-            if name in ("age", "seniority") and _finite(text) is None:
+            if name in ("age", "seniority") and _real_number(text, finite=True) is None:
                 problems.append(f"line {line}: {name} must be a finite number, got {text!r}")
             elif name not in ("age", "seniority") and text not in ("0", "1"):
                 problems.append(f"line {line}: {name} must be 0 or 1, got {text!r}")
@@ -238,9 +215,9 @@ def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
         raise IngestError(cov_path, problems)
 
     percentiles = np.full((len(rows), len(INDICATORS)), np.nan)
-    for line, (pid, indicator, text) in _csv_rows(pct_path,
-                                                  ("professor_id", "indicator", "percentile")):
-        value = _finite(text)
+    for line, (pid, indicator, text) in csv_rows(pct_path,
+                                                 ("professor_id", "indicator", "percentile")):
+        value = _real_number(text, finite=True)
         if pid not in index:
             problems.append(f"line {line}: unknown professor_id {pid!r}")
         elif indicator not in INDICATORS:
@@ -285,17 +262,17 @@ def regress(data_path, dependent, max_degree, max_seniority, spec_path,
     cov_path, pct_path = data / "covariates.csv", data / "percentiles.csv"
     _require_paths(data, cov_path, pct_path, spec_path)
 
-    spec_data: dict = {}
-    if spec_path:
-        spec_data = _input_stage("model spec", lambda p: json.loads(
-            Path(p).read_text(encoding="utf-8")), spec_path)
-    ctx = click.get_current_context()
-    if ctx.get_parameter_source("dependent").name != "DEFAULT" or "dependent" not in spec_data:
-        spec_data["dependent"] = dependent
+    # flags override the spec file; the degree comes from AIC selection
+    overrides = {"age_degree": None}
+    if click.get_current_context().get_parameter_source("dependent").name != "DEFAULT":
+        overrides["dependent"] = dependent
     if max_seniority is not None:
-        spec_data["max_seniority"] = max_seniority
-    spec_data.pop("age_degree", None)  # degree comes from AIC selection
-    spec = _input_stage("model spec", ModelSpec.from_mapping, spec_data)
+        overrides["max_seniority"] = max_seniority
+    if spec_path:
+        spec = _input_stage("model spec", read_json_object, spec_path,
+                            lambda data: ModelSpec.from_mapping({**data, **overrides}))
+    else:
+        spec = _input_stage("model spec", ModelSpec.from_mapping, overrides)
 
     frame = _input_stage("regression inputs", _read_frame, cov_path, pct_path)
     groups = [("Total", frame)]
@@ -420,12 +397,12 @@ def _read_indicators(path: Path) -> tuple[dict[str, int], np.ndarray, np.ndarray
     rows: dict[str, int] = {}
     fss: list[float | None] = []
     n_pubs: list[int] = []
-    for line, (pid, *texts, count) in _csv_rows(path, _INDICATOR_COLUMNS):
+    for line, (pid, *texts, count) in csv_rows(path, _INDICATOR_COLUMNS):
         if pid in rows:
             problems.append(f"line {line}: duplicate professor_id {pid!r}")
         rows[pid] = len(fss)
         for name, text in zip(_INDICATOR_COLUMNS[1:5], texts):
-            value = _finite(text)
+            value = _real_number(text, finite=True)
             optional = name in ("ia", "ij")
             if (value is None or value < 0) and not (optional and text == ""):
                 problems.append(f"line {line}: {name} must be a finite number >= 0"
@@ -433,11 +410,25 @@ def _read_indicators(path: Path) -> tuple[dict[str, int], np.ndarray, np.ndarray
         whole = count.isascii() and count.isdigit()
         if not whole:
             problems.append(f"line {line}: n_pubs must be a whole number >= 0, got {count!r}")
-        fss.append(_finite(texts[0]))
+        fss.append(_real_number(texts[0], finite=True))
         n_pubs.append(int(count) if whole else 0)
     if problems:
         raise IngestError(path, problems)
     return rows, np.array(fss, dtype=float), np.array(n_pubs, dtype=np.int64)
+
+
+def _headcounts(data: dict) -> dict[str, int]:
+    """Population headcount per discipline, from the totals JSON object."""
+    for uda, count in data.items():
+        if json_number(count, f"total for {uda!r}", whole=True) < 0:
+            raise ValueError(f"total for {uda!r} must be >= 0, got {count}")
+    return data
+
+
+def _positive_finite(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be a finite number > 0, got {value!r}")
+    return value
 
 
 @main.command("report")
@@ -448,7 +439,8 @@ def _read_indicators(path: Path) -> tuple[dict[str, int], np.ndarray, np.ndarray
 @click.option("--census-date", default=None)
 @click.option("--totals", "totals_path", default=None,
               help="JSON mapping uda -> population headcount for coverage shares.")
-@click.option("--age-bin-width", type=float, default=5.0, show_default=True)
+@click.option("--age-bin-width", type=float, default=5.0, show_default=True,
+              callback=_positive_finite, help="Histogram bin width in years.")
 @click.option("--fmt", type=click.Choice(["text", "csv"]), default="text",
               show_default=True)
 @click.option("--out", "out_path", required=True, help="Output directory.")
@@ -460,19 +452,18 @@ def report_cmd(roster_path, indicators_path, window, census_date, totals_path,
     census = _parse_census(census_date, window_years)
     roster = _input_stage("roster ingest", ingest_roster, roster_path)
     index, fss, n_pubs = _input_stage("indicators", _read_indicators, Path(indicators_path))
-    totals = None
-    if totals_path:
-        totals = _input_stage("totals", lambda p: {
-            str(k): int(v) for k, v in
-            json.loads(Path(p).read_text(encoding="utf-8")).items()}, totals_path)
+    totals = _input_stage("totals", read_json_object, totals_path, _headcounts) \
+        if totals_path else None
 
     covariates = _input_stage("roster covariates", derive_covariates, roster, census,
                               window_years)
     rows = np.array([index.get(pid, -1) for pid in roster.ids], dtype=np.int64)
-    missing = [roster.ids[i] for i in np.flatnonzero(rows < 0)[:5].tolist()]
+    missing = np.flatnonzero(rows < 0).tolist()
     if missing:
-        raise click.UsageError(
-            f"indicators: no scores for professor(s) {', '.join(missing)}")
+        error = IngestError(roster.source, [
+            f"line {roster.lines[i]}: {roster.ids[i]}: no scores in {indicators_path}"
+            for i in missing])
+        raise click.UsageError(f"indicators: {error}")
     fss, inactive = fss[rows], n_pubs[rows] == 0
 
     out = _out_dir(out_path)

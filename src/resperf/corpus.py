@@ -1,10 +1,12 @@
-"""Roster and publication ingestion plus census-date covariate derivation.
+"""Input readers, roster and publication ingestion, and census-date covariates.
 
-Rosters are CSV; publication corpora are CSV or JSON-lines (one object per
-line).  Ingestion either returns fully validated columns or fails with a
-row-addressed error listing every problem found: a roster goes straight into
-the columns of a :class:`Roster`, publications into those of a
-:class:`Corpus`.
+Every file resperf reads goes through :func:`csv_rows`, :func:`json_rows`,
+:func:`read_pairs` or :func:`read_json_object`, which fail with an
+:class:`IngestError` naming the file.  Rosters are CSV; publication corpora
+are CSV or JSON-lines (one object per line).  Ingestion either returns fully
+validated columns or fails with a row-addressed error listing every problem
+found: a roster goes straight into the columns of a :class:`Roster`,
+publications into those of a :class:`Corpus`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -64,9 +66,117 @@ class IngestError(ValueError):
     def __init__(self, source, problems: Sequence[str]):
         self.source = str(source)
         self.problems = list(problems)
-        shown = "; ".join(self.problems[:8])
-        extra = "" if len(self.problems) <= 8 else f" (+{len(self.problems) - 8} more)"
-        super().__init__(f"{self.source}: {shown}{extra}")
+        super().__init__(f"{self.source}: " + "; ".join(self.problems))
+
+
+def csv_rows(path, required: Sequence[str], optional: Sequence[str] = ()) -> Iterator:
+    """(line, fields in ``required + optional`` order) for each row of a CSV
+    file with a header line.
+
+    Blank lines are skipped; the cells of a short row and of an absent
+    optional column read as "".  A missing required column raises
+    :class:`IngestError`.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise IngestError(path, [f"line 1: missing column(s) {', '.join(missing)}"])
+        width = len(header)
+        column = {name: i for i, name in enumerate(header)}
+        # absent optional columns read the "" appended after the last cell
+        pick = operator.itemgetter(*(column.get(c, width) for c in (*required, *optional)))
+        for row in reader:
+            if row:
+                if len(row) != width:
+                    row = (row + [""] * width)[:width]
+                row.append("")
+                yield reader.line_num, pick(row)
+
+
+def json_rows(path, fields: Sequence[str], problems: list[str]) -> Iterator:
+    """(line, values of ``fields``, None where absent) for each object line of
+    a JSON-lines file.
+
+    Blank lines are skipped; a line that is not a JSON object adds a problem
+    to ``problems``, in line order with the caller's own.
+    """
+    with Path(path).open(encoding="utf-8") as fh:
+        for line, text in enumerate(fh, start=1):
+            if not text.strip():
+                continue
+            try:
+                record = json.loads(text)
+            except json.JSONDecodeError as exc:
+                problems.append(f"line {line}: invalid JSON ({exc.msg})")
+                continue
+            if not isinstance(record, dict):
+                problems.append(
+                    f"line {line}: expected a JSON object, got {type(record).__name__}")
+                continue
+            yield line, map(record.get, fields)
+
+
+def read_pairs(path, key_name: str, value_name: str,
+               choices: Sequence[str] | None = None) -> dict[str, str]:
+    """Key-to-value map of a two-column CSV file, such as (sds, uda).
+
+    A first row whose key cell is ``key_name`` is a header.  With ``choices``
+    each value is lower-cased and must be one of them.  Raises
+    :class:`IngestError` naming every malformed row and every key given two
+    values.
+    """
+    path = Path(path)
+    mapping: dict[str, str] = {}
+    problems: list[str] = []
+    with path.open(newline="", encoding="utf-8") as fh:
+        for line, row in enumerate(csv.reader(fh), start=1):
+            if not row or (line == 1 and row[0].strip().lower() == key_name):
+                continue
+            key = row[0].strip()
+            value = row[1].strip() if len(row) > 1 else ""
+            if choices is not None:
+                value = value.lower()
+            if len(row) < 2 or not key or (choices is None and not value):
+                problems.append(f"line {line}: expected '{key_name},{value_name}'")
+            elif choices is not None and value not in choices:
+                problems.append(f"line {line}: unknown {value_name} {row[1]!r}")
+            elif mapping.setdefault(key, value) != value:
+                problems.append(f"line {line}: {key_name} {key!r} mapped to two {value_name}s")
+    if problems:
+        raise IngestError(path, problems)
+    return mapping
+
+
+def read_json_object(path, build: Callable[[dict], object] = dict):
+    """``build`` of the JSON object a file holds.
+
+    Invalid JSON, any value but an object, and a ValueError from ``build``
+    raise :class:`IngestError` naming the file.
+    """
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise IngestError(path, [f"line {exc.lineno}: invalid JSON ({exc.msg})"]) from None
+    if not isinstance(data, dict):
+        raise IngestError(path, [f"expected a JSON object, got {type(data).__name__}"])
+    try:
+        return build(data)
+    except ValueError as exc:
+        raise IngestError(path, [str(exc)]) from None
+
+
+def json_number(value, what: str, whole: bool = False):
+    """``value`` if it is a finite JSON number, a whole one with ``whole``;
+    else a ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)) \
+            or isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} must be a {'whole' if whole else 'finite'} number, "
+                         f"got {value!r}")
+    return value
 
 
 # Roster columns and their dtypes; ``ids`` and the name lists stay Python lists.
@@ -255,6 +365,10 @@ def _parse_date(text: str, what: str, problems: list[str], line: int) -> date | 
         return None
 
 
+def _completed_years(start: date, end: date) -> int:
+    return end.year - start.year - ((end.month, end.day) < (start.month, start.day))
+
+
 def _parse_gender(text: str, problems: list[str], line: int) -> bool | None:
     """True for male, False for female."""
     token = text.strip().lower()
@@ -274,101 +388,62 @@ def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> Roster:
     every row parses or an :class:`IngestError` reports all offending rows.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in ROSTER_FIELDS if c not in header]
-        if missing:
-            raise IngestError(path, [f"missing required columns: {', '.join(missing)}"])
-        column = {name: i for i, name in enumerate(header)}
-        has_span = all(c in column for c in ROSTER_OPTIONAL_FIELDS)
-        fields = operator.itemgetter(*(column[c] for c in ROSTER_FIELDS
-                                       + ROSTER_OPTIONAL_FIELDS * has_span))
-        width = len(header)
-
-        kept: list[tuple] = []
-        sds_codes: dict[str, int] = {}
-        uda_codes: dict[str, int] = {}
-        problems: list[str] = []
-        seen: dict[str, int] = {}
-        sds_to_uda: dict[str, tuple[str, int]] = {}
-        n_rows = 0
-        for row in reader:
-            if not row:
-                continue
-            n_rows += 1
-            line = reader.line_num
-            if len(row) < width:  # short rows read as missing values
-                row += [None] * (width - len(row))
-            pid, gender, birth, appointed, sds, uda, utype_raw, *span = fields(row)
-            pid = (pid or "").strip()
-            if not pid:
-                problems.append(f"line {line}: empty id")
-                continue
-            if pid in seen:
-                problems.append(
-                    f"line {line}: duplicate id {pid!r} (first seen on line {seen[pid]})")
-                continue
-            seen[pid] = line
-
-            male = _parse_gender(gender or "", problems, line)
-            birth = _parse_date(birth or "", "birth_date", problems, line)
-            appointed = _parse_date(appointed or "", "appointment_date", problems, line)
-            sds = (sds or "").strip()
-            uda = (uda or "").strip()
-            utype = (utype_raw or "").strip().lower()
-
-            if not sds or not uda:
-                problems.append(f"line {line}: empty sds or uda")
-                continue
-            if utype not in UNIVERSITY_TYPES:
-                problems.append(f"line {line}: unknown university_type {utype_raw!r}")
-                continue
-            if sds_map is not None:
-                if sds not in sds_map:
-                    problems.append(f"line {line}: unknown SDS code {sds!r}")
-                    continue
-                if sds_map[sds] != uda:
-                    problems.append(
-                        f"line {line}: sds {sds!r} maps to uda {sds_map[sds]!r}, row says {uda!r}")
-                    continue
-            if sds in sds_to_uda and sds_to_uda[sds][0] != uda:
-                problems.append(
-                    f"line {line}: sds {sds!r} listed under uda {uda!r} but line "
-                    f"{sds_to_uda[sds][1]} has uda {sds_to_uda[sds][0]!r}")
-                continue
-            sds_to_uda.setdefault(sds, (uda, line))
-
-            if male is None or birth is None or appointed is None:
-                continue
-            age = appointed.year - birth.year - (
-                (appointed.month, appointed.day) < (birth.month, birth.day))
-            if age < MIN_APPOINTMENT_AGE:
-                problems.append(
-                    f"line {line}: appointed at {age} (before age {MIN_APPOINTMENT_AGE})")
-                continue
-
-            start = end = 0
-            s_raw, e_raw = ((span[0] or "").strip(), (span[1] or "").strip()) \
-                if has_span else ("", "")
-            if s_raw or e_raw:
-                if not (s_raw and e_raw):
-                    problems.append(
-                        f"line {line}: active_start/active_end must be given together")
-                    continue
-                s = _parse_date(s_raw, "active_start", problems, line)
-                e = _parse_date(e_raw, "active_end", problems, line)
-                if s is None or e is None:
-                    continue
-                if s > e:
-                    problems.append(f"line {line}: active_start after active_end")
-                    continue
-                start, end = s.toordinal(), e.toordinal()
-
+    kept: list[tuple] = []
+    sds_codes: dict[str, int] = {}
+    uda_codes: dict[str, int] = {}
+    problems: list[str] = []
+    seen: dict[str, int] = {}
+    sds_to_uda: dict[str, tuple[str, int]] = {}
+    n_rows = 0
+    for line, (pid, gender, birth, appointed, sds, uda, utype_raw, s_raw, e_raw) in \
+            csv_rows(path, ROSTER_FIELDS, ROSTER_OPTIONAL_FIELDS):
+        n_rows += 1
+        pid = pid.strip()
+        if not pid:
+            problems.append(f"line {line}: empty id")
+            continue
+        if pid in seen:
+            problems.append(
+                f"line {line}: duplicate id {pid!r} (first seen on line {seen[pid]})")
+            continue
+        seen[pid] = line
+        male = _parse_gender(gender, problems, line)
+        birth = _parse_date(birth, "birth_date", problems, line)
+        appointed = _parse_date(appointed, "appointment_date", problems, line)
+        sds, uda, utype = sds.strip(), uda.strip(), utype_raw.strip().lower()
+        s_raw, e_raw = s_raw.strip(), e_raw.strip()
+        # after any parse problems above, the first failing check names the row
+        if not sds or not uda:
+            problem = "empty sds or uda"
+        elif utype not in UNIVERSITY_TYPES:
+            problem = f"unknown university_type {utype_raw!r}"
+        elif sds_map is not None and sds not in sds_map:
+            problem = f"unknown SDS code {sds!r}"
+        elif sds_map is not None and sds_map[sds] != uda:
+            problem = f"sds {sds!r} maps to uda {sds_map[sds]!r}, row says {uda!r}"
+        elif (first := sds_to_uda.setdefault(sds, (uda, line)))[0] != uda:
+            problem = (f"sds {sds!r} listed under uda {uda!r} but line {first[1]} "
+                       f"has uda {first[0]!r}")
+        elif male is None or birth is None or appointed is None:
+            continue
+        elif (age := _completed_years(birth, appointed)) < MIN_APPOINTMENT_AGE:
+            problem = f"appointed at {age} (before age {MIN_APPOINTMENT_AGE})"
+        elif bool(s_raw) != bool(e_raw):
+            problem = "active_start/active_end must be given together"
+        elif s_raw and None in (span := (_parse_date(s_raw, "active_start", problems, line),
+                                         _parse_date(e_raw, "active_end", problems, line))):
+            continue
+        elif s_raw and span[0] > span[1]:
+            problem = "active_start after active_end"
+        else:
             kept.append((pid, male, birth.toordinal(), appointed.toordinal(),
                          sds_codes.setdefault(sds, len(sds_codes)),
                          uda_codes.setdefault(uda, len(uda_codes)),
-                         UNIVERSITY_TYPES.index(utype), start, end, line))
+                         UNIVERSITY_TYPES.index(utype),
+                         *((span[0].toordinal(), span[1].toordinal()) if s_raw else (0, 0)),
+                         line))
+            continue
+        problems.append(f"line {line}: {problem}")
 
     if problems:
         raise IngestError(path, problems)
@@ -391,121 +466,39 @@ def _whole_number(raw) -> int | None:
         return None
 
 
-def _real_number(raw) -> float | None:
-    """float of a CSV string or JSON number; None for bools and junk."""
+def _real_number(raw, finite: bool = False) -> float | None:
+    """float of a CSV string or JSON number; None for bools and junk, and with
+    ``finite`` for NaN and infinities."""
     if isinstance(raw, bool):
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         return None
+    return None if finite and not math.isfinite(value) else value
 
 
-def _parse_byline(raw, problems: list[str], line: int
-                  ) -> tuple[list[str], list[str]] | None:
-    """Author and university ids of a byline, in byline order."""
+def _parse_byline(raw) -> tuple[list[str], list[str]] | str:
+    """Author and university ids of a byline, in byline order, or its problem."""
     if isinstance(raw, str):
         tokens = [t for t in raw.split(";") if t.strip()]
     elif isinstance(raw, list):
         tokens = raw
     else:
-        problems.append(f"line {line}: byline must be a string or a list, got {raw!r}")
-        return None
+        return f"byline must be a string or a list, got {raw!r}"
     if not tokens:
-        problems.append(f"line {line}: empty byline")
-        return None
+        return "empty byline"
     authors, universities = [], []
     for token in tokens:
         author, _, univ = str(token).strip().partition("@")
         if not author or not univ or "@" in univ:
-            problems.append(f"line {line}: malformed byline token {token!r}")
-            return None
+            return f"malformed byline token {token!r}"
         authors.append(author)
         universities.append(univ)
     if len(set(authors)) < len(authors):
         twice = next(a for i, a in enumerate(authors) if a in authors[:i])
-        problems.append(f"line {line}: author {twice!r} appears twice on the byline")
-        return None
+        return f"author {twice!r} appears twice on the byline"
     return authors, universities
-
-
-class _PublicationRows:
-    """Validates publication rows one at a time into column buffers."""
-
-    def __init__(self, excluded: set[str], roster_ids, strict: bool):
-        self.excluded = excluded
-        self.roster_ids = roster_ids if strict else None
-        self.buffer = _ColumnBuffer()
-        self.problems: list[str] = []
-        self.seen: dict[str, int] = {}
-        self.rows = 0
-        self.dropped = 0
-
-    def add(self, line: int, pid, year, category, journal_if, citations,
-            doc_type, byline) -> None:
-        self.rows += 1
-        doc_type = str(doc_type or "").strip()
-        if doc_type.lower() in self.excluded:
-            self.dropped += 1
-            return
-        problems = self.problems
-        pid = str(pid or "").strip()
-        if not pid:
-            problems.append(f"line {line}: empty publication id")
-            return
-        year_value = _whole_number(year)
-        if year_value is None:
-            problems.append(f"line {line}: unparseable year {year!r}")
-            return
-        if not 1900 <= year_value <= 2100:
-            problems.append(f"line {line}: year {year_value} out of range")
-            return
-        category = str(category or "").strip()
-        if not category:
-            problems.append(f"line {line}: empty subject_category")
-            return
-
-        if journal_if is None or (isinstance(journal_if, str) and not journal_if.strip()):
-            impact = math.nan
-        else:
-            impact = _real_number(journal_if)
-            if impact is None:
-                problems.append(f"line {line}: unparseable journal_if {journal_if!r}")
-                return
-            if not math.isfinite(impact):
-                problems.append(f"line {line}: non-finite journal_if {journal_if!r}")
-                return
-            if impact < 0:
-                problems.append(f"line {line}: negative journal_if {impact}")
-                return
-
-        cites = _whole_number(citations)
-        if cites is None:
-            problems.append(f"line {line}: unparseable citations {citations!r}")
-            return
-        if cites < 0:
-            problems.append(f"line {line}: negative citations {cites}")
-            return
-        if cites > MAX_CITATIONS:
-            problems.append(f"line {line}: citations {cites} out of range")
-            return
-
-        parsed = _parse_byline(byline or "", problems, line)
-        if parsed is None:
-            return
-        authors, universities = parsed
-        if self.roster_ids is not None:
-            unknown = [a for a in authors if a not in self.roster_ids]
-            if unknown:
-                problems.append(f"line {line}: unknown author id(s) {', '.join(unknown)}")
-                return
-        if pid in self.seen:
-            problems.append(f"line {line}: duplicate publication id {pid!r} "
-                            f"(first seen on line {self.seen[pid]})")
-            return
-        self.seen[pid] = line
-        self.buffer.append(pid, year_value, category, impact, cites, doc_type,
-                           authors, universities)
 
 
 def ingest_publications(path,
@@ -521,45 +514,67 @@ def ingest_publications(path,
     :class:`IngestError` lists every problem in line order.
     """
     path = Path(path)
-    rows = _PublicationRows({t.strip().lower() for t in excluded_doc_types},
-                            roster_ids, strict)
+    excluded = {t.strip().lower() for t in excluded_doc_types}
+    roster_ids = roster_ids if strict else None
+    buffer = _ColumnBuffer()
+    problems: list[str] = []
+    seen: dict[str, int] = {}
+    n_rows = dropped = 0
     if path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    rows.problems.append(f"line {line_no}: invalid JSON ({exc.msg})")
-                    continue
-                if not isinstance(rec, dict):
-                    rows.problems.append(
-                        f"line {line_no}: expected a JSON object, got {type(rec).__name__}")
-                    continue
-                rows.add(line_no, *map(rec.get, PUBLICATION_FIELDS))
+        rows = json_rows(path, PUBLICATION_FIELDS, problems)
     else:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            missing = [c for c in PUBLICATION_FIELDS if c not in header]
-            if missing:
-                raise IngestError(path, [f"missing required columns: {', '.join(missing)}"])
-            column = {name: i for i, name in enumerate(header)}
-            fields = operator.itemgetter(*(column[f] for f in PUBLICATION_FIELDS))
-            width = len(header)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < width:  # short rows read as missing values
-                    row += [None] * (width - len(row))
-                rows.add(reader.line_num, *fields(row))
+        rows = csv_rows(path, PUBLICATION_FIELDS)
+    # CSV cells are strings ("" when empty); JSON values may be anything, None when absent
+    for line, (pid, year, category, journal_if, citations, doc_type, byline) in rows:
+        n_rows += 1
+        doc_type = str(doc_type or "").strip()
+        if doc_type.lower() in excluded:
+            dropped += 1
+            continue
+        pid = str(pid or "").strip()
+        category = str(category or "").strip()
+        no_impact = journal_if is None or (isinstance(journal_if, str)
+                                           and not journal_if.strip())
+        impact = math.nan if no_impact else _real_number(journal_if)
+        # the first failing check, in this order, names the row's problem
+        if not pid:
+            problem = "empty publication id"
+        elif (year_value := _whole_number(year)) is None:
+            problem = f"unparseable year {year!r}"
+        elif not 1900 <= year_value <= 2100:
+            problem = f"year {year_value} out of range"
+        elif not category:
+            problem = "empty subject_category"
+        elif impact is None:
+            problem = f"unparseable journal_if {journal_if!r}"
+        elif not (no_impact or math.isfinite(impact)):
+            problem = f"non-finite journal_if {journal_if!r}"
+        elif impact < 0:
+            problem = f"negative journal_if {impact}"
+        elif (cites := _whole_number(citations)) is None:
+            problem = f"unparseable citations {citations!r}"
+        elif cites < 0:
+            problem = f"negative citations {cites}"
+        elif cites > MAX_CITATIONS:
+            problem = f"citations {cites} out of range"
+        elif isinstance(byline := _parse_byline(byline or ""), str):
+            problem = byline
+        elif roster_ids is not None and (
+                unknown := [a for a in byline[0] if a not in roster_ids]):
+            problem = f"unknown author id(s) {', '.join(unknown)}"
+        elif pid in seen:
+            problem = f"duplicate publication id {pid!r} (first seen on line {seen[pid]})"
+        else:
+            seen[pid] = line
+            buffer.append(pid, year_value, category, impact, cites, doc_type, *byline)
+            continue
+        problems.append(f"line {line}: {problem}")
 
-    if rows.problems:
-        raise IngestError(path, rows.problems)
-    if not rows.rows:
+    if problems:
+        raise IngestError(path, problems)
+    if not n_rows:
         logger.warning("%s: empty publication file", path)
-    return Corpus(rows.buffer.columns(), rows.dropped)
+    return Corpus(buffer.columns(), dropped)
 
 
 def _fmt_float(x: float | None) -> str:
@@ -603,25 +618,7 @@ def write_publications(path, corpus: Corpus) -> None:
 
 def load_sds_map(path) -> dict[str, str]:
     """Two-column CSV mapping field (SDS) codes to discipline (UDA) codes."""
-    path = Path(path)
-    mapping: dict[str, str] = {}
-    problems: list[str] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader, start=1):
-            if not row or (i == 1 and row[0].strip().lower() == "sds"):
-                continue
-            if len(row) < 2 or not row[0].strip() or not row[1].strip():
-                problems.append(f"line {i}: expected 'sds,uda'")
-                continue
-            sds, uda = row[0].strip(), row[1].strip()
-            if sds in mapping and mapping[sds] != uda:
-                problems.append(f"line {i}: sds {sds!r} mapped to two udas")
-                continue
-            mapping[sds] = uda
-    if problems:
-        raise IngestError(path, problems)
-    return mapping
+    return read_pairs(path, "sds", "uda")
 
 
 def working_years(start: np.ndarray, end: np.ndarray,

@@ -24,6 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .corpus import read_pairs
+
 ALPHABETICAL = "alphabetical"
 POSITION_WEIGHTED = "position_weighted"
 CONVENTIONS = (ALPHABETICAL, POSITION_WEIGHTED)
@@ -128,25 +130,8 @@ class ConventionMap:
 
 def load_convention_map(path, global_override: str | None = None) -> ConventionMap:
     """Two-column CSV (sds, convention)."""
-    path = Path(path)
-    overrides: dict[str, str] = {}
-    problems: list[str] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader, start=1):
-            if not row or (i == 1 and row[0].strip().lower() == "sds"):
-                continue
-            if len(row) < 2 or not row[0].strip():
-                problems.append(f"line {i}: expected 'sds,convention'")
-                continue
-            sds, conv = row[0].strip(), row[1].strip().lower()
-            if conv not in CONVENTIONS:
-                problems.append(f"line {i}: unknown convention {row[1]!r}")
-                continue
-            overrides[sds] = conv
-    if problems:
-        raise CreditError(f"{path}: " + "; ".join(problems))
-    return ConventionMap(overrides=overrides, global_override=global_override)
+    return ConventionMap(overrides=read_pairs(path, "sds", "convention", CONVENTIONS),
+                         global_override=global_override)
 
 
 def write_convention_map(path, conventions: Mapping[str, str]) -> None:

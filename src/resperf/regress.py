@@ -278,16 +278,27 @@ class ModelSpec:
             raise ValueError(f"unknown covariates: {', '.join(unknown)}")
         if len(set(self.covariates)) != len(self.covariates):
             raise ValueError("covariates must be distinct")
+        if self.max_seniority is not None and math.isnan(self.max_seniority):
+            raise ValueError("max_seniority must be a number, got nan")
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ModelSpec":
-        """Key-value form: dependent, age_degree, covariates, max_seniority; null = default."""
-        casts = {"dependent": str, "age_degree": int, "covariates": tuple, "max_seniority": float}
-        extra = set(data) - set(casts)
+        """Key-value form: dependent, age_degree, covariates, max_seniority, each
+        of its JSON type; null = default."""
+        kinds = {"dependent": (str, "a string"), "age_degree": (int, "a whole number"),
+                 "covariates": ((list, tuple), "a list of strings"),
+                 "max_seniority": ((int, float), "a number")}
+        extra = set(data) - set(kinds)
         if extra:
             raise ValueError(f"unknown model spec keys: {', '.join(sorted(extra))}")
-        return cls(**{key: casts[key](value) for key, value in data.items()
-                      if value is not None})
+        values = {key: value for key, value in data.items() if value is not None}
+        for key, value in values.items():
+            kind, wanted = kinds[key]
+            if isinstance(value, bool) or not isinstance(value, kind) or (
+                    key == "covariates" and not all(isinstance(c, str) for c in value)):
+                raise ValueError(f"{key} must be {wanted}, got {value!r}")
+        casts = {"covariates": tuple, "max_seniority": float}
+        return cls(**{k: casts[k](v) if k in casts else v for k, v in values.items()})
 
 
 @dataclass
@@ -384,7 +395,8 @@ def select_age_degree(design_builder: Callable[[int], tuple[np.ndarray, np.ndarr
     """Degree in 1..max_degree with minimal AIC; ties go to the lower degree.
 
     ``design_builder(degree)`` returns (y, X).  Degrees whose fit fails are
-    skipped; if every degree fails the last error is re-raised.
+    skipped; if every degree fails, a :class:`FitError` reads "all candidate
+    degrees failed: " and the last degree's error.
     """
     return _min_aic(lambda degree: (fit_fractional_logit(*design_builder(degree)), None),
                     max_degree)[0]

@@ -24,7 +24,7 @@ from datetime import date
 import numpy as np
 
 from .corpus import (DAYS_PER_YEAR, UNIVERSITY_TYPES, Corpus, Roster, _ColumnBuffer,
-                     derive_covariates)
+                     derive_covariates, json_number, read_json_object)
 from .credit import ALPHABETICAL, CONVENTIONS, POSITION_WEIGHTED, ConventionMap
 from .pipeline import regression_frame, run_scoring
 from .regress import FitError, ModelSpec, fit_model, fit_with_selected_degree
@@ -69,6 +69,16 @@ DEFAULT_FIELDS = (
     FieldSpec("FIS/01", "PHY", ALPHABETICAL),
     FieldSpec("ING-IND/01", "IIE", ALPHABETICAL),
 )
+
+
+def _field_spec(item) -> FieldSpec:
+    """A FieldSpec from an [sds, uda, convention] list or an object with those keys."""
+    parts = [item.get(k) for k in ("sds", "uda", "convention")] if isinstance(item, dict) \
+        else item
+    if not (isinstance(parts, list) and len(parts) == 3
+            and all(isinstance(v, str) for v in parts)):
+        raise ValueError(f"each field needs a string sds, uda and convention, got {item!r}")
+    return FieldSpec(*parts)
 
 
 @dataclass(frozen=True)
@@ -119,25 +129,28 @@ class SimConfig:
 
     @classmethod
     def from_file(cls, path) -> "SimConfig":
-        import json
-        from pathlib import Path
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if "fields" in data:
-            parsed = []
-            for item in data["fields"]:
-                if isinstance(item, dict):
-                    parsed.append(FieldSpec(item["sds"], item["uda"], item["convention"]))
-                else:
-                    parsed.append(FieldSpec(*item))
-            data["fields"] = tuple(parsed)
-        if "window" in data:
-            data["window"] = tuple(int(v) for v in data["window"])
-        if "university_type_shares" in data:
-            data["university_type_shares"] = tuple(data["university_type_shares"])
+        """Config from a JSON object file: numbers, lists of numbers for the
+        tuple fields, and ``fields`` as [sds, uda, convention] lists or
+        objects with those keys.  Any problem raises an IngestError."""
+        return read_json_object(path, cls._from_json)
+
+    @classmethod
+    def _from_json(cls, data: dict) -> "SimConfig":
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown sim config keys: {', '.join(sorted(unknown))}")
-        return cls(**data)
+        values = {}
+        for key, value in data.items():
+            default = cls.__dataclass_fields__[key].default
+            if not isinstance(default, tuple):
+                values[key] = json_number(value, key, whole=isinstance(default, int))
+            elif not isinstance(value, list) or key != "fields" and len(value) != len(default):
+                what = "fields" if key == "fields" else f"{len(default)} numbers"
+                raise ValueError(f"{key} must be a list of {what}, got {value!r}")
+            else:
+                values[key] = tuple(_field_spec(v) if key == "fields" else json_number(
+                    v, key, whole=isinstance(default[0], int)) for v in value)
+        return cls(**values)
 
     def conventions(self) -> ConventionMap:
         return ConventionMap(overrides={f.sds: f.convention for f in self.fields})

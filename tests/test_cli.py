@@ -180,6 +180,17 @@ class TestCompute:
         assert "line 5: P4: no working years inside window (2006, 2010)" in res.output
         assert not (tmp_path / "x").exists()
 
+    def test_conflicting_convention_exits_two_naming_the_line(self, tiny_files, tmp_path):
+        conventions = tmp_path / "conventions.csv"
+        conventions.write_text("sds,convention\nMED/01,alphabetical\n"
+                               "MED/01,position_weighted\n")
+        res = invoke("compute", "--roster", tiny_files / "roster.csv",
+                     "--pubs", tiny_files / "pubs.csv", "--conventions", conventions,
+                     "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert ("conventions.csv: line 3: sds 'MED/01' mapped to two conventions"
+                in res.output)
+
     def test_force_convention_recorded(self, tiny_files, tmp_path):
         out = tmp_path / "out"
         res = invoke("compute", "--roster", tiny_files / "roster.csv",
@@ -359,6 +370,50 @@ class TestRegress:
         res = invoke("regress", "--data", tmp_path / "ghost", "--out", tmp_path / "x")
         assert res.exit_code == 2
 
+    def test_nan_seniority_cap_exits_two(self, sim_chain, tmp_path):
+        res = invoke("regress", "--data", sim_chain / "comp", "--max-seniority", "nan",
+                     "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert "max_seniority must be a number, got nan" in res.output
+
+
+# (command, option, file content): a malformed JSON object input of each
+# command, which must exit 2 naming the file.
+JSON_INPUT_PROBES = {
+    "totals-list": ("report", "--totals", "[1, 2]"),
+    "totals-fraction": ("report", "--totals", '{"MAT": 10.7, "BIO": 1000}'),
+    "totals-boolean": ("report", "--totals", '{"MAT": 1000, "BIO": true}'),
+    "totals-invalid-json": ("report", "--totals", '{"MAT": 1000,'),
+    "totals-negative": ("report", "--totals", '{"MAT": -5, "BIO": 1000}'),
+    "spec-list": ("regress", "--spec", "[1]"),
+    "spec-covariates-number": ("regress", "--spec", '{"covariates": 5}'),
+    "spec-max-seniority-list": ("regress", "--spec", '{"max_seniority": [1]}'),
+    "spec-dependent-number": ("regress", "--spec", '{"dependent": 3}'),
+    "spec-max-seniority-nan": ("regress", "--spec", '{"max_seniority": NaN}'),
+    "sim-list": ("simulate", "--config", "[1]"),
+    "sim-field-without-uda": ("simulate", "--config",
+                              '{"fields": [{"sds": "MAT/01", "convention": "alphabetical"}]}'),
+    "sim-window-one-year": ("simulate", "--config", '{"window": [2006]}'),
+    "sim-n-professors-string": ("simulate", "--config", '{"n_professors": "5"}'),
+    "sim-shares-not-a-list": ("simulate", "--config", '{"university_type_shares": 1}'),
+    "sim-effect-nan": ("simulate", "--config", '{"true_age_effect": NaN}'),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(JSON_INPUT_PROBES))
+def test_bad_json_inputs_exit_two_naming_the_file(sim_chain, tmp_path, probe):
+    command, option, content = JSON_INPUT_PROBES[probe]
+    path = tmp_path / "probe.json"
+    path.write_text(content)
+    args = {"report": ["--roster", sim_chain / "sim" / "roster.csv",
+                       "--indicators", sim_chain / "comp" / "indicators.csv"],
+            "regress": ["--data", sim_chain / "comp"],
+            "simulate": ["--runs", 1]}[command]
+    res = invoke(command, *args, option, path, "--out", tmp_path / "x")
+    assert res.exit_code == 2, res.output
+    assert f"{path}: " in res.output
+    assert not (tmp_path / "x").exists()
+
 
 class TestSimulate:
     def test_artifacts_and_determinism(self, tmp_path):
@@ -474,6 +529,30 @@ class TestReport:
             first_table = fh.read().split("\n\n")[0]
         rows = {r[0]: r for r in csv.reader(first_table.splitlines())}
         assert float(rows["Total"][2]) == pytest.approx(320 / 2000 * 100, abs=0.01)
+
+    @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
+    def test_age_bin_width_must_be_finite_and_positive(self, sim_chain, tmp_path, width):
+        res = invoke("report", "--roster", sim_chain / "sim" / "roster.csv",
+                     "--indicators", sim_chain / "comp" / "indicators.csv",
+                     "--age-bin-width", width, "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert "--age-bin-width" in res.output
+        assert not (tmp_path / "x").exists()
+
+    def test_every_unscored_roster_row_named(self, sim_chain, tmp_path):
+        lines = (sim_chain / "comp" / "indicators.csv").read_text().splitlines()
+        gone = (2, 5, 9)  # indicators.csv lists professors in roster order
+        indicators = tmp_path / "indicators.csv"
+        indicators.write_text("\n".join(
+            line for n, line in enumerate(lines, start=1) if n not in gone) + "\n")
+        res = invoke("report", "--roster", sim_chain / "sim" / "roster.csv",
+                     "--indicators", indicators, "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert "roster.csv: line 2: " in res.output
+        for n in gone:
+            pid = lines[n - 1].split(",")[0]
+            assert f"line {n}: {pid}: no scores in {indicators}" in res.output
+        assert res.output.count("no scores") == len(gone)
 
     def test_score_gap_exits_two(self, tiny_files, sim_chain, tmp_path):
         res = invoke("report", "--roster", tiny_files / "roster.csv",

@@ -88,13 +88,15 @@ class TestRosterIngest:
             ingest_roster(path)
         assert len(info.value.problems) == 4
 
-    def test_long_problem_lists_are_truncated(self, tmp_path):
+    def test_long_problem_lists_are_shown_in_full(self, tmp_path):
         rows = [f"P{i},x,1950-06-30,1985-03-01,MAT/01,MAT,public" for i in range(12)]
         path = write_lines(tmp_path / "roster.csv", ROSTER_HEADER, *rows)
         with pytest.raises(IngestError) as info:
             ingest_roster(path)
         assert len(info.value.problems) == 12
-        assert "+4 more" in str(info.value)
+        assert all(f"line {n}: gender must be M or F" in str(info.value)
+                   for n in range(2, 14))
+        assert "more" not in str(info.value)
 
     def test_missing_column_rejected(self, tmp_path):
         path = write_lines(tmp_path / "roster.csv",
@@ -129,6 +131,25 @@ class TestRosterIngest:
             "P1,M,1950-06-30,1985-03-01,MAT/01,MAT,public,2008-01-01,")
         with pytest.raises(IngestError, match="together"):
             ingest_roster(path)
+
+    def test_lone_span_column_reads_as_one_sided_span(self, tmp_path):
+        path = write_lines(
+            tmp_path / "roster.csv", ROSTER_HEADER + ",active_start",
+            "P1,M,1950-06-30,1985-03-01,MAT/01,MAT,public,",
+            "P2,M,1950-06-30,1985-03-01,MAT/01,MAT,public,2008-01-01")
+        with pytest.raises(IngestError) as info:
+            ingest_roster(path)
+        assert info.value.problems == [
+            "line 3: active_start/active_end must be given together"]
+
+    def test_short_rows_read_as_empty_cells(self, tmp_path):
+        path = write_lines(
+            tmp_path / "roster.csv", ROSTER_HEADER + ",active_start,active_end",
+            "P1,M,1950-06-30,1985-03-01,MAT/01,MAT",
+            "P2,M,1950-06-30,1985-03-01,MAT/01,MAT,public")
+        with pytest.raises(IngestError) as info:
+            ingest_roster(path)
+        assert info.value.problems == ["line 2: unknown university_type ''"]
 
     def test_reversed_active_span_rejected(self, tmp_path):
         path = write_lines(
@@ -288,6 +309,19 @@ class TestPublicationIngest:
         path = tmp_path / "pubs.csv"
         write_publications(path, make_corpus(pubs))
         assert records(ingest_publications(path)) == pubs
+
+    def test_missing_column_named_on_line_one(self, tmp_path):
+        path = write_lines(tmp_path / "pubs.csv", PUBS_HEADER.replace(",citations", ""),
+                           "W1,2008,MAT/01,1.5,article,P1@U1")
+        with pytest.raises(IngestError) as err:
+            ingest_publications(path)
+        assert err.value.problems == ["line 1: missing column(s) citations"]
+
+    def test_short_row_reads_as_empty_cells(self, tmp_path):
+        path = write_lines(tmp_path / "pubs.csv", PUBS_HEADER, "W1,2008,MAT/01,1.5")
+        with pytest.raises(IngestError) as err:
+            ingest_publications(path)
+        assert err.value.problems == ["line 2: unparseable citations ''"]
 
     def test_invalid_json_line_reported(self, tmp_path):
         path = tmp_path / "pubs.jsonl"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resperf.corpus import IngestError
 from resperf.credit import (ALPHABETICAL, CONVENTIONS, POSITION_WEIGHTED,
                             POSITION_WEIGHTED_UDAS, ConventionMap, CreditError,
                             byline_weights, fractional_contribution,
@@ -193,5 +194,13 @@ class TestConventionMap:
     def test_csv_bad_convention_rejected(self, tmp_path):
         path = tmp_path / "conventions.csv"
         path.write_text("sds,convention\nMAT/03,citations\n")
-        with pytest.raises(CreditError, match="line 2"):
+        with pytest.raises(IngestError, match="line 2"):
             load_convention_map(path)
+
+    def test_csv_conflicting_repeat_rejected(self, tmp_path):
+        path = tmp_path / "conventions.csv"
+        path.write_text("sds,convention\nMED/01,alphabetical\nMED/01,alphabetical\n"
+                        "MED/01,Position_Weighted\n")
+        with pytest.raises(IngestError) as info:
+            load_convention_map(path)
+        assert info.value.problems == ["line 4: sds 'MED/01' mapped to two conventions"]

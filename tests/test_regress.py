@@ -297,7 +297,7 @@ class TestModelSpec:
     @pytest.mark.parametrize("kwargs", [
         {"age_degree": 0}, {"age_degree": 4}, {"dependent": "H"},
         {"covariates": ("Seniority", "Bogus")},
-        {"covariates": ("Seniority", "Seniority")},
+        {"covariates": ("Seniority", "Seniority")}, {"max_seniority": math.nan},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
