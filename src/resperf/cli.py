@@ -237,6 +237,13 @@ def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
                            age=numbers[:, 0], covariates=numbers[:, 1:], percentiles=percentiles)
 
 
+def _spec_from_file(data: dict, overrides: dict) -> ModelSpec:
+    if "age_degree" in data:
+        raise ValueError("age_degree is not a spec key: regress selects the age degree "
+                         "by AIC, up to --max-degree")
+    return ModelSpec.from_mapping({**data, **overrides})
+
+
 @main.command()
 @click.option("--data", "data_path", required=True,
               help="Directory holding compute output (covariates.csv, percentiles.csv).")
@@ -247,7 +254,7 @@ def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
 @click.option("--max-seniority", type=float, default=None,
               help="Keep only professors with seniority strictly below this.")
 @click.option("--spec", "spec_path", default=None,
-              help="JSON model spec (dependent, age_degree, covariates, max_seniority); "
+              help="JSON model spec (dependent, covariates, max_seniority); "
                    "flags override its entries.")
 @click.option("--total-only", is_flag=True, help="Skip the per-discipline fits.")
 @click.option("--allow-partial", is_flag=True,
@@ -263,14 +270,14 @@ def regress(data_path, dependent, max_degree, max_seniority, spec_path,
     _require_paths(data, cov_path, pct_path, spec_path)
 
     # flags override the spec file; the degree comes from AIC selection
-    overrides = {"age_degree": None}
+    overrides = {}
     if click.get_current_context().get_parameter_source("dependent").name != "DEFAULT":
         overrides["dependent"] = dependent
     if max_seniority is not None:
         overrides["max_seniority"] = max_seniority
     if spec_path:
         spec = _input_stage("model spec", read_json_object, spec_path,
-                            lambda data: ModelSpec.from_mapping({**data, **overrides}))
+                            lambda data: _spec_from_file(data, overrides))
     else:
         spec = _input_stage("model spec", ModelSpec.from_mapping, overrides)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import logging
 import math
@@ -222,7 +223,38 @@ class Roster:
         return len(self.ids)
 
 
-# Numeric corpus columns; every other column is a list of strings.
+class NameSequence(Sequence):
+    """Read-only names: the ``head`` list, then ``pattern.format(k)`` for k =
+    1..``count``, each formatted only when read.
+
+    An index returns a name, a slice a list, iteration maps the pattern; it
+    equals the list of its names.  The simulator names its publications and
+    co-authors with it, so a cohort nobody writes out builds no tail names.
+    """
+
+    def __init__(self, head: list[str], pattern: str, count: int):
+        self.head, self.pattern, self.count = head, pattern, count
+
+    def __len__(self) -> int:
+        return len(self.head) + self.count
+
+    def _name(self, i: int) -> str:
+        return self.head[i] if i < len(self.head) else self.pattern.format(i - len(self.head) + 1)
+
+    def __getitem__(self, index):
+        at = range(len(self))[index]  # bounds-checked, negative indices resolved
+        return [self._name(i) for i in at] if isinstance(index, slice) else self._name(at)
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.chain(self.head, map(self.pattern.format, range(1, self.count + 1)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, NameSequence)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+
+# Numeric corpus columns; every other column is a list of strings or a NameSequence.
 _COLUMN_DTYPES = {"year": np.int64, "category": np.int32, "citations": np.int64,
                   "impact": np.float64, "doc_type": np.int32, "n_authors": np.int32,
                   "author": np.int32, "university": np.int32}
@@ -245,7 +277,8 @@ class Corpus:
     or numpy and pass them, less the derived ``shared``, ``pub`` and
     ``position``, to the constructor; ingest also passes ``author_codes``,
     the author-to-code map it built.  The simulator codes roster authors
-    first, in roster order.  Treated as read-only after construction.
+    first, in roster order, and passes ``ids`` and ``authors`` as
+    :class:`NameSequence`.  Treated as read-only after construction.
     """
 
     def __init__(self, columns: dict, dropped: int = 0):
@@ -601,7 +634,8 @@ def write_roster(path, roster: Roster) -> None:
 
 
 def write_publications(path, corpus: Corpus) -> None:
-    tokens = [f"{corpus.authors[a]}@{corpus.universities[u]}" for a, u in
+    authors = list(corpus.authors)  # a NameSequence formats once, not once per slot
+    tokens = [f"{authors[a]}@{corpus.universities[u]}" for a, u in
               zip(corpus.author.tolist(), corpus.university.tolist())]
     ends = np.cumsum(corpus.n_authors).tolist()
     path = Path(path)

@@ -212,11 +212,17 @@ def collinearity_check(X, columns: Sequence[str] | None = None,
         raise ValueError("one name per column required")
     exempt = set(vif_exempt) | {"Intercept"}
 
+    # Greedy exact-dependence pass.  X[:, S] and R[:, S] share their singular
+    # values, so each trial is ranked on R with matrix_rank's tolerance for
+    # the n-row trial on X.
+    R = np.linalg.qr(X, mode="r")
+    eps = np.finfo(float).eps
     kept: list[int] = []
     dropped: list[str] = []
     for j in range(k):
-        trial = X[:, kept + [j]]
-        if np.linalg.matrix_rank(trial) == len(kept) + 1:
+        trial = kept + [j]
+        sv = np.linalg.svd(R[:, trial], compute_uv=False)
+        if np.count_nonzero(sv > sv.max(initial=0.0) * max(n, len(trial)) * eps) == len(trial):
             kept.append(j)
         else:
             dropped.append(columns[j])

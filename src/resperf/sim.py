@@ -23,8 +23,8 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import (DAYS_PER_YEAR, UNIVERSITY_TYPES, Corpus, Roster, _ColumnBuffer,
-                     derive_covariates, json_number, read_json_object)
+from .corpus import (DAYS_PER_YEAR, UNIVERSITY_TYPES, Corpus, NameSequence, Roster,
+                     _ColumnBuffer, derive_covariates, json_number, read_json_object)
 from .credit import ALPHABETICAL, CONVENTIONS, POSITION_WEIGHTED, ConventionMap
 from .pipeline import regression_frame, run_scoring
 from .regress import FitError, ModelSpec, fit_model, fit_with_selected_degree
@@ -52,6 +52,10 @@ _POOL_TYPES = np.array([UNIVERSITY_TYPES.index(name) for name, _, _ in UNIVERSIT
 BYLINE_MEAN = {POSITION_WEIGHTED: 5.0, ALPHABETICAL: 3.0}
 SAME_UNIVERSITY_SHARE = 0.45
 EXTERNAL_UNIVERSITIES = 12
+
+# Names of the k-th publication and the k-th co-author, k counted from 1.
+PUBLICATION_ID = "W{:07d}"
+COAUTHOR_NAME = "X{}"
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_professors < 0:
             raise ValueError("n_professors must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not self.fields:
             raise ValueError("at least one field is required")
         for f in self.fields:
@@ -282,7 +288,8 @@ def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
 
     # Authorship table in byline order.  Authors are coded as the roster
     # index for the focal professor and n + k for the k-th co-author, named
-    # X{k+1}; universities index the pools, then the external ones.
+    # COAUTHOR_NAME.format(k + 1); universities index the pools, then the
+    # external ones.
     slot_pub = np.repeat(np.arange(total), n_authors)
     starts = np.cumsum(n_authors) - n_authors
     focal = np.arange(slot_pub.size) - starts[slot_pub] == focal_pos[slot_pub]
@@ -298,12 +305,12 @@ def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
     field_category = np.array([categories.setdefault(f.sds, len(categories))
                                for f in config.fields])
     corpus = Corpus({
-        "ids": [f"W{j + 1:07d}" for j in range(total)],
+        "ids": NameSequence([], PUBLICATION_ID, total),
         "year": years, "category": field_category[pub_field],
         "categories": list(categories), "citations": citations, "impact": impact,
         "doc_type": np.zeros(total, dtype=np.int32), "doc_types": ["article"],
         "n_authors": n_authors, "author": author,
-        "authors": roster.ids + [f"X{k + 1}" for k in range(n_co)],
+        "authors": NameSequence(roster.ids, COAUTHOR_NAME, n_co),
         "university": university,
         "universities": [f"{prefix}{k}" for _, prefix, size in UNIVERSITY_POOLS
                          for k in range(size)]

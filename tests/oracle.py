@@ -1,6 +1,7 @@
-"""Per-professor reference implementation of covariates, scoring and percentiles.
+"""Reference implementations: per-professor covariates, scoring and
+percentiles, and the per-column rank test of the exact-dependence pass.
 
-This is the loop the vectorised passes in ``resperf.corpus``,
+The per-professor loop is the one the vectorised passes in ``resperf.corpus``,
 ``resperf.indicators`` and ``resperf.cohort`` replaced.  It reads the roster
 and the corpus back as records from their columns.  Covariates come from
 ``datetime.date`` arithmetic, one professor at a time.  Scoring walks each
@@ -9,7 +10,8 @@ professor's publications in corpus order, takes each credit share from
 each cohort with a Python tie loop.  It calls neither
 ``Corpus.authored_by`` nor ``fractional_contribution``, which it checks.
 The vectorised code adds the same terms in the same order, so tests compare
-the two with ``==``.
+the two with ``==``.  :func:`exact_dependence` runs one ``matrix_rank`` per
+column, where ``resperf.regress.collinearity_check`` factorises once.
 """
 
 from __future__ import annotations
@@ -261,3 +263,14 @@ def cohort_percentiles(roster, scores) -> np.ndarray:
             for i, pct in zip(holders, percentile_rank(values)):
                 out[i, j] = pct
     return out
+
+
+def exact_dependence(X: np.ndarray) -> tuple[list[int], list[int]]:
+    """Kept and dropped columns of the greedy exact-dependence pass: left to
+    right, a column is kept when it raises ``matrix_rank`` of the kept ones."""
+    kept: list[int] = []
+    dropped: list[int] = []
+    for j in range(X.shape[1]):
+        raises = np.linalg.matrix_rank(X[:, kept + [j]]) == len(kept) + 1
+        (kept if raises else dropped).append(j)
+    return kept, dropped

@@ -370,6 +370,15 @@ class TestRegress:
         res = invoke("regress", "--data", tmp_path / "ghost", "--out", tmp_path / "x")
         assert res.exit_code == 2
 
+    def test_spec_age_degree_points_to_max_degree(self, sim_chain, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"age_degree": 2}')
+        res = invoke("regress", "--data", sim_chain / "comp", "--spec", spec,
+                     "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert f"{spec}: age_degree" in res.output and "--max-degree" in res.output
+        assert "age_degree" not in invoke("regress", "--help").output
+
     def test_nan_seniority_cap_exits_two(self, sim_chain, tmp_path):
         res = invoke("regress", "--data", sim_chain / "comp", "--max-seniority", "nan",
                      "--out", tmp_path / "x")
@@ -390,6 +399,7 @@ JSON_INPUT_PROBES = {
     "spec-max-seniority-list": ("regress", "--spec", '{"max_seniority": [1]}'),
     "spec-dependent-number": ("regress", "--spec", '{"dependent": 3}'),
     "spec-max-seniority-nan": ("regress", "--spec", '{"max_seniority": NaN}'),
+    "spec-age-degree": ("regress", "--spec", '{"age_degree": 9}'),
     "sim-list": ("simulate", "--config", "[1]"),
     "sim-field-without-uda": ("simulate", "--config",
                               '{"fields": [{"sds": "MAT/01", "convention": "alphabetical"}]}'),
@@ -397,6 +407,7 @@ JSON_INPUT_PROBES = {
     "sim-n-professors-string": ("simulate", "--config", '{"n_professors": "5"}'),
     "sim-shares-not-a-list": ("simulate", "--config", '{"university_type_shares": 1}'),
     "sim-effect-nan": ("simulate", "--config", '{"true_age_effect": NaN}'),
+    "sim-seed-negative": ("simulate", "--config", '{"seed": -1, "n_professors": 50}'),
 }
 
 
@@ -461,6 +472,12 @@ class TestSimulate:
     def test_zero_runs_exits_two(self, tmp_path):
         res = invoke("simulate", "--runs", 0, "--out", tmp_path / "x")
         assert res.exit_code == 2
+
+    def test_negative_seed_exits_two(self, tmp_path):
+        res = invoke("simulate", "--seed", -5, "--runs", 1, "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert "seed must be nonnegative, got -5" in res.output
+        assert not (tmp_path / "x").exists()
 
     def test_bad_config_exits_two(self, tmp_path):
         config = tmp_path / "sim.json"

@@ -14,7 +14,7 @@ import numpy as np
 
 from helpers import (make_corpus, make_professor, make_publication, make_roster,
                      professors, records)
-from resperf.corpus import (DAYS_PER_YEAR, IngestError,
+from resperf.corpus import (DAYS_PER_YEAR, IngestError, NameSequence,
                             derive_covariates, exact_years,
                             ingest_publications, ingest_roster, load_sds_map,
                             whole_years, working_years, write_publications,
@@ -402,6 +402,91 @@ class TestIngestNeverCrashes:
         assert len(corpus) == len(corpus.ids) == corpus.year.size
         assert int(corpus.n_authors.sum()) == corpus.author.size
         assert all(math.isnan(x) or 0 <= x < math.inf for x in corpus.impact.tolist())
+
+
+class TestRosterNeverCrashes:
+    """Arbitrary roster cells either ingest and yield covariates or raise
+    IngestError, never another exception."""
+
+    GOOD = ["P{}", "M", "1955-02-10", "1990-10-01", "MAT/01", "MAT", "public", "", ""]
+    EDGE_TEXT = ["", " ", "2009-02-29", "2008-02-29", "1900-02-29", "0001-01-01",
+                 "9999-12-31", "10000-01-01", "2010-12-31", "2011-01-01", "2007-01-01",
+                 "1955-13-01", "x", "other", "f", "MALE", "Polytechnic", "university",
+                 "BIO/05", "BIO", "P0"]
+    CENSUS = [date(2010, 12, 31), date(1, 1, 1), date(9999, 12, 31)]
+
+    @given(changes=st.lists(st.tuples(
+        st.dictionaries(st.integers(0, 8), st.sampled_from(EDGE_TEXT) | st.text(max_size=8),
+                        max_size=3),
+        st.integers(0, 9)), max_size=4), census=st.sampled_from(CENSUS))
+    @settings(deadline=None, max_examples=200)
+    def test_csv(self, tmp_path_factory, changes, census):
+        """A row is a valid one with up to three cells replaced, cut to a random length."""
+        rows = []
+        for i, (cells, length) in enumerate(changes):
+            row = [self.GOOD[0].format(i), *self.GOOD[1:]]
+            for col, text in cells.items():
+                row[col] = text
+            rows.append(row[:length])
+        self.check(tmp_path_factory.mktemp("fuzz") / "roster.csv", rows, census)
+
+    def test_every_single_cell_edge_text(self, tmp_path):
+        """Feb 29 of a non-leap year, years 1 and 9999, unknown genders and
+        university types and one-sided spans, one cell at a time."""
+        for col in range(len(self.GOOD)):
+            for n, text in enumerate(self.EDGE_TEXT):
+                row = [self.GOOD[0].format(1), *self.GOOD[1:]]
+                row[col] = text
+                for census in self.CENSUS:
+                    self.check(tmp_path / f"roster{col}_{n}.csv", [row], census)
+
+    @staticmethod
+    def check(path, rows, census):
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(ROSTER_HEADER.split(",") + ["active_start", "active_end"])
+            writer.writerows(rows)
+        try:
+            roster = ingest_roster(path)
+            covariates = derive_covariates(roster, census, (2006, 2010))
+        except IngestError:
+            return
+        assert all(column.shape == (len(roster),) for column in covariates.values())
+
+
+class TestNameSequence:
+    @given(n_head=st.integers(0, 3), count=st.integers(0, 4), data=st.data())
+    def test_equals_the_eager_list(self, n_head, count, data):
+        head = [f"P{i}" for i in range(n_head)]
+        names = NameSequence(head, "W{:03d}", count)
+        eager = head + [f"W{k:03d}" for k in range(1, count + 1)]
+        size = len(eager)
+        assert len(names) == size
+        assert [names[i] for i in range(-size, size)] == eager + eager
+        assert [names[np.int64(i)] for i in range(size)] == eager
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                names[i]
+        cut = data.draw(st.slices(size + 2))
+        assert names[cut] == eager[cut]
+        assert list(names) == eager
+        assert names == eager and eager == names
+        assert names == NameSequence(eager, "", 0)
+        assert names != eager + ["W999"] and names != tuple(eager)
+        if size:
+            assert names != eager[:-1] + ["other"]
+
+    def test_names_are_formatted_only_when_read(self):
+        formatted = []
+
+        class Pattern(str):
+            def format(self, *args):
+                formatted.append(args)
+                return super().format(*args)
+
+        names = NameSequence(["P1", "P2"], Pattern("X{}"), 3)
+        assert names[:2] == ["P1", "P2"] and len(names) == 5 and formatted == []
+        assert names[-1] == "X3" and formatted == [(3,)]
 
 
 class TestCorpusIndex:

@@ -8,6 +8,7 @@ import pytest
 
 import resperf.regress
 from helpers import make_frame
+from oracle import exact_dependence
 from resperf.indicators import INDICATORS
 from resperf.regress import (AGE_TERMS, CoreFit, Design, FitError, ModelSpec,
                              QuasiSeparationError,
@@ -287,6 +288,34 @@ class TestCollinearity:
     def test_name_count_must_match(self):
         with pytest.raises(ValueError, match="one name per column"):
             collinearity_check(np.ones((5, 2)), ("only",))
+
+    @staticmethod
+    def planted_design(rng, n):
+        """Independent columns of mixed scales, with a duplicate, a linear
+        combination, a zero and a constant column planted at random places."""
+        cols = [rng.normal(0, 1, n), rng.uniform(40, 70, n) ** 3,
+                (rng.random(n) < 0.3).astype(float), rng.normal(5, 1e-3, n)]
+        cols = cols[:rng.integers(1, len(cols) + 1)]
+        if rng.random() < 0.8:
+            cols.insert(0, np.ones(n))
+        picks = rng.integers(0, len(cols), size=3)
+        faults = [cols[picks[0]].copy(),
+                  rng.normal() * cols[picks[1]] + rng.normal() * cols[picks[2]],
+                  np.zeros(n), np.full(n, rng.normal())]
+        for fault in faults:
+            cols.insert(int(rng.integers(0, len(cols) + 1)), fault)
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 12, 50, 1000, 20_000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_dependence_matches_rank_oracle(self, n, seed):
+        X = self.planted_design(np.random.default_rng(1000 * seed + n), n)
+        kept, dropped = exact_dependence(X)
+        assert dropped  # the zero column at least
+        names = tuple(f"c{j}" for j in range(X.shape[1]))
+        report = collinearity_check(X, names, threshold=np.inf)  # exact pass only
+        assert report.columns == tuple(names[j] for j in kept)
+        assert report.dropped == tuple(names[j] for j in dropped)
 
 
 class TestModelSpec:

@@ -1,5 +1,6 @@
 """Synthetic cohort generator: determinism, calibration, recovery harness."""
 
+import logging
 import math
 from dataclasses import replace
 from datetime import date
@@ -7,6 +8,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+import resperf.sim
 from helpers import professors, records
 from resperf.corpus import derive_covariates, write_publications, write_roster
 from resperf.credit import ALPHABETICAL, POSITION_WEIGHTED
@@ -28,6 +30,7 @@ def serialize(roster, corpus):
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"n_professors": -1},
+        {"seed": -1},
         {"fields": ()},
         {"age_seniority_corr_target": 1.0},
         {"citation_dispersion": 0.0},
@@ -229,6 +232,26 @@ class TestRecoveryExperiment:
         monkeypatch.setattr("resperf.sim.run_scoring", broken)
         with pytest.raises(IndexError, match="out of bounds"):
             recovery_experiment(replace(FAST, n_professors=100), n_runs=2)
+
+    def test_later_runs_format_no_names(self, monkeypatch, caplog, tmp_path):
+        """Runs after run 0 that log no skip warning never name a publication
+        or a co-author; writing run 0's files names each once."""
+        formatted = []
+
+        class Pattern(str):
+            def format(self, *args):
+                formatted.append(args)
+                return super().format(*args)
+
+        for name in ("PUBLICATION_ID", "COAUTHOR_NAME"):
+            monkeypatch.setattr(resperf.sim, name, Pattern(getattr(resperf.sim, name)))
+        roster, corpus = generate_cohort(FAST)
+        with caplog.at_level(logging.WARNING):
+            report = recovery_experiment(FAST, n_runs=4, first=(roster, corpus))
+        assert report.n_failed == 0 and caplog.records == []
+        assert formatted == []
+        write_publications(tmp_path / "pubs.csv", corpus)
+        assert len(formatted) == len(corpus.ids) + len(corpus.authors) - len(roster)
 
     def test_run_count_validated(self):
         with pytest.raises(ValueError, match="n_runs"):
