@@ -16,18 +16,20 @@ import csv
 import json
 import logging
 import math
+import operator
 import sys
 from dataclasses import replace
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, _fmt_float, _real_number,
-                     csv_rows, derive_covariates, ingest_publications, ingest_roster,
-                     json_number, load_sds_map, read_json_object, write_publications,
-                     write_roster)
+from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, RowProblems, _fmt_float,
+                     _mask, _real_numbers, derive_covariates, ingest_publications,
+                     ingest_roster, json_number, load_sds_map, read_blocks,
+                     read_json_object, write_publications, write_roster)
 from .credit import (CONVENTIONS, ConventionMap, CreditError,
                      load_convention_map, write_convention_map)
 from .indicators import INDICATORS
@@ -52,6 +54,8 @@ def _parse_window(text: str) -> tuple[int, int]:
                 break
             if window[0] > window[1]:
                 raise click.UsageError(f"window start after end: {text!r}")
+            if not (1 <= window[0] and window[1] <= 9999):
+                raise click.UsageError(f"window years must lie in 1-9999, got {text!r}")
             return window
     raise click.UsageError(f"window must look like 2006:2010, got {text!r}")
 
@@ -195,45 +199,75 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
 
 
 _COVARIATE_COLUMNS = ("professor_id", "uda", "age", "seniority", "gender_dummy", "u1", "u2", "u3")
+_PERCENTILE_COLUMNS = ("professor_id", "indicator", "percentile")
+_INDICATOR_CODES = {name: code for code, name in enumerate(INDICATORS)}
+_DUMMIES = {"0": 0.0, "1": 1.0}
+# Exclusive bound on age and seniority: compute writes values below it,
+# since roster dates fall in years 1 to 9999.
+_MAX_YEARS = 10_000
 
 
 def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
     """compute's covariates.csv and percentiles.csv, validated, as one frame."""
-    problems: list[str] = []
-    rows = list(csv_rows(cov_path, _COVARIATE_COLUMNS))
+    problems = RowProblems(cov_path)
     index: dict[str, int] = {}
-    for line, (pid, _, *values) in rows:
-        if pid in index:
-            problems.append(f"line {line}: duplicate professor_id {pid!r}")
-        index.setdefault(pid, len(index))
-        for name, text in zip(_COVARIATE_COLUMNS[2:], values):
-            if name in ("age", "seniority") and _real_number(text, finite=True) is None:
-                problems.append(f"line {line}: {name} must be a finite number, got {text!r}")
-            elif name not in ("age", "seniority") and text not in ("0", "1"):
-                problems.append(f"line {line}: {name} must be 0 or 1, got {text!r}")
-    if problems:
-        raise IngestError(cov_path, problems)
+    ids: list[str] = []
+    udas: list[str] = []
+    numbers: list[np.ndarray] = []
+    for lines, (pid, uda, *cells) in read_blocks(cov_path, _COVARIATE_COLUMNS):
+        n = len(lines)
+        problems.start(lines)
+        row = range(len(ids), len(ids) + n)
+        first = list(map(index.setdefault, pid, row))
+        problems.flag(np.array(first) != row,
+                      lambda i: f"duplicate professor_id {pid[i]!r}", stop=False)
+        problems.flag(_mask(map(operator.not_, map(str.strip, uda)), n),
+                      lambda i: "empty uda", stop=False)
+        block = np.empty((n, len(cells)))
+        for j, (name, texts) in enumerate(zip(_COVARIATE_COLUMNS[2:], cells)):
+            if name in ("age", "seniority"):
+                block[:, j] = values = _real_numbers(texts)[0]
+                problems.flag(~np.isfinite(values), lambda i: f"{name} must be a finite "
+                                                              f"number, got {texts[i]!r}",
+                              stop=False)
+                problems.flag(~((values >= 0) & (values < _MAX_YEARS)) & np.isfinite(values),
+                              lambda i: f"{name} must be in [0, {_MAX_YEARS}), "
+                                        f"got {texts[i]!r}", stop=False)
+            else:
+                block[:, j] = values = np.array(list(map(_DUMMIES.get, texts)), np.float64)
+                problems.flag(np.isnan(values),
+                              lambda i: f"{name} must be 0 or 1, got {texts[i]!r}", stop=False)
+        ids += pid
+        udas += uda
+        numbers.append(block)
+    problems.raise_any()
 
-    percentiles = np.full((len(rows), len(INDICATORS)), np.nan)
-    for line, (pid, indicator, text) in csv_rows(pct_path,
-                                                 ("professor_id", "indicator", "percentile")):
-        value = _real_number(text, finite=True)
-        if pid not in index:
-            problems.append(f"line {line}: unknown professor_id {pid!r}")
-        elif indicator not in INDICATORS:
-            problems.append(f"line {line}: unknown indicator {indicator!r}")
-        elif value is None or not 0.0 <= value <= 100.0:
-            problems.append(f"line {line}: percentile must be finite and in [0, 100], got {text!r}")
-        elif not math.isnan(percentiles[index[pid], INDICATORS.index(indicator)]):
-            problems.append(f"line {line}: second {indicator} percentile for {pid!r}")
-        else:
-            percentiles[index[pid], INDICATORS.index(indicator)] = value
-    if problems:
-        raise IngestError(pct_path, problems)
+    problems = RowProblems(pct_path)
+    percentiles = np.full((len(ids), len(INDICATORS)), np.nan)
+    for lines, (pid, indicator, texts) in read_blocks(pct_path, _PERCENTILE_COLUMNS):
+        n = len(lines)
+        problems.start(lines)
+        row = np.fromiter(map(index.get, pid, repeat(-1)), np.int64, n)
+        problems.flag(row < 0, lambda i: f"unknown professor_id {pid[i]!r}")
+        column = np.fromiter(map(_INDICATOR_CODES.get, indicator, repeat(-1)), np.int64, n)
+        problems.flag(column < 0, lambda i: f"unknown indicator {indicator[i]!r}")
+        values = _real_numbers(texts)[0]
+        problems.flag(~((values >= 0.0) & (values <= 100.0)),
+                      lambda i: f"percentile must be finite and in [0, 100], got {texts[i]!r}")
+        # a (professor, indicator) set on an earlier line, of an earlier block or this one
+        good = np.flatnonzero(~problems.bad)
+        _, first = np.unique(row[good] * len(INDICATORS) + column[good], return_index=True)
+        repeated = np.zeros(n, dtype=bool)
+        repeated[good] = True
+        repeated[good[first]] = False
+        repeated[good] |= ~np.isnan(percentiles[row[good], column[good]])
+        problems.flag(repeated, lambda i: f"second {indicator[i]} percentile for {pid[i]!r}")
+        ok = np.flatnonzero(~problems.bad)
+        percentiles[row[ok], column[ok]] = values[ok]
+    problems.raise_any()
 
-    numbers = np.array([fields[2:] for _, fields in rows], dtype=float).reshape(-1, 6)
-    return RegressionFrame(ids=np.array([f[0] for _, f in rows], dtype=str),
-                           uda=np.array([f[1] for _, f in rows], dtype=str),
+    numbers = np.concatenate(numbers) if numbers else np.zeros((0, 6))
+    return RegressionFrame(ids=np.array(ids, dtype=str), uda=np.array(udas, dtype=str),
                            age=numbers[:, 0], covariates=numbers[:, 1:], percentiles=percentiles)
 
 
@@ -357,6 +391,9 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
         overrides["n_professors"] = n_professors
     if overrides:
         config = _input_stage("sim config", replace, config, **overrides)
+    if config.n_professors < 2:
+        raise click.UsageError(f"sim config: a cohort needs at least 2 professors, "
+                               f"got {config.n_professors}")
 
     roster, corpus = _compute_stage("generation", generate_cohort, config)
     out = _out_dir(out_path)
@@ -400,28 +437,36 @@ _INDICATOR_COLUMNS = ("professor_id", "fss", "p", "ia", "ij", "n_pubs")
 def _read_indicators(path: Path) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     """compute's indicators.csv, validated: each professor id's row, and the
     fss and n_pubs columns."""
-    problems: list[str] = []
+    problems = RowProblems(path)
     rows: dict[str, int] = {}
-    fss: list[float | None] = []
-    n_pubs: list[int] = []
-    for line, (pid, *texts, count) in csv_rows(path, _INDICATOR_COLUMNS):
-        if pid in rows:
-            problems.append(f"line {line}: duplicate professor_id {pid!r}")
-        rows[pid] = len(fss)
-        for name, text in zip(_INDICATOR_COLUMNS[1:5], texts):
-            value = _real_number(text, finite=True)
+    fss: list[np.ndarray] = []
+    n_pubs: list[np.ndarray] = []
+    for lines, (pid, *cells, count) in read_blocks(path, _INDICATOR_COLUMNS):
+        n = len(lines)
+        problems.start(lines)
+        row = range(len(rows), len(rows) + n)
+        problems.flag(np.array(list(map(rows.setdefault, pid, row))) != row,
+                      lambda i: f"duplicate professor_id {pid[i]!r}", stop=False)
+        for name, texts in zip(_INDICATOR_COLUMNS[1:5], cells):
+            values = _real_numbers(texts)[0]
             optional = name in ("ia", "ij")
-            if (value is None or value < 0) and not (optional and text == ""):
-                problems.append(f"line {line}: {name} must be a finite number >= 0"
-                                f"{' or empty' if optional else ''}, got {text!r}")
-        whole = count.isascii() and count.isdigit()
-        if not whole:
-            problems.append(f"line {line}: n_pubs must be a whole number >= 0, got {count!r}")
-        fss.append(_real_number(texts[0], finite=True))
-        n_pubs.append(int(count) if whole else 0)
-    if problems:
-        raise IngestError(path, problems)
-    return rows, np.array(fss, dtype=float), np.array(n_pubs, dtype=np.int64)
+            invalid = ~(np.isfinite(values) & (values >= 0))
+            if optional:
+                invalid &= _mask(map(operator.truth, texts), n)
+            problems.flag(invalid, lambda i: f"{name} must be a finite number >= 0"
+                                             f"{' or empty' if optional else ''}, "
+                                             f"got {texts[i]!r}", stop=False)
+            if name == "fss":
+                fss.append(values)
+        whole = _mask(map(operator.and_, map(str.isascii, count), map(str.isdigit, count)), n)
+        problems.flag(~whole,
+                      lambda i: f"n_pubs must be a whole number >= 0, got {count[i]!r}",
+                      stop=False)
+        n_pubs.append(np.array([int(c) if w else 0 for c, w in zip(count, whole.tolist())],
+                               dtype=np.int64))
+    problems.raise_any()
+    return (rows, np.concatenate(fss) if fss else np.zeros(0),
+            np.concatenate(n_pubs) if n_pubs else np.zeros(0, np.int64))
 
 
 def _headcounts(data: dict) -> dict[str, int]:

@@ -24,7 +24,7 @@ from datetime import date
 import numpy as np
 
 from .corpus import (DAYS_PER_YEAR, UNIVERSITY_TYPES, Corpus, NameSequence, Roster,
-                     _ColumnBuffer, derive_covariates, json_number, read_json_object)
+                     derive_covariates, empty_corpus, json_number, read_json_object)
 from .credit import ALPHABETICAL, CONVENTIONS, POSITION_WEIGHTED, ConventionMap
 from .pipeline import regression_frame, run_scoring
 from .regress import FitError, ModelSpec, fit_model, fit_with_selected_degree
@@ -231,7 +231,7 @@ def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return (_roster(config, census, empty, empty, empty, empty, empty),
-                Corpus(_ColumnBuffer().columns()))
+                empty_corpus())
     rng = np.random.default_rng(config.seed)
     span_years = end_year - start_year + 1
 
@@ -262,7 +262,7 @@ def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
     counts = rng.poisson(rate * span_years)
     total = int(counts.sum())
     if total == 0:
-        return roster, Corpus(_ColumnBuffer().columns())
+        return roster, empty_corpus()
 
     owner = np.repeat(np.arange(n), counts)
     years = rng.integers(start_year, end_year + 1, size=total)

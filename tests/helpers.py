@@ -8,7 +8,7 @@ from datetime import date
 
 import numpy as np
 
-from resperf.corpus import UNIVERSITY_TYPES, Corpus, Roster, _ColumnBuffer, working_years
+from resperf.corpus import UNIVERSITY_TYPES, Corpus, Roster, working_years
 from resperf.indicators import INDICATORS
 from resperf.regress import RegressionFrame
 
@@ -93,12 +93,24 @@ def make_publication(id="W1", year=2008, category="MAT/01", journal_if=1.5,
 
 def make_corpus(pubs, dropped: int = 0) -> Corpus:
     """Corpus over the records in ``pubs``, in their order."""
-    buf = _ColumnBuffer()
-    for p in pubs:
-        buf.append(p.id, p.year, p.subject_category,
-                   math.nan if p.journal_if is None else p.journal_if, p.citations,
-                   p.doc_type, [a for a, _ in p.byline], [u for _, u in p.byline])
-    return Corpus(buf.columns(), dropped)
+    pubs = list(pubs)
+    codes: dict[str, dict[str, int]] = {"categories": {}, "doc_types": {}, "authors": {},
+                                        "universities": {}}
+
+    def code(name: str, values) -> list[int]:
+        return [codes[name].setdefault(v, len(codes[name])) for v in values]
+
+    slots = [slot for p in pubs for slot in p.byline]
+    return Corpus({
+        "ids": [p.id for p in pubs], "year": [p.year for p in pubs],
+        "category": code("categories", (p.subject_category for p in pubs)),
+        "citations": [p.citations for p in pubs],
+        "impact": [math.nan if p.journal_if is None else p.journal_if for p in pubs],
+        "doc_type": code("doc_types", (p.doc_type for p in pubs)),
+        "n_authors": [len(p.byline) for p in pubs],
+        "author": code("authors", (a for a, _ in slots)),
+        "university": code("universities", (u for _, u in slots)),
+        **{name: list(c) for name, c in codes.items()}}, dropped)
 
 
 def records(corpus: Corpus) -> list[Pub]:

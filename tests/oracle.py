@@ -1,5 +1,12 @@
-"""Reference implementations: per-professor covariates, scoring and
-percentiles, and the per-column rank test of the exact-dependence pass.
+"""Reference implementations: row-by-row roster and publication ingest,
+per-professor covariates, scoring and percentiles, and the per-column rank
+test of the exact-dependence pass.
+
+:func:`ingest_roster` and :func:`ingest_publications` are the row loops the
+block readers in ``resperf.corpus`` replaced: each row runs its chain of
+checks in turn, and the first failing one names it.  They share the scalar
+cell parsers with ``resperf.corpus``, and tests compare the two ingests'
+columns, vocabularies and problem lists with ``==``.
 
 The per-professor loop is the one the vectorised passes in ``resperf.corpus``,
 ``resperf.indicators`` and ``resperf.cohort`` replaced.  It reads the roster
@@ -16,19 +23,249 @@ column, where ``resperf.regress.collinearity_check`` factorises once.
 
 from __future__ import annotations
 
+import csv
+import json
 import logging
 import math
+import operator
+from array import array
 from datetime import date
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from helpers import Prof, Pub, professors, records
-from resperf.corpus import DAYS_PER_YEAR, RECENT_PROMOTION_YEARS, Corpus
+from resperf.corpus import (DAYS_PER_YEAR, DEFAULT_EXCLUDED_DOC_TYPES, MAX_CITATIONS,
+                            MIN_APPOINTMENT_AGE, PUBLICATION_FIELDS, RECENT_PROMOTION_YEARS,
+                            ROSTER_FIELDS, ROSTER_OPTIONAL_FIELDS, UNIVERSITY_TYPES, Corpus,
+                            IngestError, Roster, _parse_byline, _real_number, _whole_number)
 from resperf.credit import ConventionMap, byline_weights
 from resperf.indicators import (INDICATORS, CellStats, MissingCellError,
                                 ScalingTable)
 
 logger = logging.getLogger("resperf.indicators")
+
+
+def csv_rows(path, required: Sequence[str], optional: Sequence[str] = ()) -> Iterator:
+    """(line, fields in ``required + optional`` order) for each row of a CSV
+    file with a header line; short rows and absent optional columns read ""."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise IngestError(path, [f"line 1: missing column(s) {', '.join(missing)}"])
+        width = len(header)
+        column = {name: i for i, name in enumerate(header)}
+        pick = operator.itemgetter(*(column.get(c, width) for c in (*required, *optional)))
+        for row in reader:
+            if row:
+                if len(row) != width:
+                    row = (row + [""] * width)[:width]
+                row.append("")
+                yield reader.line_num, pick(row)
+
+
+def json_rows(path, fields: Sequence[str], problems: list[str]) -> Iterator:
+    """(line, values of ``fields``, None where absent) for each object line of
+    a JSON-lines file; other lines add a problem to ``problems``."""
+    with Path(path).open(encoding="utf-8-sig") as fh:
+        for line, text in enumerate(fh, start=1):
+            if not text.strip():
+                continue
+            try:
+                record = json.loads(text)
+            except json.JSONDecodeError as exc:
+                problems.append(f"line {line}: invalid JSON ({exc.msg})")
+                continue
+            if not isinstance(record, dict):
+                problems.append(
+                    f"line {line}: expected a JSON object, got {type(record).__name__}")
+                continue
+            yield line, map(record.get, fields)
+
+
+def _parse_date(text: str, what: str, problems: list[str], line: int) -> date | None:
+    try:
+        return date.fromisoformat(text.strip())
+    except ValueError:
+        problems.append(f"line {line}: unparseable {what} {text!r}")
+        return None
+
+
+def _parse_gender(text: str, problems: list[str], line: int) -> bool | None:
+    token = text.strip().lower()
+    if token in ("m", "male"):
+        return True
+    if token in ("f", "female"):
+        return False
+    problems.append(f"line {line}: gender must be M or F, got {text!r}")
+    return None
+
+
+def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> Roster:
+    """The roster, read and checked one row at a time."""
+    path = Path(path)
+    kept: list[tuple] = []
+    sds_codes: dict[str, int] = {}
+    uda_codes: dict[str, int] = {}
+    problems: list[str] = []
+    seen: dict[str, int] = {}
+    sds_to_uda: dict[str, tuple[str, int]] = {}
+    for line, (pid, gender, birth, appointed, sds, uda, utype_raw, s_raw, e_raw) in \
+            csv_rows(path, ROSTER_FIELDS, ROSTER_OPTIONAL_FIELDS):
+        pid = pid.strip()
+        if not pid:
+            problems.append(f"line {line}: empty id")
+            continue
+        if pid in seen:
+            problems.append(
+                f"line {line}: duplicate id {pid!r} (first seen on line {seen[pid]})")
+            continue
+        seen[pid] = line
+        male = _parse_gender(gender, problems, line)
+        birth = _parse_date(birth, "birth_date", problems, line)
+        appointed = _parse_date(appointed, "appointment_date", problems, line)
+        sds, uda, utype = sds.strip(), uda.strip(), utype_raw.strip().lower()
+        s_raw, e_raw = s_raw.strip(), e_raw.strip()
+        # after any parse problems above, the first failing check names the row
+        if not sds or not uda:
+            problem = "empty sds or uda"
+        elif utype not in UNIVERSITY_TYPES:
+            problem = f"unknown university_type {utype_raw!r}"
+        elif sds_map is not None and sds not in sds_map:
+            problem = f"unknown SDS code {sds!r}"
+        elif sds_map is not None and sds_map[sds] != uda:
+            problem = f"sds {sds!r} maps to uda {sds_map[sds]!r}, row says {uda!r}"
+        elif (first := sds_to_uda.setdefault(sds, (uda, line)))[0] != uda:
+            problem = (f"sds {sds!r} listed under uda {uda!r} but line {first[1]} "
+                       f"has uda {first[0]!r}")
+        elif male is None or birth is None or appointed is None:
+            continue
+        elif (age := whole_years(birth, appointed)) < MIN_APPOINTMENT_AGE:
+            problem = f"appointed at {age} (before age {MIN_APPOINTMENT_AGE})"
+        elif bool(s_raw) != bool(e_raw):
+            problem = "active_start/active_end must be given together"
+        elif s_raw and None in (span := (_parse_date(s_raw, "active_start", problems, line),
+                                         _parse_date(e_raw, "active_end", problems, line))):
+            continue
+        elif s_raw and span[0] > span[1]:
+            problem = "active_start after active_end"
+        else:
+            kept.append((pid, male, birth.toordinal(), appointed.toordinal(),
+                         sds_codes.setdefault(sds, len(sds_codes)),
+                         uda_codes.setdefault(uda, len(uda_codes)),
+                         UNIVERSITY_TYPES.index(utype),
+                         *((span[0].toordinal(), span[1].toordinal()) if s_raw else (0, 0)),
+                         line))
+            continue
+        problems.append(f"line {line}: {problem}")
+    if problems:
+        raise IngestError(path, problems)
+    ids, male, birth, appointed, sds, uda, utype, start, end, lines = \
+        map(list, zip(*kept)) if kept else [[]] * 10
+    return Roster(ids, male, birth, appointed, sds, list(sds_codes), uda,
+                  list(uda_codes), utype, start, end, np.array(lines, dtype=np.int64),
+                  str(path))
+
+
+class ColumnBuffer:
+    """Growable corpus columns; strings are interned into codes as they arrive."""
+
+    DTYPES = {"year": "q", "category": "i", "citations": "q", "impact": "d",
+              "doc_type": "i", "n_authors": "i", "author": "i", "university": "i"}
+
+    def __init__(self):
+        self.ids: list[str] = []
+        for name, code in self.DTYPES.items():
+            setattr(self, name, array(code))
+        self.categories: dict[str, int] = {}
+        self.doc_types: dict[str, int] = {}
+        self.authors: dict[str, int] = {}
+        self.universities: dict[str, int] = {}
+
+    def append(self, pid, year, category, impact, citations, doc_type, authors,
+               universities) -> None:
+        self.ids.append(pid)
+        self.year.append(year)
+        self.category.append(self.categories.setdefault(category, len(self.categories)))
+        self.citations.append(citations)
+        self.impact.append(impact)
+        self.doc_type.append(self.doc_types.setdefault(doc_type, len(self.doc_types)))
+        self.n_authors.append(len(authors))
+        self.author.extend([self.authors.setdefault(a, len(self.authors)) for a in authors])
+        self.university.extend([self.universities.setdefault(u, len(self.universities))
+                                for u in universities])
+
+    def columns(self) -> dict:
+        vocabularies = ("categories", "doc_types", "authors", "universities")
+        return {**{name: list(value) if name in vocabularies else value
+                   for name, value in vars(self).items()},
+                "author_codes": self.authors}
+
+
+def ingest_publications(path, excluded_doc_types: Iterable[str] = DEFAULT_EXCLUDED_DOC_TYPES,
+                        roster_ids=None, strict: bool = False) -> Corpus:
+    """The publication corpus, read and checked one row at a time."""
+    path = Path(path)
+    excluded = {t.strip().lower() for t in excluded_doc_types}
+    roster_ids = roster_ids if strict else None
+    buffer = ColumnBuffer()
+    problems: list[str] = []
+    seen: dict[str, int] = {}
+    dropped = 0
+    if path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
+        rows = json_rows(path, PUBLICATION_FIELDS, problems)
+    else:
+        rows = csv_rows(path, PUBLICATION_FIELDS)
+    for line, (pid, year, category, journal_if, citations, doc_type, byline) in rows:
+        doc_type = str(doc_type or "").strip()
+        if doc_type.lower() in excluded:
+            dropped += 1
+            continue
+        pid = str(pid or "").strip()
+        category = str(category or "").strip()
+        no_impact = journal_if is None or (isinstance(journal_if, str)
+                                           and not journal_if.strip())
+        impact = math.nan if no_impact else _real_number(journal_if)
+        # the first failing check, in this order, names the row's problem
+        if not pid:
+            problem = "empty publication id"
+        elif (year_value := _whole_number(year)) is None:
+            problem = f"unparseable year {year!r}"
+        elif not 1900 <= year_value <= 2100:
+            problem = f"year {year_value} out of range"
+        elif not category:
+            problem = "empty subject_category"
+        elif impact is None:
+            problem = f"unparseable journal_if {journal_if!r}"
+        elif not (no_impact or math.isfinite(impact)):
+            problem = f"non-finite journal_if {journal_if!r}"
+        elif impact < 0:
+            problem = f"negative journal_if {impact}"
+        elif (cites := _whole_number(citations)) is None:
+            problem = f"unparseable citations {citations!r}"
+        elif cites < 0:
+            problem = f"negative citations {cites}"
+        elif cites > MAX_CITATIONS:
+            problem = f"citations {cites} out of range"
+        elif isinstance(byline := _parse_byline(byline or ""), str):
+            problem = byline
+        elif roster_ids is not None and (
+                unknown := [a for a in byline[0] if a not in roster_ids]):
+            problem = f"unknown author id(s) {', '.join(unknown)}"
+        elif pid in seen:
+            problem = f"duplicate publication id {pid!r} (first seen on line {seen[pid]})"
+        else:
+            seen[pid] = line
+            buffer.append(pid, year_value, category, impact, cites, doc_type, *byline)
+            continue
+        problems.append(f"line {line}: {problem}")
+    if problems:
+        raise IngestError(path, problems)
+    return Corpus(buffer.columns(), dropped)
 
 
 def exact_years(start: date, end: date) -> float:

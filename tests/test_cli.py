@@ -145,6 +145,18 @@ class TestCompute:
                      "--window", "2010:2006", "--out", tmp_path / "x")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("window", ["0:0", "10000:10000", "-5:2008"])
+    @pytest.mark.parametrize("command", ["compute", "report"])
+    def test_window_years_outside_the_calendar_exit_two(self, tiny_files, tmp_path,
+                                                         command, window):
+        inputs = {"compute": ["--pubs", tiny_files / "pubs.csv"],
+                  "report": ["--indicators", tiny_files / "pubs.csv"]}[command]
+        res = invoke(command, "--roster", tiny_files / "roster.csv", *inputs,
+                     "--window", window, "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert f"window years must lie in 1-9999, got {window!r}" in res.output
+        assert "Traceback" not in res.output
+
     def test_bad_census_date_exits_two(self, tiny_files, tmp_path):
         res = invoke("compute", "--roster", tiny_files / "roster.csv",
                      "--pubs", tiny_files / "pubs.csv",
@@ -218,6 +230,10 @@ REGRESS_INPUT_PROBES = {
     "unknown-indicator": ("percentiles.csv", 2, "indicator", "H"),
     "unknown-professor": ("percentiles.csv", 2, "professor_id", "NOBODY"),
     "repeated-percentile": ("percentiles.csv", 3, "indicator", "<line 2>"),
+    "uda-empty": ("covariates.csv", 3, "uda", ""),
+    "age-absurd": ("covariates.csv", 2, "age", "1e200"),
+    "age-at-bound": ("covariates.csv", 4, "age", "10000"),
+    "seniority-negative": ("covariates.csv", 3, "seniority", "-0.5"),
 }
 
 
@@ -271,6 +287,34 @@ class TestRegress:
                     ranked = frame.percentiles[~np.isnan(frame.percentiles)]
                     assert ((ranked >= 0.0) & (ranked <= 100.0)).all()
                     assert len(set(frame.ids)) == len(frame.ids)
+
+    def test_byte_order_marks_are_read_as_utf8(self, tiny_files, sim_chain, tmp_path):
+        """A roster, a corpus and a covariates.csv saved with a UTF-8
+        byte-order mark read as they do without one."""
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for name in ("roster.csv", "pubs.csv"):
+            (marked / name).write_text((tiny_files / name).read_text(encoding="utf-8"),
+                                       encoding="utf-8-sig")
+        outputs = []
+        for folder in (tiny_files, marked):
+            out = tmp_path / f"comp-{folder.name}"
+            res = invoke("compute", "--roster", folder / "roster.csv",
+                         "--pubs", folder / "pubs.csv", "--out", out)
+            assert res.exit_code == 0, res.output
+            outputs.append([(out / name).read_bytes() for name in
+                            ("indicators.csv", "percentiles.csv", "covariates.csv")])
+        assert outputs[0] == outputs[1]
+        data = tmp_path / "comp"
+        shutil.copytree(sim_chain / "comp", data)
+        covariates = data / "covariates.csv"
+        covariates.write_text(covariates.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        fits = []
+        for folder in (sim_chain / "comp", data):
+            res = invoke("regress", "--data", folder, "--out", tmp_path / f"reg-{len(fits)}")
+            assert res.exit_code == 0, res.output
+            fits.append((tmp_path / f"reg-{len(fits)}" / "fits.json").read_bytes())
+        assert fits[0] == fits[1]
 
     def test_total_only_fit(self, sim_chain):
         out = sim_chain / "reg_total"
@@ -478,6 +522,24 @@ class TestSimulate:
         assert res.exit_code == 2, res.output
         assert "seed must be nonnegative, got -5" in res.output
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args", [["--n-professors", 0], ["--n-professors", 1],
+                                      ["--config", '{"n_professors": 1}']])
+    def test_cohort_under_two_professors_exits_two(self, tmp_path, args):
+        if args[0] == "--config":
+            config = tmp_path / "sim.json"
+            config.write_text(args[1])
+            args = ["--config", config]
+        res = invoke("simulate", *args, "--runs", 1, "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert "a cohort needs at least 2 professors" in res.output
+        assert not (tmp_path / "x").exists()
+
+    def test_two_professors_generate(self, tmp_path):
+        res = invoke("simulate", "--n-professors", 2, "--runs", 1, "--out", tmp_path / "x")
+        assert res.exit_code == 0, res.output
+        with (tmp_path / "x" / "roster.csv").open(newline="") as fh:
+            assert len(list(csv.reader(fh))) == 3
 
     def test_bad_config_exits_two(self, tmp_path):
         config = tmp_path / "sim.json"

@@ -239,6 +239,8 @@ class TestPublicationIngest:
         ('"journal_if": 1.5', '"journal_if": Infinity', "non-finite journal_if inf"),
         ('"journal_if": 1.5', '"journal_if": -Infinity', "non-finite journal_if -inf"),
         ('"journal_if": 1.5', '"journal_if": true', "unparseable journal_if True"),
+        ('"journal_if": 1.5', '"journal_if": 1' + "0" * 400,
+         "unparseable journal_if 1" + "0" * 400),
         ('"citations": 4', '"citations": 3.7', "unparseable citations 3.7"),
         ('"citations": 4', '"citations": true', "unparseable citations True"),
         ('"citations": 4', '"citations": 100000000000000000000',
