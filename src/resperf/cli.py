@@ -103,13 +103,23 @@ def _write_manifest(out: Path, command: str, inputs: dict, params: dict,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+class _LineFormatter(logging.Formatter):
+    """Puts "<LEVEL> <logger>: " before every line of a record's message, so a
+    record of many lines reads as many one-line records."""
+
+    def formatMessage(self, record: logging.LogRecord) -> str:
+        prefix = f"{record.levelname} {record.name}: "
+        return prefix + record.message.replace("\n", "\n" + prefix)
+
+
 @click.group()
 @click.option("-v", "--verbose", is_flag=True, help="Debug-level logging.")
 def main(verbose: bool) -> None:
     """Research performance measurement pipeline."""
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.DEBUG if verbose else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LineFormatter())
+    logging.basicConfig(level=logging.DEBUG if verbose else logging.INFO,
+                        handlers=[handler])
 
 
 @main.command()
@@ -517,19 +527,20 @@ def report_cmd(roster_path, indicators_path, window, census_date, totals_path,
             for i in missing])
         raise click.UsageError(f"indicators: {error}")
     fss, inactive = fss[rows], n_pubs[rows] == 0
+    ages = covariates["age"]
+    histograms = {name: _input_stage("age-bin-width", distribution_histogram, values,
+                                     age_bin_width)
+                  for name, values in (("age_histogram.csv", ages),
+                                       ("appointment_age_histogram.csv",
+                                        ages - covariates["seniority"]))}
 
     out = _out_dir(out_path)
     tables = _compute_stage("descriptives", descriptive_table, roster, covariates,
                             inactive, totals, fmt)
     desc_name = f"descriptives.{'txt' if fmt == 'text' else 'csv'}"
     (out / desc_name).write_text(tables, encoding="utf-8")
-
-    ages = covariates["age"]
-    (out / "age_histogram.csv").write_text(
-        histogram_csv(distribution_histogram(ages, age_bin_width)), encoding="utf-8")
-    (out / "appointment_age_histogram.csv").write_text(
-        histogram_csv(distribution_histogram(ages - covariates["seniority"], age_bin_width)),
-        encoding="utf-8")
+    for name, bins in histograms.items():
+        (out / name).write_text(histogram_csv(bins), encoding="utf-8")
 
     cvs = group_coefficient_of_variation({roster.sds_names[c]: fss[roster.sds == c]
                                           for c in np.unique(roster.sds).tolist()})

@@ -108,7 +108,7 @@ _BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
 
 def _csv_blocks(fh, path: Path, required: Sequence[str], optional: Sequence[str]):
     reader = csv.reader(fh)
-    header = next(reader, [])
+    header = next(_checked(reader, path), [])
     missing = [c for c in required if c not in header]
     if missing:
         raise IngestError(path, [f"line 1: missing column(s) {', '.join(missing)}"])
@@ -134,7 +134,7 @@ def _csv_blocks(fh, path: Path, required: Sequence[str], optional: Sequence[str]
             continue
         reader = csv.reader(itertools.chain(block, fh))
         lines, rows = [], []
-        for row in reader:
+        for row in _checked(reader, path, line):
             if row:
                 lines.append(line + reader.line_num)
                 rows.append(row if len(row) == width else (row + [""] * width)[:width])
@@ -144,6 +144,16 @@ def _csv_blocks(fh, path: Path, required: Sequence[str], optional: Sequence[str]
         if rows:
             columns = list(zip(*rows))
             yield lines, [("",) * len(rows) if i is None else columns[i] for i in at]
+
+
+def _checked(reader, path: Path, before: int = 0) -> Iterator[list[str]]:
+    """The rows of a ``csv.reader`` whose first line is line ``before + 1``; a
+    ``csv.Error``, such as a cell over ``csv.field_size_limit()``, raises
+    :class:`IngestError` naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise IngestError(path, [f"line {before + reader.line_num}: {exc}"]) from None
 
 
 def _json_blocks(fh, fields: Sequence[str], problems: RowProblems):
@@ -294,7 +304,7 @@ def read_pairs(path, key_name: str, value_name: str,
     mapping: dict[str, str] = {}
     problems: list[str] = []
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        for line, row in enumerate(csv.reader(fh), start=1):
+        for line, row in enumerate(_checked(csv.reader(fh), path), start=1):
             if not row or (line == 1 and row[0].strip().lower() == key_name):
                 continue
             key = row[0].strip()

@@ -39,6 +39,12 @@ INDICATORS = ("FSS", "P", "IA", "IJ")
 # Why IJ skips a publication.
 UNKNOWN_IF, NO_IF_CELL = 1, 2
 
+# Skip messages per log record.  A record per skip made the logging calls
+# cost more than scoring itself (52,913 records on a 20k-professor corpus);
+# records of this many lines cost one write each, and keep the joined text
+# of a record small.
+SKIPS_PER_RECORD = 1024
+
 
 class MissingCellError(ValueError):
     """A (year, subject category) scaling cell needed in strict mode is absent."""
@@ -125,10 +131,10 @@ def compute_scores(roster: Roster, corpus: Corpus, scaling: ScalingTable,
     (0 = inactive).  ``t`` is each professor's working years in the window
     (the ``t`` column of ``corpus.derive_covariates``).  A publication whose
     scaling mean is missing (or whose impact factor is unknown) is skipped by
-    the indicators that need it, with one warning per professor, publication
-    and indicator in roster and then corpus order; with ``strict`` the first
-    such publication raises :class:`MissingCellError`.  Professor ids must be
-    unique.
+    the indicators that need it, with one warning line per professor,
+    publication and indicator in roster and then corpus order, logged in
+    multi-line records; with ``strict`` the first such publication raises
+    :class:`MissingCellError`.  Professor ids must be unique.
     """
     if len(set(roster.ids)) != len(roster):
         raise ValueError("duplicate professor id in roster")
@@ -173,7 +179,8 @@ def _check_and_warn(ids: list[str], corpus: Corpus, window: tuple[int, int],
                     t: np.ndarray, who: np.ndarray, pub: np.ndarray,
                     bad_cite: np.ndarray, bad_if: np.ndarray, strict: bool) -> None:
     """Raise for the first professor with no working years or, under ``strict``,
-    a skipped publication; otherwise log every skip.
+    a skipped publication; otherwise log every skip, one line each, in
+    records of at most SKIPS_PER_RECORD lines.
 
     ``who``/``pub`` give each in-window authorship's index into ``ids`` and
     publication; ``bad_cite`` marks a missing citation cell and ``bad_if``
@@ -193,8 +200,11 @@ def _check_and_warn(ids: list[str], corpus: Corpus, window: tuple[int, int],
         raise MissingCellError(_skip_message(ids[i], corpus, p, reason, strict))
     if idle.size:
         raise ValueError(f"{ids[idle[0]]}: no working years inside window {window}")
-    for i, p, reason in events:
-        logger.warning(_skip_message(ids[i], corpus, p, reason, strict=False))
+    if logger.isEnabledFor(logging.WARNING):
+        for start in range(0, len(events), SKIPS_PER_RECORD):
+            batch = events[start:start + SKIPS_PER_RECORD]
+            logger.warning("\n".join(_skip_message(ids[i], corpus, p, reason, strict=False)
+                                     for i, p, reason in batch))
 
 
 def _skip_message(owner: str, corpus: Corpus, p: int, reason: int, strict: bool) -> str:

@@ -25,6 +25,10 @@ logger = logging.getLogger(__name__)
 
 ABSENT = "-"
 
+# Most bins a histogram may have.  Bins are built one per width between the
+# smallest and largest value, so a tiny width would build billions.
+MAX_BINS = 10_000
+
 # Row order of the rendered regression table.
 TERM_ROWS = ("Intercept", "Age", "Age^2", "Age^3", "Seniority", "Gender",
              "U3", "U1", "U2")
@@ -199,7 +203,8 @@ def distribution_histogram(values: Sequence[float], bin_width: float
                            ) -> list[tuple[float, int, float]]:
     """Left-closed bins [left, left + width); (left, count, share) rows.
 
-    Bin edges align to multiples of the width; shares sum to 1.
+    Bin edges align to multiples of the width; shares sum to 1.  A width that
+    would give more than MAX_BINS bins raises ValueError.
     """
     if len(values) == 0:
         raise ValueError("no values to bin")
@@ -208,13 +213,17 @@ def distribution_histogram(values: Sequence[float], bin_width: float
     arr = np.asarray(values, dtype=float)
     if np.isnan(arr).any():
         raise ValueError("values contain NaN")
-    idx = np.floor(arr / bin_width).astype(int)
-    total = len(arr)
-    out = []
-    for left_idx in range(idx.min(), idx.max() + 1):
-        count = int((idx == left_idx).sum())
-        out.append((left_idx * bin_width, count, count / total))
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny width overflows
+        left = np.floor(arr / bin_width)  # each value's bin, in widths from 0
+        fits = left.max() - left.min() < MAX_BINS and np.abs(left).max() < 2.0 ** 53
+    if not fits:
+        raise ValueError(f"bin width {bin_width!r} is too small for values from "
+                         f"{arr.min()!r} to {arr.max()!r}: at most {MAX_BINS} bins")
+    idx = left.astype(np.int64)
+    first = int(idx.min())
+    counts = np.bincount(idx - first)
+    return list(zip((np.arange(first, first + counts.size) * bin_width).tolist(),
+                    counts.tolist(), (counts / len(arr)).tolist()))
 
 
 def histogram_csv(bins: Iterable[tuple[float, int, float]]) -> str:

@@ -2,23 +2,31 @@
 
 import csv
 import json
+import logging
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict, replace
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 import resperf
 import resperf.sim
 from helpers import build_tiny_world, make_corpus, make_roster, professors, records
 from resperf.cli import _read_frame, main
 from resperf.corpus import (IngestError, derive_covariates, write_publications,
                             write_roster)
+from resperf.credit import ConventionMap
+from test_columnar import lenient_world
 
 runner = CliRunner()
 
@@ -202,6 +210,24 @@ class TestCompute:
         assert res.exit_code == 2, res.output
         assert ("conventions.csv: line 3: sds 'MED/01' mapped to two conventions"
                 in res.output)
+
+    @pytest.mark.parametrize("name,line", [("pubs.csv", 3), ("roster.csv", 4),
+                                           ("conventions.csv", 2)])
+    def test_cell_over_the_csv_field_limit_exits_two_naming_the_line(
+            self, tiny_files, tmp_path, name, line):
+        files = {"roster.csv": tiny_files / "roster.csv", "pubs.csv": tiny_files / "pubs.csv",
+                 "conventions.csv": tmp_path / "source.csv"}
+        files["conventions.csv"].write_text("sds,convention\nMED/01,alphabetical\n")
+        lines = files[name].read_text().splitlines()
+        lines[line - 1] += "x" * (csv.field_size_limit() + 1)
+        files[name] = tmp_path / name
+        files[name].write_text("\n".join(lines) + "\n")
+        res = invoke("compute", "--roster", files["roster.csv"], "--pubs", files["pubs.csv"],
+                     "--conventions", files["conventions.csv"], "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert (f"{files[name]}: line {line}: field larger than field limit "
+                f"({csv.field_size_limit()})") in res.output
+        assert not (tmp_path / "x").exists()
 
     def test_force_convention_recorded(self, tiny_files, tmp_path):
         out = tmp_path / "out"
@@ -565,6 +591,67 @@ REPORT_INPUT_PROBES = {
 }
 
 
+def _years(low, high):
+    return st.builds("{}{}{}".format, st.integers(low, high), st.sampled_from([":", "-"]),
+                     st.integers(low, high))
+
+
+# Option values: mostly near the fixed inputs' years and ages, some anywhere.
+WINDOWS = st.one_of(_years(1995, 2015), _years(-3, 10_003),
+                    st.sampled_from(["1:9999", "2006:", ":", "zebra"]), st.text(max_size=10))
+CENSUS_DATES = st.one_of(st.none(), st.dates(date(2000, 1, 1), date(2020, 12, 31)),
+                         st.dates(), st.text(max_size=12)).map(
+    lambda d: d.isoformat() if isinstance(d, date) else d)
+NUMBERS = st.one_of(st.none(), st.floats(0, 100), st.floats().map(repr),
+                    st.integers(-10**6, 10**6).map(str), st.text(max_size=8))
+
+
+class TestOptionsNeverCrash:
+    """Any value of the window, census-date, bin-width, seniority-cap, cohort-size
+    and run-count options exits 0, 2, or 1 with a one-line "Error:", never with a
+    traceback.  Cohorts stay at most 60 professors and 2 runs."""
+
+    @staticmethod
+    def run(*args, **options):
+        options = [a for name, value in options.items() if value is not None
+                   for a in (f"--{name.replace('_', '-')}", value)]
+        with tempfile.TemporaryDirectory() as out:
+            res = invoke(*args, *options, "--out", out)
+        assert res.exit_code in (0, 1, 2), res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit), \
+            repr(res.exception)
+        assert "Traceback" not in res.output
+        if res.exit_code == 1:
+            assert res.stderr.startswith("Error: ") and res.stderr.count("\n") == 1, \
+                res.stderr
+
+    @settings(deadline=None, max_examples=60)
+    @given(window=WINDOWS, census_date=CENSUS_DATES)
+    def test_compute(self, sim_chain, window, census_date):
+        sim = sim_chain / "sim"
+        self.run("compute", "--roster", sim / "roster.csv", "--pubs", sim / "publications.csv",
+                 "--conventions", sim / "conventions.csv", window=window,
+                 census_date=census_date)
+
+    @settings(deadline=None, max_examples=60)
+    @given(window=WINDOWS, census_date=CENSUS_DATES, age_bin_width=NUMBERS)
+    def test_report(self, sim_chain, window, census_date, age_bin_width):
+        self.run("report", "--roster", sim_chain / "sim" / "roster.csv",
+                 "--indicators", sim_chain / "comp" / "indicators.csv", window=window,
+                 census_date=census_date, age_bin_width=age_bin_width)
+
+    @settings(deadline=None, max_examples=30)
+    @given(max_seniority=NUMBERS)
+    def test_regress(self, sim_chain, max_seniority):
+        self.run("regress", "--data", sim_chain / "comp", "--max-degree", 1,
+                 max_seniority=max_seniority)
+
+    @settings(deadline=None, max_examples=30)
+    @given(n_professors=st.integers(-3, 60), runs=st.one_of(st.none(), st.integers(-2, 2)))
+    def test_simulate(self, n_professors, runs):
+        self.run("simulate", "--seed", 5, n_professors=n_professors, runs=runs)
+
+
 class TestReport:
     @pytest.mark.parametrize("probe", sorted(REPORT_INPUT_PROBES))
     def test_bad_indicators_exit_two_naming_file_and_line(self, sim_chain, tmp_path,
@@ -616,6 +703,15 @@ class TestReport:
                      "--age-bin-width", width, "--out", tmp_path / "x")
         assert res.exit_code == 2, res.output
         assert "--age-bin-width" in res.output
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("width", ["1e-300", "0.001"])
+    def test_age_bin_width_giving_too_many_bins_exits_two(self, sim_chain, tmp_path, width):
+        res = invoke("report", "--roster", sim_chain / "sim" / "roster.csv",
+                     "--indicators", sim_chain / "comp" / "indicators.csv",
+                     "--age-bin-width", width, "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert f"age-bin-width: bin width {float(width)!r} is too small" in res.output
         assert not (tmp_path / "x").exists()
 
     def test_every_unscored_roster_row_named(self, sim_chain, tmp_path):
@@ -691,3 +787,39 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "Usage: resperf" in proc.stdout
         assert "compute" in proc.stdout
+
+
+class TestLenientStderr:
+    """Lenient compute prints each skip on its own prefixed stderr line."""
+
+    PREFIX = "WARNING resperf.indicators: "
+
+    def test_skip_lines_are_the_oracle_messages_prefixed(self, tmp_path, caplog):
+        roster, corpus = lenient_world()
+        pubs = records(corpus)
+        # the first skipped publication's id holds a line break
+        k = next(k for k, p in enumerate(pubs) if p.journal_if is None
+                 and 2006 <= p.year <= 2010 and any(a.startswith("P") for a, _ in p.byline))
+        head = pubs[k].id
+        pubs[k] = replace(pubs[k], id=f"{head}\nsecond line")
+        write_roster(tmp_path / "roster.csv", roster)
+        (tmp_path / "pubs.jsonl").write_text("".join(
+            json.dumps({**asdict(p), "byline": [f"{a}@{u}" for a, u in p.byline]}) + "\n"
+            for p in pubs), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="resperf.indicators"):
+            oracle.roster_scores(roster, make_corpus(pubs), ConventionMap(), (2006, 2010))
+        want = [self.PREFIX + line for r in caplog.records
+                for line in r.getMessage().split("\n")]
+
+        proc = run_tree([sys.executable, "-m", "resperf.cli", "compute",
+                         "--roster", tmp_path / "roster.csv",
+                         "--pubs", tmp_path / "pubs.jsonl", "--out", tmp_path / "x"])
+        assert proc.returncode == 0, proc.stderr
+        got = proc.stderr.splitlines()
+        assert got == want
+        assert any(line.endswith("unknown impact factor") for line in got)
+        assert any("no impact-factor scaling cell" in line for line in got)
+        broken = [i for i, line in enumerate(got) if line.endswith(f": skipping {head}")]
+        assert broken
+        assert all(got[i + 1] == f"{self.PREFIX}second line, unknown impact factor"
+                   for i in broken)

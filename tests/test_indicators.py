@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (make_corpus, make_professor, make_publication, make_roster,
                      professors, records, years)
+from resperf import indicators
 from resperf.credit import (ALPHABETICAL, POSITION_WEIGHTED, ConventionMap,
                             byline_weights)
 from resperf.indicators import (MissingCellError, build_scaling_table,
@@ -238,6 +239,29 @@ class TestMissingCells:
             assert score(prof, corpus, table).fss == 0.0
             assert score(prof, corpus, table).ia is None
         assert "no citation scaling cell" in caplog.text
+
+    def unknown_ifs(self, n):
+        return make_corpus([make_publication(f"W{i}", journal_if=None, byline=(("P1", "U1"),))
+                            for i in range(n)]
+                           + [make_publication("Wz", byline=(("X1", "U2"),))])
+
+    def test_skips_logged_in_records_of_at_most_skips_per_record_lines(
+            self, caplog, monkeypatch):
+        monkeypatch.setattr(indicators, "SKIPS_PER_RECORD", 3)
+        with caplog.at_level(logging.WARNING):
+            assert score(make_professor("P1"), self.unknown_ifs(7)).ij is None
+        assert [r.getMessage().split("\n") for r in caplog.records] == [
+            [f"P1: skipping W{i}, unknown impact factor" for i in block]
+            for block in ((0, 1, 2), (3, 4, 5), (6,))]
+
+    def test_no_skip_message_built_when_warnings_are_off(self, caplog, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("skip message built for a disabled logger")
+
+        monkeypatch.setattr(indicators, "_skip_message", unexpected)
+        with caplog.at_level(logging.ERROR, logger="resperf.indicators"):
+            assert score(make_professor("P1"), self.unknown_ifs(3)).ij is None
+        assert caplog.records == []
 
     def test_strict_raises(self):
         prof, corpus, table = self.scoring_setup()

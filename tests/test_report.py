@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import make_professor, make_roster
 from resperf.corpus import derive_covariates
 from resperf.regress import FitResult
-from resperf.report import (coefficient_of_variation, descriptive_table,
+from resperf.report import (MAX_BINS, coefficient_of_variation, descriptive_table,
                             distribution_histogram, format_cell, format_number,
                             group_coefficient_of_variation, histogram_csv,
                             parse_cell, regression_table)
@@ -252,10 +252,25 @@ class TestHistogram:
         ([1.0], 0.0, "positive"),
         ([1.0], -2.0, "positive"),
         ([1.0, float("nan")], 1.0, "NaN"),
+        ([0.0, float(MAX_BINS)], 1.0, "too small"),
+        ([40.0, 41.0], 1e-300, "too small"),
+        ([40.0], 1e-300, "too small"),
     ])
     def test_invalid_inputs(self, values, width, needle):
         with pytest.raises(ValueError, match=needle):
             distribution_histogram(values, width)
+
+    def test_max_bins_allowed(self):
+        assert len(distribution_histogram([0.0, MAX_BINS - 1.0], 1.0)) == MAX_BINS
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(0, 200), min_size=1, max_size=40),
+           st.sampled_from([0.1, 0.25, 1.0, 2.5, 3.0, 5.0, 7.3]))
+    def test_matches_a_loop_over_bins(self, values, width):
+        idx = np.floor(np.asarray(values) / width).astype(int)
+        want = [(left * width, int((idx == left).sum()), int((idx == left).sum()) / len(values))
+                for left in range(idx.min(), idx.max() + 1)]
+        assert distribution_histogram(values, width) == want
 
     def test_csv_output(self):
         text = histogram_csv(distribution_histogram([60.0, 60.4, 61.0], 1.0))
