@@ -7,18 +7,25 @@ object per line).  Row files are read and checked a block of rows at a time,
 one mask per check, and :class:`RowProblems` names each bad row.  Ingestion
 either returns fully validated columns or fails with a row-addressed error
 listing every problem found: a roster goes straight into the columns of a
-:class:`Roster`, publications into those of a :class:`Corpus`.
+:class:`Roster`, publications into those of a :class:`Corpus`.  A large
+publication corpus is read in parts, one per available core, and the parts
+merge into what a one-part read gives.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import json
 import logging
 import math
 import operator
+import os
+import pickle
+import signal
+import traceback
 from array import array
 from dataclasses import dataclass
 from datetime import date
@@ -72,6 +79,9 @@ class IngestError(ValueError):
         self.problems = list(problems)
         super().__init__(f"{self.source}: " + "; ".join(self.problems))
 
+    def __reduce__(self):
+        return type(self), (self.source, self.problems)
+
 
 # Rows per block of a row file.  Per-block costs are small at this size, and
 # a block's cells are few enough that cyclic GC, which scans the live JSON
@@ -93,29 +103,77 @@ def read_blocks(path, fields: Sequence[str], optional: Sequence[str] = (),
     an absent optional column read as "", and a missing required column
     raises :class:`IngestError`.  With ``json_lines`` each line is a JSON
     object whose values are the cells, None where absent; a line that is not
-    one is added to ``problems``.
+    one is added to ``problems``.  A file that is not UTF-8 raises an
+    :class:`IngestError` naming its first bad line.
     """
     path = Path(path)
-    with path.open(newline=None if json_lines else "", encoding="utf-8-sig") as fh:
-        if json_lines:
-            yield from _json_blocks(fh, (*fields, *optional), problems)
-        else:
-            yield from _csv_blocks(fh, path, fields, optional)
+    layout = None if json_lines else _csv_layout(path, fields, optional)
+    yield from _part_blocks(path, WHOLE_FILE, (*fields, *optional), layout, problems)
+
+
+# A part of a row file: the byte offset of its first line, the physical lines
+# before it, and its physical lines (None: to the end of the file).
+WHOLE_FILE = (0, 0, None)
+
+
+def _part_blocks(path: Path, part: tuple[int, int, int | None], fields: Sequence[str],
+                 layout: tuple | None, problems: RowProblems | None):
+    """:func:`read_blocks` over one part of a row file, a CSV file read with
+    the header ``layout`` of :func:`_csv_layout`, or JSON lines without."""
+    start, before, count = part
+    try:
+        with path.open("rb") as raw:
+            raw.seek(start)
+            # a byte-order mark is one only at the start of the file
+            fh = io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig",
+                                  newline=None if layout is None else "")
+            lines = fh if count is None else itertools.islice(fh, count)
+            if layout is None:
+                yield from _json_blocks(lines, fields, problems, before)
+                return
+            if not start:  # skip the header
+                before += len(list(itertools.islice(lines, layout[2])))
+            yield from _csv_blocks(lines, path, layout, before)
+    except UnicodeDecodeError as exc:
+        raise _read_error(path, str(exc)) from None
+
+
+def _read_error(path: Path, problem: str) -> IngestError:
+    """The error of a read of ``path`` stopped by ``problem``, unless the
+    file holds bytes that are not UTF-8: then its first line holding one.
+    So a file that is not UTF-8 fails the same way wherever a reader, or a
+    part of it, stopped."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        problem = f"line {line}: invalid UTF-8 (byte 0x{data[exc.start]:02x}, {exc.reason})"
+    return IngestError(path, [problem])
 
 
 _BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
 
 
-def _csv_blocks(fh, path: Path, required: Sequence[str], optional: Sequence[str]):
-    reader = csv.reader(fh)
-    header = next(_checked(reader, path), [])
+def _csv_layout(path: Path, required: Sequence[str],
+                optional: Sequence[str]) -> tuple[int, list[int | None], int]:
+    """The header of a CSV file: its width, the column of each field in
+    ``required + optional`` order (None for an absent optional one), and
+    its physical lines.  A missing required column raises IngestError."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(_checked(reader, path), [])
     missing = [c for c in required if c not in header]
     if missing:
-        raise IngestError(path, [f"line 1: missing column(s) {', '.join(missing)}"])
-    width = len(header)
+        raise _read_error(path, f"line 1: missing column(s) {', '.join(missing)}")
     column = {name: i for i, name in enumerate(header)}
-    at = [column.get(c) for c in (*required, *optional)]
-    line = reader.line_num  # lines read so far
+    return len(header), [column.get(c) for c in (*required, *optional)], reader.line_num
+
+
+def _csv_blocks(fh, path: Path, layout: tuple, line: int):
+    """The blocks of CSV lines ``fh``, the first of them line ``line + 1``."""
+    width, at, _ = layout
     while block := list(itertools.islice(fh, BLOCK_ROWS)):
         filled = list(map(operator.not_, map(_BLANK_LINES.__contains__, block)))
         rows = block if all(filled) else list(compress(block, filled))
@@ -148,18 +206,20 @@ def _csv_blocks(fh, path: Path, required: Sequence[str], optional: Sequence[str]
 
 def _checked(reader, path: Path, before: int = 0) -> Iterator[list[str]]:
     """The rows of a ``csv.reader`` whose first line is line ``before + 1``; a
-    ``csv.Error``, such as a cell over ``csv.field_size_limit()``, raises
-    :class:`IngestError` naming the line."""
+    ``csv.Error``, such as a cell over ``csv.field_size_limit()``, and bytes
+    that are not UTF-8 raise :class:`IngestError` naming the line."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise IngestError(path, [f"line {before + reader.line_num}: {exc}"]) from None
+        raise _read_error(path, f"line {before + reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _read_error(path, str(exc)) from None
 
 
-def _json_blocks(fh, fields: Sequence[str], problems: RowProblems):
+def _json_blocks(fh, fields: Sequence[str], problems: RowProblems, before: int):
     lines: list[int] = []
     records: list[dict] = []
-    for line, text in enumerate(fh, start=1):
+    for line, text in enumerate(fh, start=before + 1):
         if text.isspace():
             continue
         try:
@@ -304,8 +364,10 @@ def read_pairs(path, key_name: str, value_name: str,
     mapping: dict[str, str] = {}
     problems: list[str] = []
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        for line, row in enumerate(_checked(csv.reader(fh), path), start=1):
-            if not row or (line == 1 and row[0].strip().lower() == key_name):
+        reader = csv.reader(fh)
+        for index, row in enumerate(_checked(reader, path)):
+            line = reader.line_num  # a quoted line break spans lines
+            if not row or (index == 0 and row[0].strip().lower() == key_name):
                 continue
             key = row[0].strip()
             value = row[1].strip() if len(row) > 1 else ""
@@ -325,12 +387,14 @@ def read_pairs(path, key_name: str, value_name: str,
 def read_json_object(path, build: Callable[[dict], object] = dict):
     """``build`` of the JSON object a file holds.
 
-    Invalid JSON, any value but an object, and a ValueError from ``build``
-    raise :class:`IngestError` naming the file.
+    Bytes that are not UTF-8, invalid JSON, any value but an object, and a
+    ValueError from ``build`` raise :class:`IngestError` naming the file.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        raise _read_error(path, str(exc)) from None
     except json.JSONDecodeError as exc:
         raise IngestError(path, [f"line {exc.lineno}: invalid JSON ({exc.msg})"]) from None
     if not isinstance(data, dict):
@@ -448,10 +512,9 @@ class Corpus:
 
     Ingest and the simulator build the columns with numpy and pass them,
     less the derived ``shared``, ``pub`` and ``position``, to the
-    constructor; ingest also passes ``author_codes``, the author-to-code map
-    it built.  The simulator codes roster authors
-    first, in roster order, and passes ``ids`` and ``authors`` as
-    :class:`NameSequence`.  Treated as read-only after construction.
+    constructor.  The simulator codes roster authors first, in roster
+    order, and passes ``ids`` and ``authors`` as :class:`NameSequence`.
+    Treated as read-only after construction.
     """
 
     def __init__(self, columns: dict, dropped: int = 0):
@@ -472,7 +535,7 @@ class Corpus:
 
     @functools.cached_property
     def author_codes(self) -> dict[str, int]:
-        """Each author's code; ingest passes in the map it built."""
+        """Each author's code."""
         return {author: code for code, author in enumerate(self.authors)}
 
     @functools.cached_property
@@ -492,13 +555,12 @@ class Corpus:
         """
         n = len(author_ids)
         if self.authors[:n] == list(author_ids):  # roster-first codes, as the simulator's
-            codes = np.arange(n)
-        else:
-            codes = np.array([self.author_codes.get(a, -1) for a in author_ids],
-                             dtype=np.int64)
-        known = np.flatnonzero(codes >= 0)
-        owner = np.full(len(self.authors), -1, dtype=np.int64)
-        owner[codes[known]] = known
+            owner = np.full(len(self.authors), -1, dtype=np.int64)
+            owner[:n] = np.arange(n)
+        else:  # each author's index into author_ids, in one pass over the authors
+            index = {author: i for i, author in enumerate(author_ids)}
+            owner = np.fromiter(map(index.get, self.authors, repeat(-1)), np.int64,
+                                len(self.authors))
         who = owner[self.author]
         year = self.year[self.pub]
         rows = np.flatnonzero((who >= 0) & (window[0] <= year) & (year <= window[1]))
@@ -730,6 +792,14 @@ def _split_bylines(raws: list) -> tuple[list[str], list[str], np.ndarray, dict[i
     return authors, universities, counts, failed
 
 
+# Smallest part of a corpus file.  A part costs a fork, and its result a
+# pickle and a code remap.  On the 2-vCPU bench host (medians of 15 reads),
+# two parts read a 0.8 MB CSV corpus in 0.109 s against 0.076 s for one part,
+# a 1.7 MB one in 0.131 against 0.168 s, and a 1.0 MB JSON-lines corpus in
+# 0.053 against 0.055 s; parts of 1 MiB or more were never slower.
+PART_BYTES = 1 << 20
+
+
 def ingest_publications(path,
                         excluded_doc_types: Iterable[str] = DEFAULT_EXCLUDED_DOC_TYPES,
                         roster_ids=None,
@@ -742,20 +812,166 @@ def ingest_publications(path,
     are validated a block at a time, straight into the corpus columns, and
     the :class:`IngestError` lists every problem in line order, each row
     named by its first failing check.
+
+    The file is read in :func:`_parts`, each but the first in a forked
+    process, and the parts' results are merged into exactly what a one-part
+    read returns or raises.
     """
     path = Path(path)
     excluded = {t.strip().lower() for t in excluded_doc_types}
     roster_ids = roster_ids if strict else None
+    json_lines = path.suffix.lower() in (".jsonl", ".ndjson", ".json")
+    layout = None if json_lines else _csv_layout(path, PUBLICATION_FIELDS, ())
+    parts = _parts(path, json_lines)
+    logger.debug("%s: read in %d part(s), from lines %s", path, len(parts),
+                 ", ".join(str(before + 1) for _, before, _ in parts))
+    results = _in_processes(functools.partial(_publication_part, path, layout, excluded,
+                                              roster_ids), parts)
+    return _merged_corpus(path, results)
+
+
+def _parts(path: Path, json_lines: bool) -> list[tuple[int, int, int | None]]:
+    """The parts to read a corpus file in: one per available core, none
+    smaller than PART_BYTES, cut at line starts near equal byte offsets.
+
+    Lines end where the readers' universal newlines end them, at "\\n",
+    "\\r\\n" or a lone "\\r", so each part knows the line it starts on.  A
+    CSV file with a '"' before the last cut is read whole, since a quoted
+    line break could span a cut.  Without ``os.fork`` there is one part.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    size = path.stat().st_size
+    n = min(cores, size // PART_BYTES) if hasattr(os, "fork") else 1
+    parts, start, before = [], 0, 0
+    with path.open("rb") as fh:
+        for k in range(1, n):
+            cut = _line_start(fh, size * k // n)
+            if start < cut < size:
+                fh.seek(start)
+                lines, quoted = _count_lines(fh, cut - start)
+                if quoted and not json_lines:
+                    return [WHOLE_FILE]
+                parts.append((start, before, lines))
+                start, before = cut, before + lines
+    return [*parts, (start, before, None)]
+
+
+def _line_start(fh, offset: int) -> int:
+    """The first line start at or after byte ``offset`` (> 0) of binary file
+    ``fh``, or the file's size if no line starts there."""
+    at = offset - 1
+    fh.seek(at)
+    while chunk := fh.read(1 << 16):
+        ends = [i for i in (chunk.find(b"\n"), chunk.find(b"\r")) if i >= 0]
+        if ends:
+            i = min(ends)
+            if chunk[i:i + 1] == b"\r":  # a line end unless "\n" follows
+                after = chunk[i + 1:i + 2] or fh.read(1)
+                return at + i + 1 + (after == b"\n")
+            return at + i + 1
+        at += len(chunk)
+    return at
+
+
+def _count_lines(fh, length: int) -> tuple[int, bool]:
+    """The line ends in the next ``length`` bytes of ``fh``, and whether
+    they hold a '"'."""
+    lines, quoted, last = 0, False, b""
+    while length > 0 and (chunk := fh.read(min(length, 1 << 20))):
+        length -= len(chunk)
+        returns = chunk.count(b"\r")
+        lines += (chunk.count(b"\n") + returns - (returns and chunk.count(b"\r\n"))
+                  - (last == b"\r" and chunk[:1] == b"\n"))
+        quoted = quoted or b'"' in chunk
+        last = chunk[-1:]
+    return lines, quoted
+
+
+def _in_processes(read: Callable, parts: list) -> list:
+    """``read(part)`` of every part, the first in this process and each other
+    in a forked child, which sends its result, or the exception it raised,
+    back as one pickle over a pipe.
+
+    Raises the exception of the first part, in order, that raised one, and
+    RuntimeError for a child that ends without a result.  Every child is
+    killed if still running and reaped before this returns or raises.
+
+    Children are forked, not spawned: a spawned one would import numpy and
+    resperf again (0.13-0.19 s), most of what a part saves.  Forking is
+    safe because resperf starts no threads.
+    """
+    children: dict[int, int] = {}  # pid: read end of its pipe
+    reaped: set[int] = set()
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _send(read, part, w, [*children.values(), r])
+            os.close(w)
+            children[pid] = r
+        results = [read(parts[0])]
+        for pid, r in children.items():
+            try:
+                with open(r, "rb", closefd=False) as pipe:
+                    sent, value = pickle.load(pipe)
+            except Exception:  # the child died before its result was whole
+                reaped.add(pid)
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"ingest worker {pid} ended without a result "
+                                   f"(exit status {status})") from None
+            if not sent:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, r in children.items():
+            os.close(r)
+            if pid not in reaped:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                os.waitpid(pid, 0)
+
+
+def _send(read: Callable, part, w: int, inherited: list[int]) -> None:
+    """In a forked child: pickle ``(True, read(part))``, or ``(False, the
+    exception)``, to ``w`` as it is made, then exit without returning."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            message = (True, read(part))
+        except BaseException as exc:  # re-raised by the parent
+            text = f"raised in the ingest worker for part {part}:\n" + traceback.format_exc()
+            exc.add_note(text)
+            message = (False, exc)
+            try:
+                pickle.dumps(exc)
+            except Exception:
+                message = (False, RuntimeError(text))
+        with open(w, "wb") as pipe:
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
+def _publication_part(path: Path, layout: tuple | None, excluded: set[str], roster_ids,
+                      part: tuple[int, int, int | None]) -> dict:
+    """Read and check one part of a corpus file: its row problems, rows read
+    and dropped, the ``ids`` and ``lines`` of the rows that pass every check
+    but the duplicate-id one, and, if it has no problem, its ``columns``
+    with codes into its own ``vocabularies``: name-to-code maps for the
+    first part, name lists for the others."""
     problems = RowProblems(path)
-    seen: dict[str, int] = {}
     vocabularies = {name: _code_map() for name in _VOCABULARIES}
     ids: list[str] = []
+    kept = array("q")
     buffers = _Columns(_COLUMN_DTYPES)
     n_rows = dropped = 0
-    json_lines = path.suffix.lower() in (".jsonl", ".ndjson", ".json")
     # CSV cells are strings ("" when empty); JSON values may be anything, None when absent
-    for lines, cells in read_blocks(path, PUBLICATION_FIELDS, problems=problems,
-                                    json_lines=json_lines):
+    for lines, cells in _part_blocks(path, part, PUBLICATION_FIELDS, layout, problems):
         n_rows += len(lines)
         doc_type = _texts(cells[5])
         drop = _mask(map(excluded.__contains__, map(str.lower, doc_type)), len(lines))
@@ -764,31 +980,78 @@ def ingest_publications(path,
             keep = (~drop).tolist()
             lines, doc_type, *cells = [list(compress(column, keep))
                                        for column in (lines, doc_type, *cells)]
-        columns = lines and _publication_block(problems, lines, cells, roster_ids, seen,
-                                               vocabularies)
+        if not lines:
+            continue
+        columns = _publication_block(problems, lines, cells, roster_ids, vocabularies)
+        ids += columns.pop("ids")
+        kept.extend(columns.pop("lines"))
         if columns:
-            ids += columns.pop("ids")
             columns["doc_type"] = list(map(vocabularies["doc_types"].__getitem__, doc_type))
             for name, values in columns.items():
                 buffers.extend(name, values)
+    return {"problems": problems.found, "rows": n_rows, "dropped": dropped, "ids": ids,
+            "lines": np.frombuffer(kept, np.int64),
+            "columns": None if problems.found else buffers.arrays(),
+            # the merge looks the other parts' names up in the first part's
+            # maps, and needs only those names, in code order
+            "vocabularies": vocabularies if not part[0] else
+            {name: list(codes) for name, codes in vocabularies.items()}}
 
+
+# The vocabulary each coded corpus column indexes.
+_CODED = {"category": "categories", "doc_type": "doc_types", "author": "authors",
+          "university": "universities"}
+
+
+def _merged_corpus(path: Path, results: list[dict]) -> Corpus:
+    """The corpus of the parts' results, in file order, or the IngestError
+    listing their problems and every repeated id, in line order."""
+    problems = RowProblems(path)
+    problems.found = [problem for result in results for problem in result["problems"]]
+    ids = results[0]["ids"] if len(results) == 1 else \
+        list(itertools.chain.from_iterable(result["ids"] for result in results))
+    if len(set(ids)) < len(ids):
+        lines = np.concatenate([result["lines"] for result in results])
+        seen: dict[str, int] = {}
+        first = np.fromiter(map(seen.setdefault, ids, range(len(ids))), np.int64, len(ids))
+        problems.start(lines)
+        problems.flag(first != np.arange(len(ids)),
+                      lambda i: f"duplicate publication id {ids[i]!r} "
+                                f"(first seen on line {lines[first[i]]})")
     problems.raise_any()
-    if not n_rows:
+    if not sum(result["rows"] for result in results):
         logger.warning("%s: empty publication file", path)
-    columns = buffers.arrays()
-    author_codes = vocabularies["authors"]
-    author_codes.default_factory = None  # a plain dict from here on
-    return Corpus({"ids": ids, **columns,
-                   **{name: list(codes) for name, codes in vocabularies.items()},
-                   "author_codes": author_codes}, dropped)
+    # codes into vocabularies extended in file order, as a one-part read
+    # extends them: the first part's, then each later part's new names
+    codes = results[0]["vocabularies"]
+    vocabularies = {name: list(known) for name, known in codes.items()}
+    columns = {name: [values] for name, values in results[0]["columns"].items()}
+    for k, result in enumerate(results[1:], start=2):
+        remap = {}
+        for name, names in result["vocabularies"].items():
+            remap[name] = found = np.fromiter(map(codes[name].get, names, repeat(-1)),
+                                              np.int32, len(names))
+            new = np.flatnonzero(found < 0)
+            found[new] = np.arange(len(vocabularies[name]), len(vocabularies[name]) + new.size)
+            added = list(map(names.__getitem__, new.tolist()))
+            if k < len(results):  # a later part may name them too
+                codes[name].update(zip(added, found[new].tolist()))
+            vocabularies[name] += added
+        for name, values in result["columns"].items():
+            columns[name].append(remap[_CODED[name]][values] if name in _CODED else values)
+    return Corpus({"ids": ids, **vocabularies,
+                   **{name: parts[0] if len(parts) == 1 else
+                      np.concatenate(parts, dtype=_COLUMN_DTYPES[name])
+                      for name, parts in columns.items()}},
+                  sum(result["dropped"] for result in results))
 
 
 def _publication_block(problems: RowProblems, lines: list[int], cells: list,
-                       roster_ids, seen: dict[str, int],
-                       vocabularies: dict[str, defaultdict]) -> dict | None:
+                       roster_ids, vocabularies: dict[str, defaultdict]) -> dict:
     """Check one block of kept publication rows; the first failing check, in
-    this order, names a row.  Its corpus columns less doc_type, or None once
-    the file has a problem."""
+    this order, names a row.  The ``ids`` and ``lines`` of the rows that
+    pass, and while the part has no problem their other corpus columns less
+    doc_type.  The duplicate-id check, the last one, is left to the merge."""
     raw_id, raw_year, raw_category, raw_impact, raw_citations, _, raw_byline = cells
     n = len(lines)
     problems.start(lines)
@@ -837,14 +1100,10 @@ def _publication_block(problems: RowProblems, lines: list[int], cells: list,
         listed[slot_row[~_mask(map(roster_ids.__contains__, authors), len(authors))]] = True
         problems.flag(listed, lambda i: "unknown author id(s) " + ", ".join(
             a for a in _parse_byline(raw_byline[i] or "")[0] if a not in roster_ids))
-    good = (~problems.bad).tolist()
-    first = np.array(lines)
-    first[~problems.bad] = list(map(seen.setdefault, compress(pid, good), compress(lines, good)))
-    problems.flag(first != lines, lambda i: f"duplicate publication id {pid[i]!r} "
-                                            f"(first seen on line {first[i]})")
     if problems.found:
-        return None
-    return {"ids": pid, "year": year, "citations": citations, "impact": impact,
+        good = (~problems.bad).tolist()
+        return {"ids": list(compress(pid, good)), "lines": list(compress(lines, good))}
+    return {"ids": pid, "lines": lines, "year": year, "citations": citations, "impact": impact,
             "n_authors": counts, "author": author,
             "category": list(map(vocabularies["categories"].__getitem__, category)),
             "university": list(map(vocabularies["universities"].__getitem__, universities))}

@@ -26,6 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -192,28 +193,31 @@ def _check_and_warn(ids: list[str], corpus: Corpus, window: tuple[int, int],
     reasons = np.concatenate([np.zeros(2 * cite_rows.size, dtype=int), bad_if[if_rows]])
     stage = np.repeat([0, 1, 2], [cite_rows.size, cite_rows.size, if_rows.size])
     order = np.lexsort((rows, stage, who[rows]))
-    events = list(zip(who[rows][order].tolist(), pub[rows][order].tolist(),
-                      reasons[order].tolist()))
+    owners, pubs, reasons = who[rows][order], pub[rows][order], reasons[order]
     idle = np.flatnonzero(t <= 0)
-    if strict and events and (not idle.size or events[0][0] < idle[0]):
-        i, p, reason = events[0]
-        raise MissingCellError(_skip_message(ids[i], corpus, p, reason, strict))
+    if strict and pubs.size and (not idle.size or owners[0] < idle[0]):
+        raise MissingCellError(next(_skip_message(ids, corpus, owners[:1], pubs[:1],
+                                                  reasons[:1], strict)))
     if idle.size:
         raise ValueError(f"{ids[idle[0]]}: no working years inside window {window}")
     if logger.isEnabledFor(logging.WARNING):
-        for start in range(0, len(events), SKIPS_PER_RECORD):
-            batch = events[start:start + SKIPS_PER_RECORD]
-            logger.warning("\n".join(_skip_message(ids[i], corpus, p, reason, strict=False)
-                                     for i, p, reason in batch))
+        for start in range(0, pubs.size, SKIPS_PER_RECORD):
+            batch = slice(start, start + SKIPS_PER_RECORD)
+            logger.warning("\n".join(_skip_message(ids, corpus, owners[batch], pubs[batch],
+                                                   reasons[batch], strict=False)))
 
 
-def _skip_message(owner: str, corpus: Corpus, p: int, reason: int, strict: bool) -> str:
-    """Why publication ``p`` is skipped: 0 (no citation cell), UNKNOWN_IF or NO_IF_CELL."""
-    pid, year = corpus.ids[p], int(corpus.year[p])
-    category = corpus.categories[corpus.category[p]]
-    if reason == UNKNOWN_IF:
-        return (f"{owner}: publication {pid} has no impact factor" if strict
-                else f"{owner}: skipping {pid}, unknown impact factor")
-    what = "impact-factor" if reason == NO_IF_CELL else "citation"
-    return (f"{owner}: no {what} scaling cell for ({year}, {category!r})" if strict
-            else f"{owner}: skipping {pid}, no {what} scaling cell for ({year}, {category})")
+def _skip_message(ids: list[str], corpus: Corpus, owners: np.ndarray, pubs: np.ndarray,
+                  reasons: np.ndarray, strict: bool) -> Iterator[str]:
+    """Why each publication ``pubs[k]`` of professor ``ids[owners[k]]`` is
+    skipped: ``reasons[k]`` is 0 (no citation cell), UNKNOWN_IF or NO_IF_CELL."""
+    for i, p, year, c, reason in zip(owners.tolist(), pubs.tolist(), corpus.year[pubs].tolist(),
+                                     corpus.category[pubs].tolist(), reasons.tolist()):
+        owner, pid, category = ids[i], corpus.ids[p], corpus.categories[c]
+        if reason == UNKNOWN_IF:
+            yield (f"{owner}: publication {pid} has no impact factor" if strict
+                   else f"{owner}: skipping {pid}, unknown impact factor")
+            continue
+        what = "impact-factor" if reason == NO_IF_CELL else "citation"
+        yield (f"{owner}: no {what} scaling cell for ({year}, {category!r})" if strict
+               else f"{owner}: skipping {pid}, no {what} scaling cell for ({year}, {category})")

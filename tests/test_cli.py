@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -823,3 +824,57 @@ class TestLenientStderr:
         assert broken
         assert all(got[i + 1] == f"{self.PREFIX}second line, unknown impact factor"
                    for i in broken)
+
+
+# Cells of the whole rows written into compute's covariates.csv and
+# percentiles.csv: values near the valid ones, ids and labels the files hold,
+# and anything.
+REGRESS_CELLS = st.one_of(
+    st.sampled_from(["", " ", "0", "1", "2", "-1", "-0", "0.5", "37.25", "50", "100",
+                     "100.5", "1e200", "1e309", "nan", "inf", "-inf", "MAT", "BIO", "FSS",
+                     "P", "IA", "IJ", "P00001", "P00002", "a,b", '"', "x\ny"]),
+    st.floats().map(repr), st.text(max_size=6))
+
+
+class TestRegressInputsNeverCrash:
+    """Whole rows, copied from compute's covariates.csv or percentiles.csv
+    with up to three cells set to anything and maybe cut short, put in place
+    of rows or between them, make regress exit 0, 2 naming a line, or 1 with
+    a one-line "Error: regression:"; never a traceback."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(name=st.sampled_from(["covariates.csv", "percentiles.csv"]),
+           rows=st.lists(st.tuples(st.integers(0, 2000), st.booleans(), st.integers(0, 2000),
+                                   st.lists(st.tuples(st.integers(0, 8), REGRESS_CELLS),
+                                            max_size=3),
+                                   st.one_of(st.none(), st.integers(0, 8))),
+                         min_size=1, max_size=3))
+    def test_regress(self, sim_chain, name, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp) / "comp"
+            shutil.copytree(sim_chain / "comp", data)
+            with (data / name).open(newline="") as fh:
+                table = list(csv.reader(fh))
+            for at, insert, source, changes, cut in rows:
+                row = list(table[source % len(table)])
+                for j, cell in changes if row else ():
+                    row[j % len(row)] = cell
+                row = row[:cut]
+                if insert:
+                    table.insert(at % (len(table) + 1), row)
+                else:
+                    table[at % len(table)] = row
+            with (data / name).open("w", newline="") as fh:
+                csv.writer(fh).writerows(table)
+            res = invoke("regress", "--data", data, "--max-degree", 1,
+                         "--out", Path(tmp) / "reg")
+        assert res.exception is None or isinstance(res.exception, SystemExit), \
+            repr(res.exception)
+        assert "Traceback" not in res.output
+        if res.exit_code == 2:
+            assert re.search(r"\.csv: line \d+: ", " ".join(res.output.split())), res.output
+        elif res.exit_code == 1:
+            assert res.stderr.startswith("Error: regression: ") \
+                and res.stderr.count("\n") == 1, res.stderr
+        else:
+            assert res.exit_code == 0, res.output
