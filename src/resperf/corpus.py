@@ -392,7 +392,7 @@ def read_json_object(path, build: Callable[[dict], object] = dict):
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8-sig"))
+        data = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise _read_error(path, str(exc)) from None
     except json.JSONDecodeError as exc:
@@ -532,11 +532,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @functools.cached_property
-    def author_codes(self) -> dict[str, int]:
-        """Each author's code."""
-        return {author: code for code, author in enumerate(self.authors)}
 
     @functools.cached_property
     def cells(self) -> tuple[np.ndarray, list[tuple[int, str]]]:
@@ -892,9 +887,12 @@ def _in_processes(read: Callable, parts: list) -> list:
     in a forked child, which sends its result, or the exception it raised,
     back as one pickle over a pipe.
 
-    Raises the exception of the first part, in order, that raised one, and
-    RuntimeError for a child that ends without a result.  Every child is
-    killed if still running and reaped before this returns or raises.
+    Raises the exception of the first part, in order, that raised one, with
+    the child's traceback as its cause, and RuntimeError for a child that
+    ends without a result.  Every child is killed if still running and
+    reaped before this returns or raises.  If no pipe or process can be
+    made, the parts not yet forked are read in this process, after the
+    forked ones.
 
     Children are forked, not spawned: a spawned one would import numpy and
     resperf again (0.13-0.19 s), most of what a part saves.  Forking is
@@ -902,13 +900,16 @@ def _in_processes(read: Callable, parts: list) -> list:
     """
     children: dict[int, int] = {}  # pid: read end of its pipe
     reaped: set[int] = set()
+    here = []  # the parts after the first read in this process
     try:
-        for part in parts[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _send(read, part, w, [*children.values(), r])
-            os.close(w)
+        for i, part in enumerate(parts[1:], start=1):
+            try:
+                pid, r = _fork(read, part, list(children.values()))
+            except OSError as exc:
+                logger.debug("cannot fork an ingest worker (%s): reading parts %d-%d here",
+                             exc, i + 1, len(parts))
+                here = parts[i:]
+                break
             children[pid] = r
         results = [read(parts[0])]
         for pid, r in children.items():
@@ -921,9 +922,10 @@ def _in_processes(read: Callable, parts: list) -> list:
                 raise RuntimeError(f"ingest worker {pid} ended without a result "
                                    f"(exit status {status})") from None
             if not sent:
-                raise value
+                error, trace = value
+                raise error from RuntimeError(trace)
             results.append(value)
-        return results
+        return results + [read(part) for part in here]
     finally:
         for pid, r in children.items():
             os.close(r)
@@ -935,22 +937,39 @@ def _in_processes(read: Callable, parts: list) -> list:
                 os.waitpid(pid, 0)
 
 
+def _fork(read: Callable, part, inherited: list[int]) -> tuple[int, int]:
+    """The pid of a forked child that sends ``read(part)`` through a pipe,
+    and the pipe's read end; the child closes the ``inherited`` pipe ends.
+    An OSError from the pipe or the fork leaves no pipe end open."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        _send(read, part, w, [*inherited, r])
+    os.close(w)
+    return pid, r
+
+
 def _send(read: Callable, part, w: int, inherited: list[int]) -> None:
-    """In a forked child: pickle ``(True, read(part))``, or ``(False, the
-    exception)``, to ``w`` as it is made, then exit without returning."""
+    """In a forked child: pickle ``(True, read(part))``, or ``(False,
+    (the exception, its formatted traceback))``, to ``w`` as it is made,
+    then exit without returning."""
     try:
         for fd in inherited:
             os.close(fd)
         try:
             message = (True, read(part))
         except BaseException as exc:  # re-raised by the parent
-            text = f"raised in the ingest worker for part {part}:\n" + traceback.format_exc()
-            exc.add_note(text)
-            message = (False, exc)
+            trace = f"raised in the ingest worker for part {part}:\n" + traceback.format_exc()
             try:
                 pickle.dumps(exc)
             except Exception:
-                message = (False, RuntimeError(text))
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            message = (False, (exc, trace))
         with open(w, "wb") as pipe:
             pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
     finally:

@@ -201,9 +201,8 @@ class ColumnBuffer:
 
     def columns(self) -> dict:
         vocabularies = ("categories", "doc_types", "authors", "universities")
-        return {**{name: list(value) if name in vocabularies else value
-                   for name, value in vars(self).items()},
-                "author_codes": self.authors}
+        return {name: list(value) if name in vocabularies else value
+                for name, value in vars(self).items()}
 
 
 def ingest_publications(path, excluded_doc_types: Iterable[str] = DEFAULT_EXCLUDED_DOC_TYPES,

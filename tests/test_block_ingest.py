@@ -35,7 +35,6 @@ def outcome(ingest, *args, **kwargs):
     if "impact" in values:
         values["impact"] = [None if math.isnan(x) else x for x in values["impact"]]
         values["authors"] = list(values["authors"])
-        values["author_codes"] = dict(result.author_codes)
     return "columns", values
 
 

@@ -9,6 +9,7 @@ must return the same columns or raise the same problem list.
 """
 
 import csv
+import errno
 import os
 import signal
 from unittest import mock
@@ -284,6 +285,51 @@ class TestWorkers:
                 read(pubs, 2)
         assert_no_child_left()
 
+    def test_a_later_part_raises_with_its_traceback_as_cause(self, pubs):
+        part_of = corpus._publication_part
+
+        class Unpicklable(Exception):  # a local class does not pickle
+            pass
+
+        for error, raised in ((KeyError("later part"), KeyError),
+                              (Unpicklable("later part"), RuntimeError)):
+            def failing_part(*args):
+                if args[-1][0]:
+                    raise error
+                return part_of(*args)
+
+            with mock.patch.object(corpus, "_publication_part", failing_part):
+                with pytest.raises(raised, match="later part") as exc:
+                    read(pubs, 2)
+            trace = str(exc.value.__cause__)
+            assert trace.startswith("raised in the ingest worker for part (")
+            assert "in failing_part" in trace
+            assert trace.rstrip().endswith(f"{type(error).__name__}: {error}")
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    @pytest.mark.parametrize("forked", [0, 1])
+    def test_parts_not_forked_are_read_here(self, pubs, call, forked):
+        """An OSError from a pipe or a fork, after ``forked`` children,
+        leaves the remaining parts to the calling process."""
+        made = getattr(os, call)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > forked:
+                raise OSError(errno.EAGAIN, "no process to spare")
+            return made(*args)
+
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with mock.patch.object(os, call, failing):
+            in_parts, whole, reference, parts = three_ways(pubs, 3)
+        assert parts == 3 and len(calls) == forked + 1
+        assert in_parts == whole == reference
+        assert in_parts[0] == "columns"
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert_no_child_left()
+
 
 def test_parts_are_logged_at_debug_level(tmp_path, caplog):
     path = tmp_path / "pubs.jsonl"
@@ -358,12 +404,6 @@ class TestInvalidUtf8:
             corpus.read_json_object(path)
         assert exc.value.problems == [
             "line 3: invalid UTF-8 (byte 0xe9, invalid continuation byte)"]
-
-
-def test_a_json_object_file_may_start_with_a_byte_order_mark(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_bytes(b'\xef\xbb\xbf{"a": 1}\n')
-    assert corpus.read_json_object(path) == {"a": 1}
 
 
 def test_read_pairs_names_the_physical_line(tmp_path):
