@@ -26,10 +26,10 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, RowProblems, _fmt_float,
-                     _mask, _real_numbers, derive_covariates, ingest_publications,
-                     ingest_roster, json_number, load_sds_map, read_blocks,
-                     read_json_object, write_publications, write_roster)
+from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, Roster, RowProblems,
+                     _fmt_float, _mask, _real_numbers, derive_covariates,
+                     ingest_publications, ingest_roster, json_number, load_sds_map,
+                     read_blocks, read_json_object, write_publications, write_roster)
 from .credit import (CONVENTIONS, ConventionMap, CreditError,
                      load_convention_map, write_convention_map)
 from .indicators import INDICATORS
@@ -221,13 +221,12 @@ def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
     """compute's covariates.csv and percentiles.csv, validated, as one frame."""
     problems = RowProblems(cov_path)
     index: dict[str, int] = {}
-    ids: list[str] = []
     udas: list[str] = []
     numbers: list[np.ndarray] = []
     for lines, (pid, uda, *cells) in read_blocks(cov_path, _COVARIATE_COLUMNS):
         n = len(lines)
         problems.start(lines)
-        row = range(len(ids), len(ids) + n)
+        row = range(len(udas), len(udas) + n)
         first = list(map(index.setdefault, pid, row))
         problems.flag(np.array(first) != row,
                       lambda i: f"duplicate professor_id {pid[i]!r}", stop=False)
@@ -247,13 +246,12 @@ def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
                 block[:, j] = values = np.array(list(map(_DUMMIES.get, texts)), np.float64)
                 problems.flag(np.isnan(values),
                               lambda i: f"{name} must be 0 or 1, got {texts[i]!r}", stop=False)
-        ids += pid
         udas += uda
         numbers.append(block)
     problems.raise_any()
 
     problems = RowProblems(pct_path)
-    percentiles = np.full((len(ids), len(INDICATORS)), np.nan)
+    percentiles = np.full((len(udas), len(INDICATORS)), np.nan)
     for lines, (pid, indicator, texts) in read_blocks(pct_path, _PERCENTILE_COLUMNS):
         n = len(lines)
         problems.start(lines)
@@ -277,7 +275,7 @@ def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
     problems.raise_any()
 
     numbers = np.concatenate(numbers) if numbers else np.zeros((0, 6))
-    return RegressionFrame(ids=np.array(ids, dtype=str), uda=np.array(udas, dtype=str),
+    return RegressionFrame(uda=np.array(udas, dtype=str),
                            age=numbers[:, 0], covariates=numbers[:, 1:], percentiles=percentiles)
 
 
@@ -442,6 +440,8 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
 
 
 _INDICATOR_COLUMNS = ("professor_id", "fss", "p", "ia", "ij", "n_pubs")
+# Most digits of an n_pubs count: it must fit in an int64.
+_MAX_COUNT_DIGITS = 18
 
 
 def _read_indicators(path: Path) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
@@ -472,18 +472,29 @@ def _read_indicators(path: Path) -> tuple[dict[str, int], np.ndarray, np.ndarray
         problems.flag(~whole,
                       lambda i: f"n_pubs must be a whole number >= 0, got {count[i]!r}",
                       stop=False)
-        n_pubs.append(np.array([int(c) if w else 0 for c, w in zip(count, whole.tolist())],
+        large = whole & _mask((len(c.lstrip("0")) > _MAX_COUNT_DIGITS for c in count), n)
+        problems.flag(large, lambda i: f"n_pubs must be below 10^{_MAX_COUNT_DIGITS}, "
+                                       f"got {count[i]!r}", stop=False)
+        n_pubs.append(np.array([int(c) if w else 0
+                                for c, w in zip(count, (whole & ~large).tolist())],
                                dtype=np.int64))
     problems.raise_any()
     return (rows, np.concatenate(fss) if fss else np.zeros(0),
             np.concatenate(n_pubs) if n_pubs else np.zeros(0, np.int64))
 
 
-def _headcounts(data: dict) -> dict[str, int]:
-    """Population headcount per discipline, from the totals JSON object."""
+def _headcounts(data: dict, roster: Roster) -> dict[str, int]:
+    """Population headcount per discipline, from the totals JSON object; none
+    may be below the discipline's rostered professors."""
     for uda, count in data.items():
         if json_number(count, f"total for {uda!r}", whole=True) < 0:
             raise ValueError(f"total for {uda!r} must be >= 0, got {count}")
+    rostered = np.bincount(roster.uda, minlength=len(roster.uda_names))
+    short = [f"{uda!r} ({data[uda]} < {k})"
+             for uda, k in sorted(zip(roster.uda_names, rostered.tolist()))
+             if data.get(uda, k) < k]
+    if short:
+        raise ValueError(f"total below the rostered professors for {', '.join(short)}")
     return data
 
 
@@ -514,8 +525,8 @@ def report_cmd(roster_path, indicators_path, window, census_date, totals_path,
     census = _parse_census(census_date, window_years)
     roster = _input_stage("roster ingest", ingest_roster, roster_path)
     index, fss, n_pubs = _input_stage("indicators", _read_indicators, Path(indicators_path))
-    totals = _input_stage("totals", read_json_object, totals_path, _headcounts) \
-        if totals_path else None
+    totals = _input_stage("totals", read_json_object, totals_path,
+                          lambda data: _headcounts(data, roster)) if totals_path else None
 
     covariates = _input_stage("roster covariates", derive_covariates, roster, census,
                               window_years)

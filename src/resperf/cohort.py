@@ -9,7 +9,7 @@ rank only.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -49,16 +49,6 @@ def _group_percentiles(group: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.empty(n)
     out[order] = pct
     return out
-
-
-def percentile_rank(values: Sequence[float]) -> list[float]:
-    """Midrank percentiles: 100 * (rank - 1) / (n - 1)."""
-    if len(values) == 0:
-        raise ValueError("empty cohort")
-    arr = np.asarray(values, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("cohort contains NaN")
-    return _group_percentiles(np.zeros(arr.size, dtype=np.int64), arr).tolist()
 
 
 def cohort_percentiles(roster: Roster, scores: Mapping[str, np.ndarray]) -> np.ndarray:

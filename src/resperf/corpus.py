@@ -385,14 +385,15 @@ def read_pairs(path, key_name: str, value_name: str,
 
 
 def read_json_object(path, build: Callable[[dict], object] = dict):
-    """``build`` of the JSON object a file holds.
+    """``build`` of the JSON object a UTF-8 file holds, with or without a
+    byte-order mark.
 
     Bytes that are not UTF-8, invalid JSON, any value but an object, and a
     ValueError from ``build`` raise :class:`IngestError` naming the file.
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise _read_error(path, str(exc)) from None
     except json.JSONDecodeError as exc:
@@ -534,12 +535,10 @@ class Corpus:
         return len(self.ids)
 
     @functools.cached_property
-    def cells(self) -> tuple[np.ndarray, list[tuple[int, str]]]:
-        """Each publication's (year, subject category) cell index, and the cells."""
+    def cells(self) -> np.ndarray:
+        """Each publication's (year, subject category) cell, numbered from 0."""
         width = max(len(self.categories), 1)
-        keys, cell = np.unique(self.year * width + self.category, return_inverse=True)
-        return (cell.reshape(-1),
-                [(int(k) // width, self.categories[int(k) % width]) for k in keys])
+        return np.unique(self.year * width + self.category, return_inverse=True)[1].reshape(-1)
 
     def authored_by(self, author_ids: Sequence[str], window: tuple[int, int]
                     ) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -48,63 +47,25 @@ SKIPS_PER_RECORD = 1024
 
 
 class MissingCellError(ValueError):
-    """A (year, subject category) scaling cell needed in strict mode is absent."""
+    """In strict mode, IJ would skip a publication: its impact factor is
+    unknown, or its cell has no nonzero impact-factor mean."""
 
 
-@dataclass(frozen=True)
-class CellStats:
-    mean_citations_cited: float | None   # mean citations over cited pubs
-    mean_impact_factor: float | None     # mean IF over pubs with known IF
-
-
-class ScalingTable:
-    """Per-(year, subject_category) normalization means."""
-
-    def __init__(self, cells: dict[tuple[int, str], CellStats]):
-        self._cells = dict(cells)
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def cell(self, year: int, category: str) -> CellStats | None:
-        return self._cells.get((year, category))
-
-    def mean_citations(self, year: int, category: str) -> float | None:
-        stats = self._cells.get((year, category))
-        return None if stats is None else stats.mean_citations_cited
-
-    def mean_impact_factor(self, year: int, category: str) -> float | None:
-        stats = self._cells.get((year, category))
-        return None if stats is None else stats.mean_impact_factor
-
-    def publication_means(self, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
-        """cbar and ifbar of every publication in ``corpus``; NaN where absent."""
-        cell, keys = corpus.cells
-        stats = [self._cells.get(key) or CellStats(None, None) for key in keys]
-        cbar = [math.nan if s.mean_citations_cited is None else s.mean_citations_cited
-                for s in stats]
-        ifbar = [math.nan if s.mean_impact_factor is None else s.mean_impact_factor
-                 for s in stats]
-        return np.asarray(cbar, dtype=float)[cell], np.asarray(ifbar, dtype=float)[cell]
-
-
-def build_scaling_table(corpus: Corpus) -> ScalingTable:
-    """Compute cell means from a corpus.  The corpus must be nonempty."""
-    if not len(corpus):
-        raise ValueError("cannot build a scaling table from an empty corpus")
-    cell, keys = corpus.cells
+def build_scaling_table(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Each publication's cell means, cbar and ifbar: over the cited
+    publications and over those with a known impact factor in its (year,
+    subject category) cell, NaN where the cell has none."""
+    cell = corpus.cells
+    n_cells = int(cell.max(initial=-1)) + 1
     cited = corpus.citations > 0
     known = ~np.isnan(corpus.impact)
-    n_cells = len(keys)
-    cite_sum = np.bincount(cell[cited], weights=corpus.citations[cited], minlength=n_cells)
-    cite_num = np.bincount(cell[cited], minlength=n_cells)
-    if_sum = np.bincount(cell[known], weights=corpus.impact[known], minlength=n_cells)
-    if_num = np.bincount(cell[known], minlength=n_cells)
-    return ScalingTable({
-        key: CellStats(
-            mean_citations_cited=float(cite_sum[j] / cite_num[j]) if cite_num[j] else None,
-            mean_impact_factor=float(if_sum[j] / if_num[j]) if if_num[j] else None)
-        for j, key in enumerate(keys)})
+    cbar = _mean_or_nan(np.bincount(cell[cited], weights=corpus.citations[cited],
+                                    minlength=n_cells),
+                        np.bincount(cell[cited], minlength=n_cells))
+    ifbar = _mean_or_nan(np.bincount(cell[known], weights=corpus.impact[known],
+                                     minlength=n_cells),
+                         np.bincount(cell[known], minlength=n_cells))
+    return cbar[cell], ifbar[cell]
 
 
 def _mean_or_nan(total: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -122,53 +83,50 @@ def _roster_conventions(roster: Roster, conventions: ConventionMap) -> np.ndarra
     return np.array(codes, dtype=np.int64)[pair.reshape(-1)]
 
 
-def compute_scores(roster: Roster, corpus: Corpus, scaling: ScalingTable,
-                   conventions: ConventionMap, window: tuple[int, int],
-                   t: np.ndarray, strict: bool = False) -> dict[str, np.ndarray]:
+def compute_scores(roster: Roster, corpus: Corpus, conventions: ConventionMap,
+                   window: tuple[int, int], t: np.ndarray,
+                   strict: bool = False) -> dict[str, np.ndarray]:
     """All four indicators for every professor, in roster order, in one pass.
 
     Returns a column per indicator (``FSS``, ``P``, ``IA``, ``IJ``; IA and IJ
     are NaN where undefined) and ``n_pubs``, the in-window publication count
     (0 = inactive).  ``t`` is each professor's working years in the window
-    (the ``t`` column of ``corpus.derive_covariates``).  A publication whose
-    scaling mean is missing (or whose impact factor is unknown) is skipped by
-    the indicators that need it, with one warning line per professor,
-    publication and indicator in roster and then corpus order, logged in
-    multi-line records; with ``strict`` the first such publication raises
-    :class:`MissingCellError`.  Professor ids must be unique.
+    (the ``t`` column of ``corpus.derive_covariates``).  The scaling means
+    come from ``corpus`` itself, so a cited publication always has a
+    citation mean.  A publication whose impact factor is unknown, or whose
+    cell has no nonzero impact-factor mean, is skipped by IJ, with one
+    warning line per professor and publication in roster and then corpus
+    order, logged in multi-line records; with ``strict`` the first such
+    publication raises :class:`MissingCellError`.  Professor ids must be
+    unique.
     """
     if len(set(roster.ids)) != len(roster):
         raise ValueError("duplicate professor id in roster")
     who, rows = corpus.authored_by(roster.ids, window)   # in-window roster authorships
     pub = corpus.pub[rows]
 
-    cbar, ifbar = scaling.publication_means(corpus)
-    cited = corpus.citations > 0
-    no_cite_cell = cited & np.isnan(cbar)
+    cbar, ifbar = build_scaling_table(corpus)
     cite_ratio = np.divide(corpus.citations, cbar, out=np.zeros(len(corpus)),
-                           where=cited & ~no_cite_cell)
+                           where=corpus.citations > 0)
     unknown_if = np.isnan(corpus.impact)
     no_if_cell = ~unknown_if & (np.isnan(ifbar) | (ifbar == 0))
     if_ok = ~(unknown_if | no_if_cell)
     if_ratio = np.divide(corpus.impact, ifbar, out=np.zeros(len(corpus)), where=if_ok)
 
     if_reason = np.where(unknown_if, UNKNOWN_IF, np.where(no_if_cell, NO_IF_CELL, 0))
-    _check_and_warn(roster.ids, corpus, window, t, who, pub, no_cite_cell[pub],
-                    if_reason[pub], strict)
+    _check_and_warn(roster.ids, corpus, window, t, who, pub, if_reason[pub], strict)
 
     share = fractional_contribution(_roster_conventions(roster, conventions)[who],
                                     corpus.shared[pub], corpus.n_authors[pub],
                                     corpus.position[rows])
     n = len(roster)
     ratio = cite_ratio[pub]
-    ia_ok = ~no_cite_cell[pub]
     ij_ok = if_ok[pub]
     n_pubs = np.bincount(who, minlength=n)
     return {
         "FSS": np.bincount(who, weights=ratio * share, minlength=n) / t,
         "P": n_pubs / t,
-        "IA": _mean_or_nan(np.bincount(who[ia_ok], weights=ratio[ia_ok], minlength=n),
-                           np.bincount(who[ia_ok], minlength=n)),
+        "IA": _mean_or_nan(np.bincount(who, weights=ratio, minlength=n), n_pubs),
         "IJ": _mean_or_nan(np.bincount(who[ij_ok], weights=if_ratio[pub][ij_ok],
                                        minlength=n),
                            np.bincount(who[ij_ok], minlength=n)),
@@ -178,22 +136,18 @@ def compute_scores(roster: Roster, corpus: Corpus, scaling: ScalingTable,
 
 def _check_and_warn(ids: list[str], corpus: Corpus, window: tuple[int, int],
                     t: np.ndarray, who: np.ndarray, pub: np.ndarray,
-                    bad_cite: np.ndarray, bad_if: np.ndarray, strict: bool) -> None:
+                    reason: np.ndarray, strict: bool) -> None:
     """Raise for the first professor with no working years or, under ``strict``,
     a skipped publication; otherwise log every skip, one line each, in
     records of at most SKIPS_PER_RECORD lines.
 
     ``who``/``pub`` give each in-window authorship's index into ``ids`` and
-    publication; ``bad_cite`` marks a missing citation cell and ``bad_if``
-    holds UNKNOWN_IF or NO_IF_CELL.  Skips are reported per professor in the
-    order of the per-indicator walks: FSS and IA over citation cells, then IJ.
+    publication; ``reason`` holds UNKNOWN_IF or NO_IF_CELL for a skipped one
+    and 0 otherwise.  Skips are reported per professor, in corpus order.
     """
-    cite_rows, if_rows = np.flatnonzero(bad_cite), np.flatnonzero(bad_if)
-    rows = np.concatenate([cite_rows, cite_rows, if_rows])
-    reasons = np.concatenate([np.zeros(2 * cite_rows.size, dtype=int), bad_if[if_rows]])
-    stage = np.repeat([0, 1, 2], [cite_rows.size, cite_rows.size, if_rows.size])
-    order = np.lexsort((rows, stage, who[rows]))
-    owners, pubs, reasons = who[rows][order], pub[rows][order], reasons[order]
+    rows = np.flatnonzero(reason)
+    order = np.lexsort((rows, who[rows]))
+    owners, pubs, reasons = who[rows][order], pub[rows][order], reason[rows][order]
     idle = np.flatnonzero(t <= 0)
     if strict and pubs.size and (not idle.size or owners[0] < idle[0]):
         raise MissingCellError(next(_skip_message(ids, corpus, owners[:1], pubs[:1],
@@ -209,15 +163,16 @@ def _check_and_warn(ids: list[str], corpus: Corpus, window: tuple[int, int],
 
 def _skip_message(ids: list[str], corpus: Corpus, owners: np.ndarray, pubs: np.ndarray,
                   reasons: np.ndarray, strict: bool) -> Iterator[str]:
-    """Why each publication ``pubs[k]`` of professor ``ids[owners[k]]`` is
-    skipped: ``reasons[k]`` is 0 (no citation cell), UNKNOWN_IF or NO_IF_CELL."""
+    """Why IJ skips each publication ``pubs[k]`` of professor ``ids[owners[k]]``:
+    ``reasons[k]`` is UNKNOWN_IF or NO_IF_CELL."""
     for i, p, year, c, reason in zip(owners.tolist(), pubs.tolist(), corpus.year[pubs].tolist(),
                                      corpus.category[pubs].tolist(), reasons.tolist()):
         owner, pid, category = ids[i], corpus.ids[p], corpus.categories[c]
         if reason == UNKNOWN_IF:
             yield (f"{owner}: publication {pid} has no impact factor" if strict
                    else f"{owner}: skipping {pid}, unknown impact factor")
-            continue
-        what = "impact-factor" if reason == NO_IF_CELL else "citation"
-        yield (f"{owner}: no {what} scaling cell for ({year}, {category!r})" if strict
-               else f"{owner}: skipping {pid}, no {what} scaling cell for ({year}, {category})")
+        else:
+            yield (f"{owner}: no impact-factor scaling cell for ({year}, {category!r})"
+                   if strict else
+                   f"{owner}: skipping {pid}, no impact-factor scaling cell for "
+                   f"({year}, {category})")

@@ -18,7 +18,7 @@ tame collinearity, and coefficients are back-transformed to the raw-age scale
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -256,27 +256,23 @@ class RegressionFrame:
     (n, 4) in ``INDICATORS`` order on the 0-100 scale, NaN where the
     professor is not ranked on that indicator.
     """
-    ids: np.ndarray
     uda: np.ndarray
     age: np.ndarray
     covariates: np.ndarray
     percentiles: np.ndarray
 
     def subset(self, mask: np.ndarray) -> "RegressionFrame":
-        return RegressionFrame(self.ids[mask], self.uda[mask], self.age[mask],
+        return RegressionFrame(self.uda[mask], self.age[mask],
                                self.covariates[mask], self.percentiles[mask])
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     dependent: str = "FSS"
-    age_degree: int = 1
     covariates: tuple[str, ...] = COVARIATE_ORDER
     max_seniority: float | None = None  # keep rows with seniority strictly below
 
     def __post_init__(self):
-        if not 1 <= self.age_degree <= 3:
-            raise ValueError(f"age_degree must be 1..3, got {self.age_degree}")
         if self.dependent not in INDICATORS:
             raise ValueError(f"unknown dependent indicator {self.dependent!r}")
         unknown = [c for c in self.covariates if c not in COVARIATE_ORDER]
@@ -289,9 +285,9 @@ class ModelSpec:
 
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ModelSpec":
-        """Key-value form: dependent, age_degree, covariates, max_seniority, each
-        of its JSON type; null = default."""
-        kinds = {"dependent": (str, "a string"), "age_degree": (int, "a whole number"),
+        """Key-value form: dependent, covariates, max_seniority, each of its
+        JSON type; null = default."""
+        kinds = {"dependent": (str, "a string"),
                  "covariates": ((list, tuple), "a list of strings"),
                  "max_seniority": ((int, float), "a number")}
         extra = set(data) - set(kinds)
@@ -317,15 +313,8 @@ class Design:
     age_mean: float
     dropped: tuple[str, ...]
     vifs: dict[str, float]
-    row_ids: np.ndarray
     unpruned_X: np.ndarray
     unpruned_columns: tuple[str, ...]
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise ValueError(f"unknown design column {name!r}") from None
 
     def at_degree(self, degree: int) -> "Design":
         """The same sample with age powers up to ``degree`` (<= age_degree), pruned afresh."""
@@ -335,25 +324,27 @@ class Design:
                 if name not in AGE_TERMS[degree:]]
         return _pruned(self.y, self.unpruned_X[:, keep],
                        tuple(self.unpruned_columns[i] for i in keep),
-                       degree, self.age_mean, self.row_ids)
+                       degree, self.age_mean)
 
 
-def _pruned(y, X, columns, age_degree, age_mean, row_ids) -> Design:
+def _pruned(y, X, columns, age_degree, age_mean) -> Design:
     report = collinearity_check(X, columns, vif_exempt=AGE_TERMS)
     return Design(y=y, X=report.X, columns=report.columns,
                   age_degree=age_degree, age_mean=age_mean,
-                  dropped=report.dropped, vifs=report.vifs, row_ids=row_ids,
+                  dropped=report.dropped, vifs=report.vifs,
                   unpruned_X=X, unpruned_columns=columns)
 
 
-def build_design(frame: RegressionFrame, spec: ModelSpec) -> Design:
-    """Assemble y and X for a model spec.
+def build_design(frame: RegressionFrame, spec: ModelSpec, age_degree: int) -> Design:
+    """Assemble y and X for a model spec, with age powers up to ``age_degree``.
 
     Rows not ranked on the dependent indicator (NaN percentile) are
     excluded, as are rows at or above ``spec.max_seniority``.  Age is
     centered on the included sample's mean before powers are taken; exact
     duplicates and high-VIF columns are pruned (age powers are VIF-exempt).
     """
+    if not 1 <= age_degree <= 3:
+        raise ValueError(f"age_degree must be 1..3, got {age_degree}")
     y = frame.percentiles[:, INDICATORS.index(spec.dependent)] / 100.0
     rows = ~np.isnan(y)
     if spec.max_seniority is not None:
@@ -369,17 +360,22 @@ def build_design(frame: RegressionFrame, spec: ModelSpec) -> Design:
     centered = ages - age_mean
     covariates = frame.covariates[rows][:, [COVARIATE_ORDER.index(c) for c in spec.covariates]]
     X = np.column_stack([np.ones(len(y))]
-                        + [centered ** degree for degree in range(1, spec.age_degree + 1)]
+                        + [centered ** degree for degree in range(1, age_degree + 1)]
                         + [covariates])
     if not np.isfinite(X).all():
         raise FitError("age and covariates must be finite")
-    columns = ("Intercept",) + AGE_TERMS[:spec.age_degree] + tuple(spec.covariates)
-    return _pruned(y, X, columns, spec.age_degree, age_mean, frame.ids[rows])
+    columns = ("Intercept",) + AGE_TERMS[:age_degree] + tuple(spec.covariates)
+    return _pruned(y, X, columns, age_degree, age_mean)
 
 
 def _min_aic(fit_degree: Callable[[int], tuple[CoreFit, object]],
              max_degree: int) -> tuple[int, CoreFit, object]:
-    """(degree, fit, payload) for the ``fit_degree(degree)`` of least AIC."""
+    """(degree, fit, payload) for the ``fit_degree(degree)`` of least AIC; ties
+    go to the lower degree.
+
+    Degrees whose fit raises :class:`FitError` are skipped; if every degree
+    fails, the last degree's error is raised through :func:`_all_failed`.
+    """
     if not 1 <= max_degree <= 3:
         raise ValueError(f"max_degree must be 1..3, got {max_degree}")
     best, best_aic, last_error = None, math.inf, None
@@ -392,20 +388,14 @@ def _min_aic(fit_degree: Callable[[int], tuple[CoreFit, object]],
         if fit.aic < best_aic:
             best, best_aic = (degree, fit, payload), fit.aic
     if best is None:
-        raise FitError(f"all candidate degrees failed: {last_error}")
+        raise _all_failed(last_error)
     return best
 
 
-def select_age_degree(design_builder: Callable[[int], tuple[np.ndarray, np.ndarray]],
-                      max_degree: int = 3) -> int:
-    """Degree in 1..max_degree with minimal AIC; ties go to the lower degree.
-
-    ``design_builder(degree)`` returns (y, X).  Degrees whose fit fails are
-    skipped; if every degree fails, a :class:`FitError` reads "all candidate
-    degrees failed: " and the last degree's error.
-    """
-    return _min_aic(lambda degree: (fit_fractional_logit(*design_builder(degree)), None),
-                    max_degree)[0]
+def _all_failed(exc: FitError) -> FitError:
+    """The error that stopped the last fit, of its class, with "all candidate
+    degrees failed: " before its message."""
+    return type(exc)(f"all candidate degrees failed: {exc}")
 
 
 def average_marginal_effects(beta: np.ndarray, design: Design,
@@ -536,22 +526,19 @@ def _fit_result(dependent: str, design: Design, core: CoreFit) -> FitResult:
     )
 
 
-def fit_model(frame: RegressionFrame, spec: ModelSpec) -> FitResult:
-    """Build the design for ``spec``, fit it, and assemble reporting output."""
-    design = build_design(frame, spec)
-    return _fit_result(spec.dependent, design, fit_fractional_logit(design.y, design.X))
-
-
 def fit_with_selected_degree(frame: RegressionFrame, spec: ModelSpec,
                              max_degree: int = 3) -> FitResult:
     """AIC-select the age degree (1..max_degree) and report the winning fit.
 
     The columns are built once; each degree is a slice of them, fitted once.
+    When no degree can be fitted, the :class:`FitError` reads "all candidate
+    degrees failed: " and the error that stopped the last fit, and keeps its
+    class (a :class:`QuasiSeparationError` stays one).
     """
     try:
-        top = build_design(frame, replace(spec, age_degree=max_degree))
+        top = build_design(frame, spec, max_degree)
     except FitError as exc:  # no degree can be fitted on this sample
-        raise FitError(f"all candidate degrees failed: {exc}") from exc
+        raise _all_failed(exc) from exc
 
     def fit_degree(degree: int):
         design = top.at_degree(degree)

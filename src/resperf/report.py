@@ -69,23 +69,6 @@ def format_cell(coefficient: float, se: float, ame: float | None = None) -> str:
     return cell
 
 
-def parse_cell(cell: str) -> tuple[float, float | None, float | None]:
-    """Invert :func:`format_cell` within printed precision."""
-    text = cell.strip()
-    if text == ABSENT:
-        raise ValueError("absent cell")
-    ame = None
-    if "[" in text:
-        text, ame_part = text.split("[", 1)
-        ame = float(ame_part.rstrip("] ").replace(",", ""))
-    se = None
-    if "(" in text:
-        text, se_part = text.split("(", 1)
-        se = float(se_part.rstrip(") ").replace(",", ""))
-    coefficient = float(text.strip().replace(",", ""))
-    return coefficient, se, ame
-
-
 def _table_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     widths = [len(h) for h in header]
     for row in rows:
@@ -118,8 +101,7 @@ def _render(header, rows, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def regression_table(fits: Mapping[str, FitResult], fmt: str = "text",
-                     include_ame: bool = True) -> str:
+def regression_table(fits: Mapping[str, FitResult], fmt: str = "text") -> str:
     """One column per fitted group, in the mapping's order.
 
     All fits must have converged; render unconverged models separately or not
@@ -137,9 +119,8 @@ def regression_table(fits: Mapping[str, FitResult], fmt: str = "text",
         row = [TERM_LABELS[term]]
         for fit in fits.values():
             if term in fit.coefficients:
-                ame = fit.ame.get(term) if include_ame else None
                 row.append(format_cell(fit.coefficients[term],
-                                       fit.robust_se.get(term, math.nan), ame))
+                                       fit.robust_se.get(term, math.nan), fit.ame.get(term)))
             else:
                 row.append(ABSENT)
         rows.append(row)

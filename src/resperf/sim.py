@@ -27,7 +27,7 @@ from .corpus import (DAYS_PER_YEAR, UNIVERSITY_TYPES, Corpus, NameSequence, Rost
                      derive_covariates, empty_corpus, json_number, read_json_object)
 from .credit import ALPHABETICAL, CONVENTIONS, POSITION_WEIGHTED, ConventionMap
 from .pipeline import regression_frame, run_scoring
-from .regress import FitError, ModelSpec, fit_model, fit_with_selected_degree
+from .regress import FitError, ModelSpec, fit_with_selected_degree
 
 # (low, high, share): completed-years age runs from a census-date pyramid
 # (about 0.5% under 41, under 12% below 51, a third over 65, 13% over 70).
@@ -370,9 +370,11 @@ def recovery_experiment(config: SimConfig, n_runs: int,
     """Repeated generate -> score -> percentile -> fit cycles.
 
     Run r uses seed ``config.seed + r``; ``first``, when given, is run 0's
-    cohort, already generated from ``config``.  A run whose model cannot be fitted
-    (:class:`FitError`) is recorded as failed and does not stop the
-    experiment; any other exception propagates.  Sign-recovery fractions are taken over the runs
+    cohort, already generated from ``config``.  Each run's model offers age
+    degrees 1..``max_degree`` to :func:`regress.fit_with_selected_degree`.  A run
+    whose model cannot be fitted (:class:`FitError`) is recorded as failed, with
+    an ``error`` such as "QuasiSeparationError: all candidate degrees failed:
+    ...", and does not stop the experiment; any other exception propagates.  Sign-recovery fractions are taken over the runs
     that produced the corresponding effect.
     """
     if n_runs <= 0:
@@ -387,11 +389,7 @@ def recovery_experiment(config: SimConfig, n_runs: int,
             _, percentiles = run_scoring(roster, corpus, cfg.conventions(), covariates,
                                          cfg.window)
             frame = regression_frame(roster, covariates, percentiles)
-            spec = ModelSpec(dependent=dependent)
-            if max_degree > 1:
-                fit = fit_with_selected_degree(frame, spec, max_degree=max_degree)
-            else:
-                fit = fit_model(frame, spec)
+            fit = fit_with_selected_degree(frame, ModelSpec(dependent=dependent), max_degree)
             outcome = replace(outcome, n=fit.n, n_terms=len(fit.terms),
                               age_ame=fit.ame.get("Age"),
                               seniority_ame=fit.ame.get("Seniority"),

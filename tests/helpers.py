@@ -10,7 +10,9 @@ import numpy as np
 
 from resperf.corpus import UNIVERSITY_TYPES, Corpus, Roster, working_years
 from resperf.indicators import INDICATORS
-from resperf.regress import RegressionFrame
+from resperf.cohort import _group_percentiles
+from resperf.regress import RegressionFrame, _min_aic, fit_fractional_logit
+from resperf.report import ABSENT
 
 
 @dataclass(frozen=True)
@@ -157,12 +159,41 @@ def build_tiny_world() -> tuple[Roster, Corpus]:
 
 
 def make_frame(rows) -> RegressionFrame:
-    """Frame from (id, uda, age, seniority, gender, u1, u2, u3, {indicator:
+    """Frame from (uda, age, seniority, gender, u1, u2, u3, {indicator:
     percentile}) rows; an indicator missing from a row's mapping is NaN."""
     return RegressionFrame(
-        ids=np.array([r[0] for r in rows], dtype=str),
-        uda=np.array([r[1] for r in rows], dtype=str),
-        age=np.array([r[2] for r in rows], dtype=float),
-        covariates=np.array([r[3:8] for r in rows], dtype=float).reshape(-1, 5),
-        percentiles=np.array([[r[8].get(i, np.nan) for i in INDICATORS] for r in rows],
+        uda=np.array([r[0] for r in rows], dtype=str),
+        age=np.array([r[1] for r in rows], dtype=float),
+        covariates=np.array([r[2:7] for r in rows], dtype=float).reshape(-1, 5),
+        percentiles=np.array([[r[7].get(i, np.nan) for i in INDICATORS] for r in rows],
                              dtype=float).reshape(-1, len(INDICATORS)))
+
+
+def percentile_rank(values) -> list[float]:
+    """Midrank percentiles of one cohort, by the grouped ranking
+    ``cohort_percentiles`` runs."""
+    return _group_percentiles(np.zeros(len(values), dtype=np.int64),
+                              np.asarray(values, dtype=float)).tolist()
+
+
+def select_age_degree(builder, max_degree: int = 3) -> int:
+    """The AIC-selected degree of ``builder(degree)``'s (y, X) fits."""
+    return _min_aic(lambda degree: (fit_fractional_logit(*builder(degree)), None),
+                    max_degree)[0]
+
+
+def parse_cell(cell: str) -> tuple[float, float | None, float | None]:
+    """Invert ``report.format_cell`` within printed precision."""
+    text = cell.strip()
+    if text == ABSENT:
+        raise ValueError("absent cell")
+    ame = None
+    if "[" in text:
+        text, ame_part = text.split("[", 1)
+        ame = float(ame_part.rstrip("] ").replace(",", ""))
+    se = None
+    if "(" in text:
+        text, se_part = text.split("(", 1)
+        se = float(se_part.rstrip(") ").replace(",", ""))
+    coefficient = float(text.strip().replace(",", ""))
+    return coefficient, se, ame

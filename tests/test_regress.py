@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 import resperf.regress
-from helpers import make_frame
+from helpers import make_frame, select_age_degree
 from oracle import exact_dependence
 from resperf.indicators import INDICATORS
-from resperf.regress import (AGE_TERMS, CoreFit, Design, FitError, ModelSpec,
-                             QuasiSeparationError,
+from resperf.regress import (AGE_TERMS, COVARIATE_ORDER, CoreFit, Design, FitError,
+                             ModelSpec, QuasiSeparationError, _fit_result,
                              average_marginal_effects, bernoulli_qll,
                              build_design, collinearity_check,
-                             fit_fractional_logit, fit_model,
-                             fit_with_selected_degree, logistic,
-                             mcfadden_pseudo_r2, select_age_degree)
+                             fit_fractional_logit, fit_with_selected_degree,
+                             logistic, mcfadden_pseudo_r2)
 
 
 def sigmoid(x):
@@ -26,7 +25,7 @@ def sigmoid(x):
 def synth_frame(rng, n=400, b_age=-0.05, b_sen=0.06, b_gen=0.4, b_age2=0.0,
                 noise=0.08, uda="MAT"):
     rows = []
-    for i in range(n):
+    for _ in range(n):
         age = float(rng.uniform(36, 75))
         sen = float(rng.uniform(0, min(age - 28.0, 40.0)))
         gen = int(rng.random() < 0.7)
@@ -34,7 +33,7 @@ def synth_frame(rng, n=400, b_age=-0.05, b_sen=0.06, b_gen=0.4, b_age2=0.0,
         eta = (-0.2 + b_age * (age - 55.0) + b_age2 * (age - 55.0) ** 2
                + b_sen * (sen - 12.0) / 3.0 + b_gen * gen)
         y = min(max(sigmoid(eta) + float(rng.normal(0.0, noise)), 0.0), 1.0)
-        rows.append((f"R{i}", uda, age, sen, gen, int(ut == 1), int(ut == 2),
+        rows.append((uda, age, sen, gen, int(ut == 1), int(ut == 2),
                      int(ut == 3), {"FSS": 100.0 * y}))
     return make_frame(rows)
 
@@ -321,10 +320,11 @@ class TestCollinearity:
 class TestModelSpec:
     def test_defaults(self):
         spec = ModelSpec()
-        assert spec.dependent == "FSS" and spec.age_degree == 1
+        assert spec.dependent == "FSS" and spec.covariates == COVARIATE_ORDER
+        assert spec.max_seniority is None
 
     @pytest.mark.parametrize("kwargs", [
-        {"age_degree": 0}, {"age_degree": 4}, {"dependent": "H"},
+        {"dependent": "fss"}, {"covariates": ("Age",)}, {"dependent": "H"},
         {"covariates": ("Seniority", "Bogus")},
         {"covariates": ("Seniority", "Seniority")}, {"max_seniority": math.nan},
     ])
@@ -336,48 +336,51 @@ class TestModelSpec:
         spec = ModelSpec.from_mapping({"dependent": "P", "max_seniority": 8})
         assert spec.dependent == "P"
         assert spec.max_seniority == 8.0
-        frame = make_frame([("a", "MAT", 50.0, 7.9, 1, 0, 0, 0, {"P": 10.0}),
-                            ("b", "MAT", 51.0, 8.0, 1, 0, 0, 0, {"P": 20.0}),
-                            ("c", "MAT", 52.0, 2.0, 0, 0, 0, 0, {"P": 30.0})])
-        assert list(build_design(frame, spec).row_ids) == ["a", "c"]
+        frame = make_frame([("MAT", 50.0, 7.9, 1, 0, 0, 0, {"P": 10.0}),
+                            ("MAT", 51.0, 8.0, 1, 0, 0, 0, {"P": 20.0}),
+                            ("MAT", 52.0, 2.0, 0, 0, 0, 0, {"P": 30.0})])
+        assert build_design(frame, spec, 1).y.tolist() == [0.1, 0.3]
 
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown model spec keys"):
             ModelSpec.from_mapping({"dependent": "FSS", "weighting": "none"})
+        with pytest.raises(ValueError, match="unknown model spec keys: age_degree"):
+            ModelSpec.from_mapping({"age_degree": 2})
 
 
 class TestBuildDesign:
     def test_layout_and_centering(self):
         rng = np.random.default_rng(16)
         frame = synth_frame(rng, n=50)
-        design = build_design(frame, ModelSpec(age_degree=2))
+        design = build_design(frame, ModelSpec(), 2)
         assert design.columns[:3] == ("Intercept", "Age", "Age^2")
         ages = frame.age
         assert design.age_mean == pytest.approx(ages.mean())
-        i_age = design.column_index("Age")
+        i_age = design.columns.index("Age")
         assert np.allclose(design.X[:, i_age], ages - ages.mean())
         assert np.allclose(design.X[:, i_age + 1], (ages - ages.mean()) ** 2)
         assert np.allclose(design.y, frame.percentiles[:, INDICATORS.index("FSS")] / 100)
-        assert list(design.row_ids) == list(frame.ids)
 
     def test_subset_filter_and_missing_dependent(self):
         rng = np.random.default_rng(17)
         frame = synth_frame(rng, n=60)
-        frame.percentiles[5] = np.nan  # R5 is not ranked
+        frame.percentiles[5] = np.nan  # row 5 is not ranked
+        frame.covariates[5, 0] = 1.0
         spec = ModelSpec(max_seniority=20.0)
-        design = build_design(frame, spec)
-        assert "R5" not in design.row_ids
-        included = np.isin(frame.ids, design.row_ids)
-        assert np.all(frame.covariates[included, 0] < 20.0)
-        assert len(design.row_ids) < len(frame.ids)
+        design = build_design(frame, spec, 1)
+        included = frame.covariates[:, 0] < 20.0
+        included[5] = False
+        assert 0 < included.sum() < len(frame.age)
+        assert np.array_equal(design.y, frame.percentiles[included, 0] / 100.0)
+        assert np.allclose(design.unpruned_X[:, 1] + design.age_mean, frame.age[included])
 
     def test_constant_gender_column_pruned(self):
         rng = np.random.default_rng(18)
-        rows = [(f"r{i}", "MAT", float(rng.uniform(40, 70)),
+        rows = [("MAT", float(rng.uniform(40, 70)),
                  float(rng.uniform(1, 30)), 1, 0, 0, 0,
                  {"FSS": float(rng.uniform(5, 95))})
-                for i in range(40)]
-        design = build_design(make_frame(rows), ModelSpec())
+                for _ in range(40)]
+        design = build_design(make_frame(rows), ModelSpec(), 1)
         assert "Gender" in design.dropped
         assert "U1" in design.dropped  # all-zero dummy duplicates nothing to fit
         assert "Gender" not in design.columns
@@ -386,19 +389,13 @@ class TestBuildDesign:
         rng = np.random.default_rng(19)
         frame = synth_frame(rng, n=10)
         with pytest.raises(FitError, match="empty design"):
-            build_design(frame, ModelSpec(max_seniority=0.0))
+            build_design(frame, ModelSpec(max_seniority=0.0), 1)
 
     def test_constant_dependent_rejected(self):
-        rows = [(f"r{i}", "MAT", 40.0 + i, 5.0, i % 2, 0, 0, 0, {"FSS": 50.0})
+        rows = [("MAT", 40.0 + i, 5.0, i % 2, 0, 0, 0, {"FSS": 50.0})
                 for i in range(20)]
         with pytest.raises(FitError, match="constant"):
-            build_design(make_frame(rows), ModelSpec())
-
-    def test_unknown_column_lookup_rejected(self):
-        rng = np.random.default_rng(20)
-        design = build_design(synth_frame(rng, n=30), ModelSpec())
-        with pytest.raises(ValueError, match="unknown design column"):
-            design.column_index("Banana")
+            build_design(make_frame(rows), ModelSpec(), 1)
 
 
 class TestDegreeSelection:
@@ -469,6 +466,22 @@ class TestDegreeSelection:
         with pytest.raises(ValueError, match="max_degree"):
             select_age_degree(lambda d: (None, None), max_degree=5)
 
+    def test_all_failed_keeps_the_class_of_the_last_error(self):
+        def builder(degree):
+            if degree == 3:
+                raise QuasiSeparationError("diverging coefficients")
+            raise FitError("rigged")
+        with pytest.raises(QuasiSeparationError,
+                           match="^all candidate degrees failed: diverging coefficients$"):
+            select_age_degree(builder)
+
+    def test_unbuildable_sample_keeps_the_fit_error_class(self):
+        rows = [("MAT", 40.0 + i, 5.0, i % 2, 0, 0, 0, {"FSS": 50.0}) for i in range(20)]
+        with pytest.raises(FitError, match="^all candidate degrees failed: "
+                                           "dependent variable is constant$") as info:
+            fit_with_selected_degree(make_frame(rows), ModelSpec())
+        assert type(info.value) is FitError
+
 
 def fd_age_ame(beta, design, h=1e-5):
     """Central finite difference of the mean response in raw age."""
@@ -508,7 +521,7 @@ class TestMarginalEffects:
     def fitted_design(self, seed, degree):
         rng = np.random.default_rng(seed)
         frame = synth_frame(rng, n=250, b_age2=-0.002 if degree > 1 else 0.0)
-        design = build_design(frame, ModelSpec(age_degree=degree))
+        design = build_design(frame, ModelSpec(), degree)
         fit = fit_fractional_logit(design.y, design.X)
         return fit.beta, design
 
@@ -537,7 +550,7 @@ class TestMarginalEffects:
         eta = design.X @ beta
         g = 1 / (1 + np.exp(-eta))
         dens_mean = float((g * (1 - g)).mean())
-        idx = design.column_index("Seniority")
+        idx = design.columns.index("Seniority")
         ames = average_marginal_effects(beta, design)
         assert ames["Seniority"] == pytest.approx(100.0 * dens_mean * beta[idx],
                                                   rel=1e-12)
@@ -558,28 +571,29 @@ class TestFitModel:
     def test_reporting_scale_and_back_transform(self):
         rng = np.random.default_rng(50)
         frame = synth_frame(rng, n=350, b_age2=-0.003)
-        spec = ModelSpec(age_degree=2)
-        result = fit_model(frame, spec)
-        design = build_design(frame, spec)
+        result = fit_with_selected_degree(frame, ModelSpec(), max_degree=2)
+        assert result.age_degree == 2
+        design = build_design(frame, ModelSpec(), 2)
         core = fit_fractional_logit(design.y, design.X)
 
         # raw-scale coefficients must reproduce the centered linear predictor
         eta_centered = design.X @ core.beta
-        ages = design.X[:, design.column_index("Age")] + design.age_mean
+        ages = design.X[:, design.columns.index("Age")] + design.age_mean
         eta_raw = np.full(len(ages), result.coefficients["Intercept"] / 100.0)
         for j, name in enumerate(AGE_TERMS[:2], start=1):
             eta_raw += result.coefficients[name] / 100.0 * ages ** j
         for name in result.terms:
             if name in ("Intercept",) + AGE_TERMS:
                 continue
-            eta_raw += result.coefficients[name] / 100.0 * design.X[:, design.column_index(name)]
+            eta_raw += result.coefficients[name] / 100.0 * design.X[:, design.columns.index(name)]
         assert np.abs(eta_raw - eta_centered).max() < 1e-8
 
     def test_raw_fit_agrees_with_back_transform(self):
         rng = np.random.default_rng(51)
         frame = synth_frame(rng, n=300, b_age2=-0.002)
-        result = fit_model(frame, ModelSpec(age_degree=2))
-        design = build_design(frame, ModelSpec(age_degree=2))
+        result = fit_with_selected_degree(frame, ModelSpec(), max_degree=2)
+        assert result.age_degree == 2
+        design = build_design(frame, ModelSpec(), 2)
         ages = design.X[:, 1] + design.age_mean
         X_raw = design.X.copy()
         X_raw[:, 1] = ages
@@ -594,7 +608,7 @@ class TestFitModel:
     def test_result_bookkeeping(self):
         rng = np.random.default_rng(52)
         frame = synth_frame(rng, n=200)
-        result = fit_model(frame, ModelSpec())
+        result = fit_with_selected_degree(frame, ModelSpec(), max_degree=1)
         assert result.converged
         assert result.n == 200
         assert result.terms[0] == "Intercept"
@@ -618,15 +632,17 @@ class TestFitModel:
         frame = synth_frame(rng, n=150)
         percentiles = np.full_like(frame.percentiles, np.nan)
         percentiles[:, INDICATORS.index("IA")] = frame.percentiles[:, INDICATORS.index("FSS")]
-        result = fit_model(replace(frame, percentiles=percentiles), ModelSpec(dependent="IA"))
+        result = fit_with_selected_degree(replace(frame, percentiles=percentiles),
+                                          ModelSpec(dependent="IA"), max_degree=1)
         assert result.dependent == "IA"
         assert result.n == 150
 
     def test_non_finite_covariate_is_a_fit_error(self):
         frame = synth_frame(np.random.default_rng(55), n=100)
         frame.age[7] = np.nan
-        with pytest.raises(FitError, match="age and covariates must be finite"):
-            fit_model(frame, ModelSpec())
+        with pytest.raises(FitError, match="all candidate degrees failed: "
+                                           "age and covariates must be finite"):
+            fit_with_selected_degree(frame, ModelSpec(), max_degree=1)
 
 
 class TestComputeOnce:
@@ -651,7 +667,8 @@ class TestComputeOnce:
                          "fit_fractional_logit": max_degree}
 
     def test_fixed_degree_model_solves_once(self, calls):
-        fit_model(synth_frame(np.random.default_rng(61), n=200), ModelSpec(age_degree=2))
+        fit_with_selected_degree(synth_frame(np.random.default_rng(61), n=200), ModelSpec(),
+                                 max_degree=1)
         assert calls == {"build_design": 1, "collinearity_check": 1,
                          "fit_fractional_logit": 1}
 
@@ -659,5 +676,6 @@ class TestComputeOnce:
     def test_winner_equals_a_fresh_fit_at_its_degree(self, seed):
         frame = synth_frame(np.random.default_rng(seed), n=400, b_age2=-0.002 * (seed - 62))
         selected = fit_with_selected_degree(frame, ModelSpec(), max_degree=3)
-        fresh = fit_model(frame, ModelSpec(age_degree=selected.age_degree))
+        design = build_design(frame, ModelSpec(), selected.age_degree)
+        fresh = _fit_result("FSS", design, fit_fractional_logit(design.y, design.X))
         assert selected == fresh

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_professor, make_roster
+from helpers import make_professor, make_roster, parse_cell
 from resperf.corpus import derive_covariates
 from resperf.regress import FitResult
 from resperf.report import (MAX_BINS, coefficient_of_variation, descriptive_table,
                             distribution_histogram, format_cell, format_number,
                             group_coefficient_of_variation, histogram_csv,
-                            parse_cell, regression_table)
+                            regression_table)
 
 
 class TestFormatNumber:
@@ -85,7 +85,7 @@ def stub_fit(**overrides):
 
 class TestRegressionTable:
     def test_character_exact_cells(self):
-        text = regression_table({"Total": stub_fit()}, include_ame=False)
+        text = regression_table({"Total": stub_fit()})
         lines = text.splitlines()
         by_label = {line.split("  ")[0].strip(): line for line in lines}
         assert "319.192 (56.668)" in by_label["Intercept"]
@@ -121,10 +121,10 @@ class TestRegressionTable:
         assert rows[-1] == ["N", "1,621", "400"]
 
     def test_csv_cells_parse_back(self):
-        csv_text = regression_table({"Total": stub_fit()}, fmt="csv",
-                                    include_ame=False)
+        csv_text = regression_table({"Total": stub_fit()}, fmt="csv")
         rows = {r[0]: r[1] for r in csv.reader(io.StringIO(csv_text))}
-        assert parse_cell(rows["Age"]) == (-5.746, 1.09, None)
+        assert parse_cell(rows["Intercept"]) == (319.192, 56.668, None)
+        assert parse_cell(rows["Age"]) == (-5.746, 1.09, -0.464)
 
     def test_unconverged_fit_rejected(self):
         with pytest.raises(ValueError, match="did not converge"):

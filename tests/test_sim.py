@@ -216,6 +216,11 @@ class TestRecoveryExperiment:
         assert all(r.error for r in report.runs)
         assert report.low_power
 
+    def test_failed_run_names_the_error_class_and_all_degrees(self):
+        report = recovery_experiment(replace(SimConfig(), seed=18, n_professors=8), 1)
+        assert report.runs[0].error.startswith(
+            "QuasiSeparationError: all candidate degrees failed: diverging coefficients")
+
     def test_partial_failures_use_surviving_runs(self):
         # five professors fit only when enough dummies prune away
         config = replace(FAST, n_professors=5, seed=8)
