@@ -12,7 +12,6 @@ its outputs; reruns on identical inputs are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -27,9 +26,10 @@ import click
 import numpy as np
 
 from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, Roster, RowProblems,
-                     _fmt_float, _mask, _real_numbers, derive_covariates,
+                     _blank_nan, _in_processes, _mask, _real_numbers, derive_covariates,
                      ingest_publications, ingest_roster, json_number, load_sds_map,
-                     read_blocks, read_json_object, write_publications, write_roster)
+                     read_blocks, read_json_object, write_csv, write_publications,
+                     write_roster)
 from .credit import (CONVENTIONS, ConventionMap, CreditError,
                      load_convention_map, write_convention_map)
 from .indicators import INDICATORS
@@ -169,29 +169,22 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
         "scoring", run_scoring, roster, corpus, conventions, covariates,
         window_years, strict)
 
-    # csv writes a float as its repr, as the files promise
     sds = [roster.sds_names[c] for c in roster.sds.tolist()]
     uda = [roster.uda_names[c] for c in roster.uda.tolist()]
-    out = _out_dir(out_path)
-    with (out / "indicators.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["professor_id", "sds", "fss", "p", "ia", "ij",
-                         "n_pubs", "inactive_flag"])
-        writer.writerows(
-            [pid, field, fss, p, _fmt_float(ia), _fmt_float(ij), n, int(n == 0)]
-            for pid, field, fss, p, ia, ij, n in zip(
-                roster.ids, sds, *(scores[c].tolist() for c in INDICATORS),
-                scores["n_pubs"].tolist()))
     ranked, indicator = np.nonzero(~np.isnan(percentiles))
-    with (out / "percentiles.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["professor_id", "indicator", "percentile"])
-        writer.writerows([roster.ids[i], INDICATORS[j], value] for i, j, value in zip(
-            ranked.tolist(), indicator.tolist(), percentiles[ranked, indicator].tolist()))
-    with (out / "covariates.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["professor_id", "uda", "sds", *covariates])
-        writer.writerows(zip(roster.ids, uda, sds, *(c.tolist() for c in covariates.values())))
+    out = _out_dir(out_path)
+    files = [(out / "percentiles.csv", ["professor_id", "indicator", "percentile"],
+              [[roster.ids[i] for i in ranked.tolist()],
+               [INDICATORS[j] for j in indicator.tolist()], percentiles[ranked, indicator]]),
+             (out / "indicators.csv",
+              ["professor_id", "sds", "fss", "p", "ia", "ij", "n_pubs", "inactive_flag"],
+              [roster.ids, sds, scores["FSS"], scores["P"], _blank_nan(scores["IA"]),
+               _blank_nan(scores["IJ"]), scores["n_pubs"], (scores["n_pubs"] == 0).astype(int)]),
+             (out / "covariates.csv", ["professor_id", "uda", "sds", *covariates],
+              [roster.ids, uda, sds, *covariates.values()])]
+    # percentiles.csv, 4 rows per professor, is written here; the others in a forked child
+    _compute_stage("output", _in_processes, lambda part: [write_csv(*file) for file in part],
+                   [files[:1], files[1:]])
 
     click.echo(f"scored {len(roster)} professors over {len(corpus)} publications "
                f"({corpus.dropped} dropped by document type)")
@@ -414,15 +407,12 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
                          max_degree, dependent, first=(roster, corpus))
     (out / "recovery.json").write_text(
         json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with (out / "recovery_runs.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "seed", "n", "n_terms", "age_ame", "seniority_ame",
-                         "pseudo_r2", "aic", "age_degree", "converged", "error"])
-        for r in rep.runs:
-            writer.writerow([r.run, r.seed, r.n, r.n_terms, _fmt_float(r.age_ame),
-                             _fmt_float(r.seniority_ame), _fmt_float(r.pseudo_r2),
-                             _fmt_float(r.aic), "" if r.age_degree is None else r.age_degree,
-                             int(r.converged), r.error or ""])
+    header = ("run", "seed", "n", "n_terms", "age_ame", "seniority_ame", "pseudo_r2", "aic",
+              "age_degree", "converged", "error")
+    columns = [[getattr(r, name) for r in rep.runs] for name in header]
+    columns[4:8] = map(_blank_nan, columns[4:8])
+    columns[9] = list(map(int, columns[9]))
+    write_csv(out / "recovery_runs.csv", header, columns)
 
     frac_age = rep.age_negative_fraction
     frac_sen = rep.seniority_positive_fraction
@@ -555,11 +545,8 @@ def report_cmd(roster_path, indicators_path, window, census_date, totals_path,
 
     cvs = group_coefficient_of_variation({roster.sds_names[c]: fss[roster.sds == c]
                                           for c in np.unique(roster.sds).tolist()})
-    with (out / "fss_cv_by_sds.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sds", "coefficient_of_variation"])
-        for sds, cv in cvs.items():
-            writer.writerow([sds, repr(cv)])
+    write_csv(out / "fss_cv_by_sds.csv", ["sds", "coefficient_of_variation"],
+              [list(cvs), list(cvs.values())])
 
     click.echo(f"reported on {len(roster)} professors across "
                f"{np.unique(roster.uda).size} discipline(s)")

@@ -24,13 +24,14 @@ import math
 import operator
 import os
 import pickle
+import re
 import signal
 import traceback
 from array import array
 from dataclasses import dataclass
 from datetime import date
 from collections import defaultdict
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -217,27 +218,48 @@ def _checked(reader, path: Path, before: int = 0) -> Iterator[list[str]]:
 
 
 def _json_blocks(fh, fields: Sequence[str], problems: RowProblems, before: int):
-    lines: list[int] = []
-    records: list[dict] = []
-    for line, text in enumerate(fh, start=before + 1):
-        if text.isspace():
-            continue
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            problems.found.append((line, f"invalid JSON ({exc.msg})"))
-            continue
-        if not isinstance(record, dict):
-            problems.found.append(
-                (line, f"expected a JSON object, got {type(record).__name__}"))
-            continue
-        lines.append(line)
-        records.append(record)
-        if len(records) == BLOCK_ROWS:
+    """The blocks of JSON lines ``fh`` from line ``before + 1``, decoded by
+    :func:`_json_array` or else line by line, adding bad lines to ``problems``."""
+    for first in itertools.count(before + 1, BLOCK_ROWS):
+        if not (block := list(itertools.islice(fh, BLOCK_ROWS))):
+            return
+        filled = list(map(operator.not_, map(str.isspace, block)))
+        lines = list(compress(range(first, first + len(block)), filled))
+        texts = list(compress(block, filled))
+        if (records := _json_array(texts)) is None:  # line by line
+            numbered, lines, records = zip(lines, texts), [], []
+            for line, text in numbered:
+                try:
+                    record = json.loads(text)
+                    problem = None if isinstance(record, dict) else \
+                        f"expected a JSON object, got {type(record).__name__}"
+                except ValueError as exc:  # also an integer over sys.get_int_max_str_digits()
+                    problem = f"invalid JSON ({getattr(exc, 'msg', exc)})"
+                if problem:
+                    problems.found.append((line, problem))
+                else:
+                    lines.append(line)
+                    records.append(record)
+        if records:
             yield lines, [list(map(dict.get, records, repeat(f))) for f in fields]
-            lines, records = [], []
-    if records:
-        yield lines, [list(map(dict.get, records, repeat(f))) for f in fields]
+
+
+def _json_array(texts: list[str]) -> list[dict] | None:
+    """The objects of JSON lines ``texts`` decoded as one array, U+001F
+    between each two, or None unless that is sound.  A JSON string holds
+    U+001F only as an escape: if no line spells it and every odd element is
+    U+001F, each is a join and each line one element.  (A plain join is not
+    sound: '{"a": [1' and '2]}, {}' give two objects.)"""
+    joined = ',"\\u001f",'.join(texts)
+    if joined.count("\\u001f") == len(texts) - 1 and "\\u001F" not in joined:
+        try:
+            values = json.loads(f"[{joined}]")
+        except ValueError:  # invalid JSON, or an integer over the digit limit
+            return None
+        if (len(values) == 2 * len(texts) - 1 and values[1::2] == ["\x1f"] * (len(texts) - 1)
+                and all(map(isinstance, values[::2], repeat(dict)))):
+            return values[::2]
+    return None
 
 
 class RowProblems:
@@ -396,8 +418,9 @@ def read_json_object(path, build: Callable[[dict], object] = dict):
         data = json.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise _read_error(path, str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise IngestError(path, [f"line {exc.lineno}: invalid JSON ({exc.msg})"]) from None
+    except ValueError as exc:  # also an integer over sys.get_int_max_str_digits() digits
+        line = f"line {exc.lineno}: " if isinstance(exc, json.JSONDecodeError) else ""
+        raise IngestError(path, [f"{line}invalid JSON ({getattr(exc, 'msg', exc)})"]) from None
     if not isinstance(data, dict):
         raise IngestError(path, [f"expected a JSON object, got {type(data).__name__}"])
     try:
@@ -882,9 +905,9 @@ def _count_lines(fh, length: int) -> tuple[int, bool]:
 
 
 def _in_processes(read: Callable, parts: list) -> list:
-    """``read(part)`` of every part, the first in this process and each other
-    in a forked child, which sends its result, or the exception it raised,
-    back as one pickle over a pipe.
+    """``read(part)`` of every part, such as a part of a corpus file or a
+    list of output files, the first in this process and each other in a
+    forked child, which sends its result, or its exception, as one pickle.
 
     Raises the exception of the first part, in order, that raised one, with
     the child's traceback as its cause, and RuntimeError for a child that
@@ -905,7 +928,7 @@ def _in_processes(read: Callable, parts: list) -> list:
             try:
                 pid, r = _fork(read, part, list(children.values()))
             except OSError as exc:
-                logger.debug("cannot fork an ingest worker (%s): reading parts %d-%d here",
+                logger.debug("cannot fork a worker (%s): reading parts %d-%d here",
                              exc, i + 1, len(parts))
                 here = parts[i:]
                 break
@@ -918,7 +941,7 @@ def _in_processes(read: Callable, parts: list) -> list:
             except Exception:  # the child died before its result was whole
                 reaped.add(pid)
                 status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                raise RuntimeError(f"ingest worker {pid} ended without a result "
+                raise RuntimeError(f"worker {pid} ended without a result "
                                    f"(exit status {status})") from None
             if not sent:
                 error, trace = value
@@ -963,7 +986,7 @@ def _send(read: Callable, part, w: int, inherited: list[int]) -> None:
         try:
             message = (True, read(part))
         except BaseException as exc:  # re-raised by the parent
-            trace = f"raised in the ingest worker for part {part}:\n" + traceback.format_exc()
+            trace = f"raised in the worker for part {part}:\n" + traceback.format_exc()
             try:
                 pickle.dumps(exc)
             except Exception:
@@ -1127,44 +1150,71 @@ def _publication_block(problems: RowProblems, lines: list[int], cells: list,
             "university": list(map(vocabularies["universities"].__getitem__, universities))}
 
 
-def _fmt_float(x: float | None) -> str:
-    return "" if x is None or math.isnan(x) else repr(float(x))
+WRITE_ROWS = 1024  # rows per write; at 4,096 simulate's peak RSS read 2.4 MB higher
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a UTF-8 CSV file as ``csv.writer`` does (CRLF line ends, minimal
+    quoting, None as "", a float as its ``repr``) from one column per header
+    field: a numpy array or an iterable of strings and numbers."""
+    columns = [c if isinstance(c, np.ndarray) else iter(c) for c in columns]
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(row.format(*_csv_cells(header)))
+        for at in itertools.count(0, WRITE_ROWS):
+            chunk = [c[at:at + WRITE_ROWS].tolist() if isinstance(c, np.ndarray)
+                     else _csv_cells(islice(c, WRITE_ROWS)) for c in columns]
+            if not chunk[0]:
+                return
+            fh.write("".join(itertools.starmap(row.format, zip(*chunk))))
+
+
+def _csv_cells(cells) -> list:
+    """The cells as a list, None as "", and each string holding a comma, a
+    quote, a CR or an LF quoted as the csv module does."""
+    try:
+        text = "".join(cells := list(cells))
+    except TypeError:  # numbers, which need no quotes, or None among the strings
+        cells = ["" if cell is None else cell for cell in cells]
+        text = "".join([cell for cell in cells if isinstance(cell, str)])
+    if not _NEEDS_QUOTES.search(text):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if isinstance(cell, str)
+            and _NEEDS_QUOTES.search(cell) else cell for cell in cells]
+
+
+def _blank_nan(values) -> list:
+    """The values as a list of floats, each NaN or None as "" (an empty cell)."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(values), "", values.astype(object)).tolist()
 
 
 def _iso(ordinal: int) -> str:
     return date.fromordinal(ordinal).isoformat() if ordinal else ""
 
 
+def _names(names: Sequence[str], codes: np.ndarray) -> list[str]:
+    return list(map(names.__getitem__, codes.tolist()))
+
+
 def write_roster(path, roster: Roster) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROSTER_FIELDS + ROSTER_OPTIONAL_FIELDS)
-        writer.writerows(
-            [pid, "M" if male else "F", _iso(birth), _iso(appointed), roster.sds_names[sds],
-             roster.uda_names[uda], UNIVERSITY_TYPES[utype], _iso(start), _iso(end)]
-            for pid, male, birth, appointed, sds, uda, utype, start, end in zip(
-                roster.ids, roster.male.tolist(), roster.birth.tolist(),
-                roster.appointed.tolist(), roster.sds.tolist(), roster.uda.tolist(),
-                roster.utype.tolist(), roster.active_start.tolist(),
-                roster.active_end.tolist()))
+    birth, appointed, start, end = (list(map(_iso, days.tolist())) for days in (
+        roster.birth, roster.appointed, roster.active_start, roster.active_end))
+    write_csv(path, ROSTER_FIELDS + ROSTER_OPTIONAL_FIELDS, [
+        roster.ids, _names("FM", roster.male), birth, appointed,  # "FM"[male]
+        _names(roster.sds_names, roster.sds), _names(roster.uda_names, roster.uda),
+        _names(UNIVERSITY_TYPES, roster.utype), start, end])
 
 
 def write_publications(path, corpus: Corpus) -> None:
     authors = list(corpus.authors)  # a NameSequence formats once, not once per slot
-    tokens = [f"{authors[a]}@{corpus.universities[u]}" for a, u in
-              zip(corpus.author.tolist(), corpus.university.tolist())]
-    ends = np.cumsum(corpus.n_authors).tolist()
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PUBLICATION_FIELDS)
-        for pid, year, cat, jif, cites, doc, n, end in zip(
-                corpus.ids, corpus.year.tolist(), corpus.category.tolist(),
-                corpus.impact.tolist(), corpus.citations.tolist(),
-                corpus.doc_type.tolist(), corpus.n_authors.tolist(), ends):
-            writer.writerow([pid, year, corpus.categories[cat], _fmt_float(jif),
-                             cites, corpus.doc_types[doc], ";".join(tokens[end - n:end])])
+    slots = zip(corpus.author.tolist(), corpus.university.tolist())
+    write_csv(path, PUBLICATION_FIELDS, [
+        corpus.ids, corpus.year, _names(corpus.categories, corpus.category),
+        _blank_nan(corpus.impact), corpus.citations, _names(corpus.doc_types, corpus.doc_type),
+        (";".join([f"{authors[a]}@{corpus.universities[u]}" for a, u in islice(slots, n)])
+         for n in corpus.n_authors.tolist())])
 
 
 def load_sds_map(path) -> dict[str, str]:

@@ -17,14 +17,12 @@ two-author same-university byline yields 0.5 each).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .corpus import read_pairs
+from .corpus import read_pairs, write_csv
 
 ALPHABETICAL = "alphabetical"
 POSITION_WEIGHTED = "position_weighted"
@@ -135,9 +133,4 @@ def load_convention_map(path, global_override: str | None = None) -> ConventionM
 
 
 def write_convention_map(path, conventions: Mapping[str, str]) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sds", "convention"])
-        for sds, conv in conventions.items():
-            writer.writerow([sds, conv])
+    write_csv(path, ["sds", "convention"], [list(conventions), list(conventions.values())])

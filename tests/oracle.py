@@ -79,6 +79,9 @@ def json_rows(path, fields: Sequence[str], problems: list[str]) -> Iterator:
             except json.JSONDecodeError as exc:
                 problems.append(f"line {line}: invalid JSON ({exc.msg})")
                 continue
+            except ValueError as exc:  # an integer over sys.get_int_max_str_digits() digits
+                problems.append(f"line {line}: invalid JSON ({exc})")
+                continue
             if not isinstance(record, dict):
                 problems.append(
                     f"line {line}: expected a JSON object, got {type(record).__name__}")

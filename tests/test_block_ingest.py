@@ -205,3 +205,88 @@ def test_every_single_cell_edge(tmp_path):
                 csv.writer(fh).writerows([ROSTER_HEADER, *rows])
             bulk, reference = both("ingest_roster", 3, path)
             assert bulk == reference
+
+
+# Keys of the generated JSON objects; U+001F is the marker of the block decode.
+JSON_KEYS = ("a", "b", "id", "\x1f")
+# Lines that a block decode must not take at face value, or that fail alone.
+JSON_EDGE_LINES = [
+    '{"a": [1', "2]}, {}",  # two objects joined, neither one alone
+    '{"a": [1', "2]}, {}, {}",  # as many elements as a sound join gives
+    "1, 2", '{"a": 1}, {"b": 2}', '{"a": 1},',
+    '{"a": "\\u001f"}', '{"a": "\\u001F"}', '{"\\u001f": 1}', '"\\u001f"',
+    '{"a": "\\\\u001f"}', '{"a": "x\\\\"}', '{"a": "\\"\\n\\t\\u00e9"}', '{"a": "\\',
+    "", " ", "\t \x0c", "\x1f",
+    "[1]", '"s"', "3", "null", "true", "NaN",
+    '\ufeff{"a": 1}',
+    '{"a": 1' + "0" * 5000 + "}", '{"a": 1' + "0" * 4299 + "}", '{"a": 1e999}',
+    '{"a": NaN, "b": -Infinity}', '{"a": 1, "a": 2}', "{", '{"a": }', "}",
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=6)
+JSON_OBJECT_LINES = st.builds(
+    json.dumps, st.dictionaries(st.sampled_from(JSON_KEYS), JSON_VALUES, max_size=3),
+    ensure_ascii=st.booleans())
+# Runs of lines: objects, edge lines, and the pairs of lines whose join looks sound.
+JSON_LINES = st.lists(st.lists(JSON_OBJECT_LINES | st.sampled_from(JSON_EDGE_LINES),
+                               min_size=1, max_size=3)
+                      | st.sampled_from([JSON_EDGE_LINES[:2], JSON_EDGE_LINES[2:4]]),
+                      max_size=4).map(
+    lambda runs: [line for run in runs for line in run])
+
+
+@settings(deadline=None, max_examples=300)
+@given(texts=JSON_LINES, block_rows=st.sampled_from([2, 3, 512]), crlf=st.booleans())
+def test_json_blocks_match_the_line_loop(tmp_path_factory, texts, block_rows, crlf):
+    """Lines read a block at a time give the records, problems and order of
+    the oracle's line-by-line decode."""
+    path = tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
+    path.write_bytes("".join(t + ("\r\n" if crlf else "\n") for t in texts).encode("utf-8"))
+    problems = resperf.corpus.RowProblems(path)
+    with mock.patch.object(resperf.corpus, "BLOCK_ROWS", block_rows):
+        bulk = [(line, *values) for lines, cells in
+                resperf.corpus.read_blocks(path, JSON_KEYS, problems=problems, json_lines=True)
+                for line, *values in zip(lines, *cells)]
+    reference_problems: list[str] = []
+    reference = [(line, *values) for line, values in
+                 oracle.json_rows(path, JSON_KEYS, reference_problems)]
+    assert repr(bulk) == repr(reference)  # repr: NaN equals NaN
+    assert [f"line {line}: {message}" for line, message in problems.found] == \
+        reference_problems
+
+
+@settings(deadline=None, max_examples=300)
+@given(texts=JSON_LINES)
+def test_a_block_decode_is_each_line_alone(texts):
+    """Wherever the block decode is taken, each line decodes alone to its
+    object; the edge lines above make it fall back."""
+    records = resperf.corpus._json_array([t + "\n" for t in texts])
+    if records is not None:
+        assert repr(records) == repr([json.loads(t) for t in texts])
+
+
+def test_json_edge_lines_fall_back():
+    """A line that is not exactly one object sends its block line by line,
+    and so does one spelling the marker; valid neighbours decode as a block."""
+    good = '{"a": 1}'
+    assert resperf.corpus._json_array([good, good]) == [{"a": 1}, {"a": 1}]
+    assert resperf.corpus._json_array([]) is None
+    assert json.loads('[{"a": [1, 2]}, {}]') == [{"a": [1, 2]}, {}]  # the unsound join
+    for edge in JSON_EDGE_LINES:
+        try:
+            alone = json.loads(edge)
+        except ValueError:
+            alone = None
+        if edge.isspace() or edge == "":
+            continue
+        records = resperf.corpus._json_array([good, edge, good])
+        if isinstance(alone, dict) and "\\u001" not in edge.lower():
+            assert repr(records) == repr([{"a": 1}, alone, {"a": 1}]), edge
+        else:
+            assert records is None, edge
+    assert resperf.corpus._json_array(JSON_EDGE_LINES[:2]) is None
+    assert resperf.corpus._json_array(JSON_EDGE_LINES[2:4]) is None

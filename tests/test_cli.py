@@ -12,6 +12,7 @@ import tempfile
 from dataclasses import asdict, replace
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from resperf.corpus import (IngestError, derive_covariates, write_publications,
                             write_roster)
 from resperf.credit import ConventionMap
 from test_columnar import lenient_world
+from test_parallel_ingest import assert_no_child_left
 
 runner = CliRunner()
 
@@ -128,6 +130,12 @@ class TestCompute:
          '{"id": "W1", "year": 2008, "subject_category": "MAT/01", "journal_if": NaN, '
          '"citations": 4, "doc_type": "article", "byline": "P1@U1"}\n',
          "line 1: non-finite journal_if nan"),
+        pytest.param(
+            "pubs.jsonl",
+            '{"id": "W1", "year": 2008, "subject_category": "MAT/01", "journal_if": 1.5, '
+            '"citations": 1' + "0" * 4999 + ', "doc_type": "article", "byline": "P1@U1"}\n',
+            "line 1: invalid JSON (Exceeds the limit (4300 digits) for integer string "
+            "conversion: value has 5000 digits", id="pubs.jsonl-citations-of-5000-digits"),
     ])
     def test_malformed_publication_exits_two(self, tiny_files, tmp_path, name, body,
                                              needle):
@@ -229,6 +237,32 @@ class TestCompute:
         assert (f"{files[name]}: line {line}: field larger than field limit "
                 f"({csv.field_size_limit()})") in res.output
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("blocked", ["indicators.csv", "covariates.csv",
+                                         "percentiles.csv"])
+    def test_a_failed_write_exits_one_as_a_one_process_write_does(self, tiny_files, tmp_path,
+                                                                  blocked):
+        """A file of --out that cannot be written, in the forked child or
+        here, fails compute with its error; no child is left behind."""
+        outputs = []
+        for forked in (True, False):
+            out = tmp_path / f"forked-{forked}"
+            (out / blocked).mkdir(parents=True)
+            if forked:
+                res = invoke("compute", "--roster", tiny_files / "roster.csv",
+                             "--pubs", tiny_files / "pubs.csv", "--out", out)
+            else:
+                with mock.patch.object(os, "fork", side_effect=OSError("no fork")):
+                    res = invoke("compute", "--roster", tiny_files / "roster.csv",
+                                 "--pubs", tiny_files / "pubs.csv", "--out", out)
+            assert_no_child_left()
+            assert res.exit_code == 1, res.output
+            assert res.exception is None or isinstance(res.exception, SystemExit)
+            assert res.output.replace(str(out), "OUT") == \
+                f"Error: output: [Errno 21] Is a directory: 'OUT/{blocked}'\n"
+            assert not (out / "manifest.json").exists()
+            outputs.append(res.output.replace(str(out), "OUT"))
+        assert outputs[0] == outputs[1]
 
     def test_force_convention_recorded(self, tiny_files, tmp_path):
         out = tmp_path / "out"
@@ -489,6 +523,10 @@ JSON_INPUT_PROBES = {
     "sim-shares-not-a-list": ("simulate", "--config", '{"university_type_shares": 1}'),
     "sim-effect-nan": ("simulate", "--config", '{"true_age_effect": NaN}'),
     "sim-seed-negative": ("simulate", "--config", '{"seed": -1, "n_professors": 50}'),
+    # integers over sys.get_int_max_str_digits() digits
+    "totals-5000-digits": ("report", "--totals", '{"MAT": 1' + "0" * 4999 + "}"),
+    "spec-5000-digits": ("regress", "--spec", '{"max_seniority": 1' + "0" * 4999 + "}"),
+    "sim-5000-digits": ("simulate", "--config", '{"seed": 1' + "0" * 4999 + "}"),
 }
 
 

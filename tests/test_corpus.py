@@ -5,6 +5,7 @@ import json
 import logging
 import math
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,11 @@ import numpy as np
 
 from helpers import (make_corpus, make_professor, make_publication, make_roster,
                      professors, records)
-from resperf.corpus import (DAYS_PER_YEAR, IngestError, NameSequence,
+import resperf.corpus
+from resperf.corpus import (DAYS_PER_YEAR, IngestError, NameSequence, _blank_nan,
                             derive_covariates, exact_years,
-                            ingest_publications, ingest_roster, load_sds_map,
-                            whole_years, working_years, write_publications,
+                            ingest_publications, ingest_roster, load_sds_map, read_blocks,
+                            whole_years, working_years, write_csv, write_publications,
                             write_roster)
 
 ROSTER_HEADER = "id,gender,birth_date,appointment_date,sds,uda,university_type"
@@ -454,6 +456,46 @@ class TestRosterNeverCrashes:
         except IngestError:
             return
         assert all(column.shape == (len(roster),) for column in covariates.values())
+
+
+# Cells that csv.writer quotes, and others that it leaves alone.
+CSV_TEXT = st.text(st.sampled_from(',"\r\n \t;@ae\u00e9\u20ac\x00\x1c\u2028\U0001f600')
+                   | st.characters(exclude_categories=("Cs",)), max_size=6)
+CSV_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308,
+                                            math.inf, -math.inf, math.nan, 0.1, 1e16])
+
+
+class TestWriteCsv:
+    @settings(deadline=None, max_examples=300)
+    @given(rows=st.lists(st.tuples(CSV_TEXT, CSV_TEXT, CSV_FLOATS, CSV_FLOATS,
+                                   st.integers(-2 ** 63, 2 ** 63 - 1),
+                                   st.one_of(CSV_TEXT, st.integers(), CSV_FLOATS)),
+                         max_size=9),
+           write_rows=st.sampled_from([1, 2, 4096]))
+    def test_equals_the_csv_module_and_reads_back(self, tmp_path_factory, rows, write_rows):
+        """Text, float, blanked-NaN, int and mixed columns are written byte
+        for byte as csv.writer writes them, and the text reads back as it was."""
+        header = ["id", "name", "value", "blanked", "count", "mixed"]
+        ids, names, values, blanked, counts, mixed = map(list, zip(*rows)) if rows else [[]] * 6
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        with mock.patch.object(resperf.corpus, "WRITE_ROWS", write_rows):
+            write_csv(path, header, [ids, names, np.array(values, dtype=float),
+                                     _blank_nan(blanked), np.array(counts, dtype=np.int64),
+                                     mixed])
+        reference = path.with_name("reference.csv")
+        with reference.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *zip(ids, names, values, [
+                "" if math.isnan(x) else x for x in blanked], counts, mixed)])
+        assert path.read_bytes() == reference.read_bytes()
+        read = [row for _, columns in read_blocks(path, ["id", "name"]) for row in zip(*columns)]
+        assert read == list(zip(ids, names))
+
+    def test_quotes_only_the_cells_that_need_it(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b"], [["x,y", "plain", 'say "hi"', "two\nlines", "cr\r"],
+                                     np.array([1.5, np.nan, -0.0, np.inf, 1e-300])])
+        assert path.read_bytes() == (b'a,b\r\n"x,y",1.5\r\nplain,nan\r\n"say ""hi""",-0.0\r\n'
+                                     b'"two\nlines",inf\r\n"cr\r",1e-300\r\n')
 
 
 class TestNameSequence:

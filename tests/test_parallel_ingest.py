@@ -302,7 +302,7 @@ class TestWorkers:
                 with pytest.raises(raised, match="later part") as exc:
                     read(pubs, 2)
             trace = str(exc.value.__cause__)
-            assert trace.startswith("raised in the ingest worker for part (")
+            assert trace.startswith("raised in the worker for part (")
             assert "in failing_part" in trace
             assert trace.rstrip().endswith(f"{type(error).__name__}: {error}")
             assert_no_child_left()
