@@ -27,6 +27,15 @@ SIMULATE_SEED_8 = {
     "publications.csv": "222afe489d137892998d336866a49f6279ddec976eb2a4acc8e7a058db0e9902",
     "recovery_runs.csv": "4e7acfae85b13356487c23057eea4ef9c05515c61a219e7406d3716daf479fe3",
 }
+CHAIN_SEED_8 = {
+    "regression_table.txt": "3d31f29eb7c0052f684bde10201495ddf0e08557cc231c5c1b16eebd05b91f16",
+    "regression_table.csv": "e41573817f881cf6424e7003a1114a643b038aeecf12fd9308c224fbf3eb30ca",
+    "descriptives.txt": "5ba904a0f170b5902e33cb2c2fbacdb07b50e34f65961b175525c038ec3c20ed",
+    "descriptives.csv": "daefe5429a656551885c7f9efcecb8e3036dcc69c92b1f483022f2605d4e0f66",
+    "age_histogram.csv": "6c8e0c51109dc47633104359ab9021eca99332f2be84e5e5e1a60b813fc6cd33",
+    "appointment_age_histogram.csv": "cec30a96950966a4b3309305f419e41455f9b87b3f0f034f3f4004ae9cc663bf",
+    "fss_cv_by_sds.csv": "cbec676123d4288edec82393b263fb78a18560bf7aa12683b992c9124702381f",
+}
 
 
 def digests(directory, names):
@@ -53,3 +62,18 @@ def test_simulate_at_seed_eight(tmp_path):
     run("simulate", "--runs", 2, "--n-professors", 300, "--seed", 8,
         "--out", tmp_path / "out")
     assert digests(tmp_path / "out", SIMULATE_SEED_8) == SIMULATE_SEED_8
+
+
+def test_regress_and_report_on_a_simulated_world(tmp_path):
+    sim, scored = tmp_path / "sim", tmp_path / "scored"
+    run("simulate", "--runs", 1, "--n-professors", 300, "--seed", 8, "--out", sim)
+    run("compute", "--roster", sim / "roster.csv", "--pubs", sim / "publications.csv",
+        "--conventions", sim / "conventions.csv", "--out", scored)
+    found = {}
+    for fmt in ("text", "csv"):
+        run("regress", "--data", scored, "--fmt", fmt, "--out", tmp_path / fmt)
+        run("report", "--roster", sim / "roster.csv", "--indicators", scored / "indicators.csv",
+            "--fmt", fmt, "--out", tmp_path / fmt)
+        found |= digests(tmp_path / fmt, [name for name in CHAIN_SEED_8
+                                          if (tmp_path / fmt / name).exists()])
+    assert found == CHAIN_SEED_8
