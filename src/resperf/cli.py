@@ -27,8 +27,8 @@ import numpy as np
 
 from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, Roster, RowProblems,
                      _blank_nan, _in_processes, _mask, _real_numbers, derive_covariates,
-                     ingest_publications, ingest_roster, json_number, load_sds_map,
-                     read_blocks, read_json_object, write_csv, write_publications,
+                     ingest_publications, ingest_roster, json_number, read_blocks,
+                     read_json_object, read_pairs, write_csv, write_publications,
                      write_roster)
 from .credit import (CONVENTIONS, ConventionMap, CreditError,
                      load_convention_map, write_convention_map)
@@ -140,7 +140,8 @@ def main(verbose: bool) -> None:
               help="Document types to drop at ingest (repeatable); "
                    "defaults to editorial material, conference abstracts, replies.")
 @click.option("--strict", is_flag=True,
-              help="Fail on unknown byline authors and missing scaling cells.")
+              help="Fail on an unknown byline author, and on a publication IJ would "
+                   "skip: an unknown impact factor or no impact-factor scaling cell.")
 @click.option("--out", "out_path", required=True, help="Output directory.")
 def compute(roster_path, pubs_path, window, census_date, conventions_path,
             force_convention, sds_map_path, excluded_doc_types, strict,
@@ -150,7 +151,7 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
     window_years = _parse_window(window)
     census = _parse_census(census_date, window_years)
 
-    sds_map = _input_stage("sds map", load_sds_map, sds_map_path) \
+    sds_map = _input_stage("sds map", read_pairs, sds_map_path, "sds", "uda") \
         if sds_map_path else None
     roster = _input_stage("roster ingest", ingest_roster, roster_path, sds_map)
     covariates = _input_stage("roster covariates", derive_covariates, roster, census,
@@ -158,7 +159,7 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
     excluded = tuple(excluded_doc_types) or DEFAULT_EXCLUDED_DOC_TYPES
     corpus = _input_stage(
         "publication ingest", ingest_publications, pubs_path, excluded,
-        roster_ids=set(roster.ids) if strict else None, strict=strict)
+        roster_ids=set(roster.ids) if strict else None)
     if conventions_path:
         conventions = _input_stage("convention map", load_convention_map,
                                    conventions_path, force_convention)

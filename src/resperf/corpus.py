@@ -1,9 +1,9 @@
 """Input readers, roster and publication ingestion, and census-date covariates.
 
-Every file resperf reads goes through :func:`read_blocks`, :func:`read_pairs`
-or :func:`read_json_object`, which fail with an :class:`IngestError` naming
-the file.  Rosters are CSV; publication corpora are CSV or JSON-lines (one
-object per line).  Row files are read and checked a block of rows at a time,
+Every file resperf reads goes through :func:`read_blocks` (header CSV),
+its block reader (a publication corpus, CSV or JSON lines with one object
+per line), :func:`read_pairs` or :func:`read_json_object`, which fail with
+an :class:`IngestError` naming the file.  Row files are read and checked a block of rows at a time,
 one mask per check, and :class:`RowProblems` names each bad row.  Ingestion
 either returns fully validated columns or fails with a row-addressed error
 listing every problem found: a roster goes straight into the columns of a
@@ -92,24 +92,21 @@ class IngestError(ValueError):
 BLOCK_ROWS = 512
 
 
-def read_blocks(path, fields: Sequence[str], optional: Sequence[str] = (),
-                problems: RowProblems | None = None,
-                json_lines: bool = False) -> Iterator[tuple[list[int], list]]:
-    """(lines, cells) for each block of at most BLOCK_ROWS rows of a row file:
-    each row's line, and per field in ``fields + optional`` order a sequence
-    of the rows' cells.
+def read_blocks(path, fields: Sequence[str],
+                optional: Sequence[str] = ()) -> Iterator[tuple[list[int], list]]:
+    """(lines, cells) for each block of at most BLOCK_ROWS rows of a CSV
+    file: each row's line, and per field in ``fields + optional`` order a
+    sequence of the rows' cells.
 
-    The file is UTF-8, with or without a byte-order mark, and blank lines are
-    skipped.  A CSV file has a header line; the cells of a short row and of
-    an absent optional column read as "", and a missing required column
-    raises :class:`IngestError`.  With ``json_lines`` each line is a JSON
-    object whose values are the cells, None where absent; a line that is not
-    one is added to ``problems``.  A file that is not UTF-8 raises an
-    :class:`IngestError` naming its first bad line.
+    The file is UTF-8, with or without a byte-order mark, has a header line,
+    and blank lines are skipped.  The cells of a short row and of an absent
+    optional column read as "".  A missing required column, a repeated one
+    that is read, and bytes that are not UTF-8 raise :class:`IngestError`,
+    the last naming the first bad line.
     """
     path = Path(path)
-    layout = None if json_lines else _csv_layout(path, fields, optional)
-    yield from _part_blocks(path, WHOLE_FILE, (*fields, *optional), layout, problems)
+    layout = _csv_layout(path, fields, optional)
+    yield from _part_blocks(path, WHOLE_FILE, (*fields, *optional), layout, None)
 
 
 # A part of a row file: the byte offset of its first line, the physical lines
@@ -119,8 +116,10 @@ WHOLE_FILE = (0, 0, None)
 
 def _part_blocks(path: Path, part: tuple[int, int, int | None], fields: Sequence[str],
                  layout: tuple | None, problems: RowProblems | None):
-    """:func:`read_blocks` over one part of a row file, a CSV file read with
-    the header ``layout`` of :func:`_csv_layout`, or JSON lines without."""
+    """The blocks of one part of a row file, as :func:`read_blocks` gives
+    them: a CSV file read with the header ``layout`` of :func:`_csv_layout`,
+    or else JSON lines, each an object whose values are the cells, None
+    where absent, and each line that is not one added to ``problems``."""
     start, before, count = part
     try:
         with path.open("rb") as raw:
@@ -161,13 +160,17 @@ def _csv_layout(path: Path, required: Sequence[str],
                 optional: Sequence[str]) -> tuple[int, list[int | None], int]:
     """The header of a CSV file: its width, the column of each field in
     ``required + optional`` order (None for an absent optional one), and
-    its physical lines.  A missing required column raises IngestError."""
+    its physical lines.  A missing required column, and a repeated one of
+    ``required + optional``, raise IngestError."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(_checked(reader, path), [])
     missing = [c for c in required if c not in header]
     if missing:
         raise _read_error(path, f"line 1: missing column(s) {', '.join(missing)}")
+    twice = [c for c in (*required, *optional) if header.count(c) > 1]
+    if twice:
+        raise _read_error(path, f"line 1: duplicate column(s) {', '.join(twice)}")
     column = {name: i for i, name in enumerate(header)}
     return len(header), [column.get(c) for c in (*required, *optional)], reader.line_num
 
@@ -235,6 +238,8 @@ def _json_blocks(fh, fields: Sequence[str], problems: RowProblems, before: int):
                         f"expected a JSON object, got {type(record).__name__}"
                 except ValueError as exc:  # also an integer over sys.get_int_max_str_digits()
                     problem = f"invalid JSON ({getattr(exc, 'msg', exc)})"
+                except RecursionError:
+                    problem = _TOO_DEEP
                 if problem:
                     problems.found.append((line, problem))
                 else:
@@ -242,6 +247,9 @@ def _json_blocks(fh, fields: Sequence[str], problems: RowProblems, before: int):
                     records.append(record)
         if records:
             yield lines, [list(map(dict.get, records, repeat(f))) for f in fields]
+
+
+_TOO_DEEP = "invalid JSON (nested too deeply)"
 
 
 def _json_array(texts: list[str]) -> list[dict] | None:
@@ -254,7 +262,9 @@ def _json_array(texts: list[str]) -> list[dict] | None:
     if joined.count("\\u001f") == len(texts) - 1 and "\\u001F" not in joined:
         try:
             values = json.loads(f"[{joined}]")
-        except ValueError:  # invalid JSON, or an integer over the digit limit
+        # invalid JSON, an integer over the digit limit, or nesting one level
+        # too deep inside the array for a line that decodes alone
+        except (ValueError, RecursionError):
             return None
         if (len(values) == 2 * len(texts) - 1 and values[1::2] == ["\x1f"] * (len(texts) - 1)
                 and all(map(isinstance, values[::2], repeat(dict)))):
@@ -421,6 +431,8 @@ def read_json_object(path, build: Callable[[dict], object] = dict):
     except ValueError as exc:  # also an integer over sys.get_int_max_str_digits() digits
         line = f"line {exc.lineno}: " if isinstance(exc, json.JSONDecodeError) else ""
         raise IngestError(path, [f"{line}invalid JSON ({getattr(exc, 'msg', exc)})"]) from None
+    except RecursionError:
+        raise IngestError(path, [_TOO_DEEP]) from None
     if not isinstance(data, dict):
         raise IngestError(path, [f"expected a JSON object, got {type(data).__name__}"])
     try:
@@ -517,8 +529,9 @@ class NameSequence(Sequence):
 _COLUMN_DTYPES = {"year": np.int64, "category": np.int32, "citations": np.int64,
                   "impact": np.float64, "doc_type": np.int32, "n_authors": np.int32,
                   "author": np.int32, "university": np.int32}
-# The names the codes in ``category``, ``doc_type``, ``author`` and ``university`` index.
-_VOCABULARIES = ("categories", "doc_types", "authors", "universities")
+# The vocabulary each coded corpus column indexes.
+_CODED = {"category": "categories", "doc_type": "doc_types", "author": "authors",
+          "university": "universities"}
 
 
 class Corpus:
@@ -557,12 +570,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @functools.cached_property
-    def cells(self) -> np.ndarray:
-        """Each publication's (year, subject category) cell, numbered from 0."""
-        width = max(len(self.categories), 1)
-        return np.unique(self.year * width + self.category, return_inverse=True)[1].reshape(-1)
-
     def authored_by(self, author_ids: Sequence[str], window: tuple[int, int]
                     ) -> tuple[np.ndarray, np.ndarray]:
         """The in-window authorships of ``author_ids``, in corpus order.
@@ -587,7 +594,7 @@ class Corpus:
 def empty_corpus() -> Corpus:
     """A corpus with no publications."""
     return Corpus({"ids": [], **dict.fromkeys(_COLUMN_DTYPES, ()),
-                   **{name: [] for name in _VOCABULARIES}})
+                   **{name: [] for name in _CODED.values()}})
 
 
 _EPOCH = date(1970, 1, 1).toordinal()
@@ -726,16 +733,15 @@ def _whole_number(raw) -> int | None:
         return None
 
 
-def _real_number(raw, finite: bool = False) -> float | None:
+def _real_number(raw) -> float | None:
     """float of a CSV string or JSON number; None for bools, junk and integers
-    too large for a float, and with ``finite`` for NaN and infinities."""
+    too large for a float."""
     if isinstance(raw, bool):
         return None
     try:
-        value = float(raw)
+        return float(raw)
     except (TypeError, ValueError, OverflowError):
         return None
-    return None if finite and not math.isfinite(value) else value
 
 
 def _parse_byline(raw) -> tuple[list[str], list[str]] | str:
@@ -819,13 +825,12 @@ PART_BYTES = 1 << 20
 
 def ingest_publications(path,
                         excluded_doc_types: Iterable[str] = DEFAULT_EXCLUDED_DOC_TYPES,
-                        roster_ids=None,
-                        strict: bool = False) -> Corpus:
+                        roster_ids=None) -> Corpus:
     """Read a publication corpus (CSV, or JSON-lines for .jsonl/.ndjson/.json).
 
     Rows whose doc_type is in ``excluded_doc_types`` (case-insensitive) are
-    dropped before validation and counted in ``Corpus.dropped``.  With
-    ``strict`` every byline author id must appear in ``roster_ids``.  Rows
+    dropped before validation and counted in ``Corpus.dropped``.  If
+    ``roster_ids`` is given, every byline author id must be in it.  Rows
     are validated a block at a time, straight into the corpus columns, and
     the :class:`IngestError` lists every problem in line order, each row
     named by its first failing check.
@@ -836,7 +841,6 @@ def ingest_publications(path,
     """
     path = Path(path)
     excluded = {t.strip().lower() for t in excluded_doc_types}
-    roster_ids = roster_ids if strict else None
     json_lines = path.suffix.lower() in (".jsonl", ".ndjson", ".json")
     layout = None if json_lines else _csv_layout(path, PUBLICATION_FIELDS, ())
     parts = _parts(path, json_lines)
@@ -1006,7 +1010,7 @@ def _publication_part(path: Path, layout: tuple | None, excluded: set[str], rost
     with codes into its own ``vocabularies``: name-to-code maps for the
     first part, name lists for the others."""
     problems = RowProblems(path)
-    vocabularies = {name: _code_map() for name in _VOCABULARIES}
+    vocabularies = {name: _code_map() for name in _CODED.values()}
     ids: list[str] = []
     kept = array("q")
     buffers = _Columns(_COLUMN_DTYPES)
@@ -1037,11 +1041,6 @@ def _publication_part(path: Path, layout: tuple | None, excluded: set[str], rost
             # maps, and needs only those names, in code order
             "vocabularies": vocabularies if not part[0] else
             {name: list(codes) for name, codes in vocabularies.items()}}
-
-
-# The vocabulary each coded corpus column indexes.
-_CODED = {"category": "categories", "doc_type": "doc_types", "author": "authors",
-          "university": "universities"}
 
 
 def _merged_corpus(path: Path, results: list[dict]) -> Corpus:
@@ -1154,20 +1153,27 @@ WRITE_ROWS = 1024  # rows per write; at 4,096 simulate's peak RSS read 2.4 MB hi
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write a UTF-8 CSV file as ``csv.writer`` does (CRLF line ends, minimal
-    quoting, None as "", a float as its ``repr``) from one column per header
-    field: a numpy array or an iterable of strings and numbers."""
+def csv_text(header: Sequence[str], columns: Sequence, end: str) -> Iterator[str]:
+    """The text of a CSV table, a chunk of rows at a time, as the csv
+    module's writer formats it with line terminator ``end`` (minimal
+    quoting, None as "", a float as its ``repr``), except that a cell
+    holding a CR or an LF is quoted whatever ``end`` is.  One column per
+    header field: a numpy array or an iterable of strings and numbers."""
     columns = [c if isinstance(c, np.ndarray) else iter(c) for c in columns]
-    row = ",".join(["{}"] * len(header)) + "\r\n"
+    row = ",".join(["{}"] * len(header)) + end
+    yield row.format(*_csv_cells(header))
+    for at in itertools.count(0, WRITE_ROWS):
+        chunk = [c[at:at + WRITE_ROWS].tolist() if isinstance(c, np.ndarray)
+                 else _csv_cells(islice(c, WRITE_ROWS)) for c in columns]
+        if not chunk[0]:
+            return
+        yield "".join(itertools.starmap(row.format, zip(*chunk)))
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write the UTF-8 CSV file of :func:`csv_text` with CRLF line ends."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(row.format(*_csv_cells(header)))
-        for at in itertools.count(0, WRITE_ROWS):
-            chunk = [c[at:at + WRITE_ROWS].tolist() if isinstance(c, np.ndarray)
-                     else _csv_cells(islice(c, WRITE_ROWS)) for c in columns]
-            if not chunk[0]:
-                return
-            fh.write("".join(itertools.starmap(row.format, zip(*chunk))))
+        fh.writelines(csv_text(header, columns, "\r\n"))
 
 
 def _csv_cells(cells) -> list:
@@ -1215,11 +1221,6 @@ def write_publications(path, corpus: Corpus) -> None:
         _blank_nan(corpus.impact), corpus.citations, _names(corpus.doc_types, corpus.doc_type),
         (";".join([f"{authors[a]}@{corpus.universities[u]}" for a, u in islice(slots, n)])
          for n in corpus.n_authors.tolist())])
-
-
-def load_sds_map(path) -> dict[str, str]:
-    """Two-column CSV mapping field (SDS) codes to discipline (UDA) codes."""
-    return read_pairs(path, "sds", "uda")
 
 
 def working_years(start: np.ndarray, end: np.ndarray,

@@ -55,7 +55,8 @@ def build_scaling_table(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """Each publication's cell means, cbar and ifbar: over the cited
     publications and over those with a known impact factor in its (year,
     subject category) cell, NaN where the cell has none."""
-    cell = corpus.cells
+    width = max(len(corpus.categories), 1)
+    cell = np.unique(corpus.year * width + corpus.category, return_inverse=True)[1].reshape(-1)
     n_cells = int(cell.max(initial=-1)) + 1
     cited = corpus.citations > 0
     known = ~np.isnan(corpus.impact)

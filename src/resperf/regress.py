@@ -83,16 +83,15 @@ class CoreFit:
     grad_norm: float
 
 
-def fit_fractional_logit(y, X, max_iter: int = MAX_ITER,
-                         grad_tol: float = GRAD_TOL) -> CoreFit:
+def fit_fractional_logit(y, X) -> CoreFit:
     """Fit E(y|x) = G(x'b) by damped Newton on the quasi-log-likelihood.
 
-    Converges when the gradient sup-norm falls below ``grad_tol`` or the
-    relative quasi-log-likelihood change falls below 1e-14.  Steps that lower
-    the objective beyond rounding noise are halved.  Raises
-    :class:`QuasiSeparationError` when
-    the linear predictor diverges, :class:`FitError` on non-finite input, a
-    singular information matrix or n <= k.
+    Converges within MAX_ITER steps when the gradient sup-norm falls below
+    GRAD_TOL or the relative quasi-log-likelihood change falls below 1e-14.
+    Steps that lower the objective beyond rounding noise are halved.  Raises
+    :class:`QuasiSeparationError` when the linear predictor diverges,
+    :class:`FitError` on non-finite input, a singular information matrix or
+    n <= k.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -113,10 +112,10 @@ def fit_fractional_logit(y, X, max_iter: int = MAX_ITER,
     qll = bernoulli_qll(y, eta)
     converged = False
     steps = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         g_fit = logistic(eta)
         grad = X.T @ (y - g_fit)
-        if float(np.abs(grad).max()) < grad_tol:
+        if float(np.abs(grad).max()) < GRAD_TOL:
             converged = True
             break
         w = g_fit * (1.0 - g_fit)
@@ -154,7 +153,7 @@ def fit_fractional_logit(y, X, max_iter: int = MAX_ITER,
 
     g_fit = logistic(eta)
     grad_norm = float(np.abs(X.T @ (y - g_fit)).max())
-    if not converged and grad_norm < grad_tol:
+    if not converged and grad_norm < GRAD_TOL:
         converged = True
     w = g_fit * (1.0 - g_fit)
     resid = y - g_fit
@@ -191,13 +190,12 @@ class CollinearityReport:
     vifs: dict[str, float]
 
 
-def collinearity_check(X, columns: Sequence[str] | None = None,
-                       vif_exempt: Sequence[str] = (),
-                       threshold: float = VIF_THRESHOLD) -> CollinearityReport:
-    """Prune a design matrix.
+def collinearity_check(X, columns: Sequence[str],
+                       vif_exempt: Sequence[str] = ()) -> CollinearityReport:
+    """Prune a design matrix whose columns are named ``columns``.
 
     Exactly dependent columns go first (the later-listed duplicate is the one
-    removed); then columns with VIF above ``threshold`` are removed one at a
+    removed); then columns with VIF above VIF_THRESHOLD are removed one at a
     time, later-listed first.  Columns in ``vif_exempt`` (and any intercept)
     are never removed for high VIF, only for exact dependence.  VIFs, taken
     with an intercept in each auxiliary regression, are reported for the
@@ -205,8 +203,6 @@ def collinearity_check(X, columns: Sequence[str] | None = None,
     """
     X = np.asarray(X, dtype=float)
     n, k = X.shape
-    if columns is None:
-        columns = tuple(f"x{i}" for i in range(k))
     columns = tuple(columns)
     if len(columns) != k:
         raise ValueError("one name per column required")
@@ -235,7 +231,7 @@ def collinearity_check(X, columns: Sequence[str] | None = None,
         Z = X[:, cols] - X[:, cols].mean(axis=0)
         Z /= np.linalg.norm(Z, axis=0)
         vifs = dict(zip(cols, np.diag(np.linalg.inv(Z.T @ Z)).tolist()))
-        offenders = [i for i in cols if columns[i] not in exempt and vifs[i] > threshold]
+        offenders = [i for i in cols if columns[i] not in exempt and vifs[i] > VIF_THRESHOLD]
         if not offenders:
             break
         worst = max(offenders)  # later-listed first
@@ -398,9 +394,7 @@ def _all_failed(exc: FitError) -> FitError:
     return type(exc)(f"all candidate degrees failed: {exc}")
 
 
-def average_marginal_effects(beta: np.ndarray, design: Design,
-                             variables: Sequence[str] | None = None
-                             ) -> dict[str, float]:
+def average_marginal_effects(beta: np.ndarray, design: Design) -> dict[str, float]:
     """Average marginal effects on the percentile (x100) scale.
 
     Continuous variables use the analytic derivative averaged over the
@@ -417,15 +411,8 @@ def average_marginal_effects(beta: np.ndarray, design: Design,
     age_cols = [(j + 1, design.columns.index(name))
                 for j, name in enumerate(AGE_TERMS) if name in design.columns]
 
-    requested = list(variables) if variables is not None else None
-    if requested is not None:
-        known = set(design.columns) | ({"Age"} if age_cols else set())
-        for name in requested:
-            if name not in known:
-                raise ValueError(f"unknown variable {name!r}")
-
     out: dict[str, float] = {}
-    if age_cols and (requested is None or "Age" in requested):
+    if age_cols:
         a = X[:, age_cols[0][1]]  # centered age values
         deriv = np.zeros_like(a)
         for power, col in age_cols:
@@ -434,8 +421,6 @@ def average_marginal_effects(beta: np.ndarray, design: Design,
 
     for idx, name in enumerate(design.columns):
         if name == "Intercept" or name in AGE_TERMS:
-            continue
-        if requested is not None and name not in requested:
             continue
         col = X[:, idx]
         if np.isin(col, (0.0, 1.0)).all():
@@ -451,11 +436,10 @@ def _raw_age_transform(columns: Sequence[str], age_mean: float) -> np.ndarray:
     """Linear map T with beta_raw = T @ beta_centered.
 
     Expands (age - m)^j into raw-age powers; non-age terms pass through.
+    Every design keeps its Intercept: the exact-dependence pass keeps the
+    first column, and no VIF removes it.
     """
-    k = len(columns)
-    T = np.eye(k)
-    if "Intercept" not in columns:
-        return T
+    T = np.eye(len(columns))
     i_int = columns.index("Intercept")
     m = age_mean
     for j, name in enumerate(AGE_TERMS, start=1):

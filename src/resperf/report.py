@@ -10,15 +10,13 @@ percentages two.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Roster, exact_years, whole_years
+from .corpus import Roster, csv_text, exact_years, whole_years
 from .regress import FitResult
 
 logger = logging.getLogger(__name__)
@@ -85,19 +83,11 @@ def _table_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _render(header, rows, fmt: str) -> str:
     if fmt == "text":
         return _table_text(header, rows)
     if fmt == "csv":
-        return _table_csv(header, rows)
+        return "".join(csv_text(header, list(zip(*rows)), "\n"))
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -131,7 +121,7 @@ def regression_table(fits: Mapping[str, FitResult], fmt: str = "text") -> str:
 
 def descriptive_table(roster: Roster,
                       covariates: Mapping[str, np.ndarray],
-                      inactive: np.ndarray | None = None,
+                      inactive: np.ndarray,
                       population_totals: Mapping[str, int] | None = None,
                       fmt: str = "text") -> str:
     """Headcounts, coverage, mean ages and inactivity by discipline, plus an
@@ -159,11 +149,9 @@ def descriptive_table(roster: Roster,
         else:
             total = n
         coverage = 100.0 * n / total if total else 100.0
-        row = [str(n), f"{coverage:.2f}", f"{np.mean(covariates['age'][members]):.2f}",
-               f"{np.mean(app_ages[members]):.2f}"]
-        row.append(ABSENT if inactive is None
-                   else f"{100.0 * int(inactive[members].sum()) / n:.2f}")
-        return row
+        return [str(n), f"{coverage:.2f}", f"{np.mean(covariates['age'][members]):.2f}",
+                f"{np.mean(app_ages[members]):.2f}",
+                f"{100.0 * int(inactive[members].sum()) / n:.2f}"]
 
     def appointment_shares(members: np.ndarray) -> list[str]:
         n = int(members.sum())
@@ -208,12 +196,9 @@ def distribution_histogram(values: Sequence[float], bin_width: float
 
 
 def histogram_csv(bins: Iterable[tuple[float, int, float]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin_left", "count", "share"])
-    for left, count, share in bins:
-        writer.writerow([repr(float(left)), count, repr(float(share))])
-    return buf.getvalue()
+    left, count, share = zip(*bins)
+    return "".join(csv_text(["bin_left", "count", "share"],
+                            [map(float, left), count, map(float, share)], "\n"))
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:

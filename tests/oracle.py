@@ -82,6 +82,9 @@ def json_rows(path, fields: Sequence[str], problems: list[str]) -> Iterator:
             except ValueError as exc:  # an integer over sys.get_int_max_str_digits() digits
                 problems.append(f"line {line}: invalid JSON ({exc})")
                 continue
+            except RecursionError:
+                problems.append(f"line {line}: invalid JSON (nested too deeply)")
+                continue
             if not isinstance(record, dict):
                 problems.append(
                     f"line {line}: expected a JSON object, got {type(record).__name__}")
@@ -208,11 +211,10 @@ class ColumnBuffer:
 
 
 def ingest_publications(path, excluded_doc_types: Iterable[str] = DEFAULT_EXCLUDED_DOC_TYPES,
-                        roster_ids=None, strict: bool = False) -> Corpus:
+                        roster_ids=None) -> Corpus:
     """The publication corpus, read and checked one row at a time."""
     path = Path(path)
     excluded = {t.strip().lower() for t in excluded_doc_types}
-    roster_ids = roster_ids if strict else None
     buffer = ColumnBuffer()
     problems: list[str] = []
     seen: dict[str, int] = {}

@@ -105,7 +105,7 @@ def test_publications_match_the_row_loop(tmp_path_factory, n, block_rows, as_jso
     write_publications(path, rows, as_json, extra)
     roster_ids = {"P0", "P1", "P2", "P3"} if strict else None
     bulk, reference = both("ingest_publications", block_rows, path,
-                           roster_ids=roster_ids, strict=strict)
+                           roster_ids=roster_ids)
     assert bulk == reference
 
 
@@ -249,7 +249,8 @@ def test_json_blocks_match_the_line_loop(tmp_path_factory, texts, block_rows, cr
     problems = resperf.corpus.RowProblems(path)
     with mock.patch.object(resperf.corpus, "BLOCK_ROWS", block_rows):
         bulk = [(line, *values) for lines, cells in
-                resperf.corpus.read_blocks(path, JSON_KEYS, problems=problems, json_lines=True)
+                resperf.corpus._part_blocks(path, resperf.corpus.WHOLE_FILE, JSON_KEYS, None,
+                                            problems)
                 for line, *values in zip(lines, *cells)]
     reference_problems: list[str] = []
     reference = [(line, *values) for line, values in
@@ -290,3 +291,22 @@ def test_json_edge_lines_fall_back():
             assert records is None, edge
     assert resperf.corpus._json_array(JSON_EDGE_LINES[:2]) is None
     assert resperf.corpus._json_array(JSON_EDGE_LINES[2:4]) is None
+
+
+def test_a_block_too_deep_as_an_array_goes_line_by_line(tmp_path):
+    """A line may decode alone and still be one level too deep inside the
+    block's array; that block is read line by line."""
+    path = tmp_path / "lines.jsonl"
+    path.write_text('{"id": "W1"}\n{"id": "W2"}\n', encoding="utf-8")
+    loads = json.loads
+
+    def shallow(text, *args, **kwargs):
+        if text.startswith("["):
+            raise RecursionError("maximum recursion depth exceeded")
+        return loads(text, *args, **kwargs)
+
+    problems = resperf.corpus.RowProblems(path)
+    with mock.patch.object(json, "loads", shallow):
+        blocks = list(resperf.corpus._part_blocks(path, resperf.corpus.WHOLE_FILE, ["id"],
+                                                  None, problems))
+    assert blocks == [([1, 2], [["W1", "W2"]])] and problems.found == []

@@ -558,6 +558,21 @@ GOOD_JSON_INPUTS = {
 }
 
 
+# A JSON value nested past the decoder's recursion limit.
+TOO_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("option", sorted(GOOD_JSON_INPUTS))
+def test_json_nested_too_deeply_exits_two_naming_the_file(sim_chain, tmp_path, option):
+    command, _ = GOOD_JSON_INPUTS[option]
+    path = tmp_path / "deep.json"
+    path.write_text('{"seed": ' + TOO_DEEP + "}")
+    res = invoke(command, *json_input_args(sim_chain, command), option, path,
+                 "--out", tmp_path / "x")
+    assert res.exit_code == 2, res.output
+    assert f"{path}: invalid JSON (nested too deeply)" in res.output
+
+
 @pytest.mark.parametrize("option", sorted(GOOD_JSON_INPUTS))
 def test_json_inputs_may_start_with_a_byte_order_mark(sim_chain, tmp_path, option):
     command, content = GOOD_JSON_INPUTS[option]
@@ -828,6 +843,60 @@ class TestReport:
                      "--out", tmp_path / "x")
         assert res.exit_code == 2
         assert "no scores" in res.output
+
+    def test_a_carriage_return_in_a_csv_cell_reads_back(self, tiny_files, tmp_path):
+        roster, _ = build_tiny_world()
+        write_roster(tmp_path / "roster.csv",
+                     replace(roster, uda_names=["A\rB" if name == "MAT" else name
+                                                for name in roster.uda_names]))
+        res = invoke("compute", "--roster", tmp_path / "roster.csv",
+                     "--pubs", tiny_files / "pubs.csv", "--out", tmp_path / "comp")
+        assert res.exit_code == 0, res.output
+        res = invoke("report", "--roster", tmp_path / "roster.csv",
+                     "--indicators", tmp_path / "comp" / "indicators.csv",
+                     "--fmt", "csv", "--out", tmp_path / "rep")
+        assert res.exit_code == 0, res.output
+        with (tmp_path / "rep" / "descriptives.csv").open(newline="") as fh:
+            udas = [row[0] for row in csv.reader(fh) if row]
+        assert udas.count("A\rB") == 2  # a row in each table
+
+
+def repeat_column(path: Path, column: str) -> None:
+    """Append a second copy of ``column`` to every row of a CSV file."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index(column)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(row + [row[j]] for row in rows)
+
+
+# (command, file of the simulated chain, its column given twice, exit
+# code): a repeated column that the command reads exits 2; regress does not
+# read covariates.csv's sds.
+REPEATED_COLUMN_PROBES = {
+    "roster": ("compute", "sim/roster.csv", "gender", 2),
+    "pubs": ("compute", "sim/publications.csv", "citations", 2),
+    "covariates": ("regress", "comp/covariates.csv", "age", 2),
+    "indicators": ("report", "comp/indicators.csv", "fss", 2),
+    "covariates-unread": ("regress", "comp/covariates.csv", "sds", 0),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(REPEATED_COLUMN_PROBES))
+def test_a_repeated_column_exits_two_if_read(sim_chain, tmp_path, probe):
+    command, name, column, code = REPEATED_COLUMN_PROBES[probe]
+    sim, comp = tmp_path / "sim", tmp_path / "comp"
+    shutil.copytree(sim_chain / "sim", sim)
+    shutil.copytree(sim_chain / "comp", comp)
+    repeat_column(tmp_path / name, column)
+    args = {"compute": ["--roster", sim / "roster.csv", "--pubs", sim / "publications.csv"],
+            "regress": ["--data", comp],
+            "report": ["--roster", sim / "roster.csv", "--indicators", comp / "indicators.csv"],
+            }[command]
+    res = invoke(command, *args, "--out", tmp_path / "x")
+    assert res.exit_code == code, res.output
+    if code:
+        assert f"{tmp_path / name}: line 1: duplicate column(s) {column}" in res.output
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -82,7 +82,7 @@ def test_parts_match_one_part_and_the_row_loop(tmp_path_factory, n, cores, block
     with_endings(path, ending)
     roster_ids = {"P0", "P1", "P2", "P3"} if strict else None
     in_parts, whole, reference, _ = three_ways(path, cores, block_rows,
-                                               roster_ids=roster_ids, strict=strict)
+                                               roster_ids=roster_ids)
     assert in_parts == whole == reference
 
 
@@ -142,6 +142,19 @@ def test_a_csv_error_in_a_later_part_wins_over_row_problems(tmp_path):
     assert len(parts) == 2 and parts[1][1] < 9
     assert in_parts == whole == ("problems", str(path),
                                  ["line 9: field larger than field limit (100)"])
+
+
+def test_a_line_nested_too_deeply_is_a_row_problem_in_any_part(tmp_path):
+    """The deep last line is shorter than the rows before it together, so a
+    two-part read cuts before it."""
+    path = tmp_path / "pubs.jsonl"
+    write_publications(path, publication_rows(2500), True)
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"id": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+    in_parts, whole, reference, parts = three_ways(path, block_rows=512)
+    assert parts == 2
+    assert in_parts == whole == reference == (
+        "problems", str(path), ["line 2501: invalid JSON (nested too deeply)"])
 
 
 def test_a_quote_before_the_last_cut_reads_one_part(tmp_path):

@@ -154,7 +154,7 @@ class TestDescriptiveTable:
     CENSUS = date(2010, 12, 31)
     WINDOW = (2006, 2010)
 
-    def build(self, inactive=None, totals=None, fmt="csv"):
+    def build(self, inactive=np.zeros(3, dtype=bool), totals=None, fmt="csv"):
         roster = small_roster()
         covs = derive_covariates(roster, self.CENSUS, self.WINDOW)
         return descriptive_table(roster, covs, inactive, totals, fmt=fmt), roster, covs
@@ -167,7 +167,7 @@ class TestDescriptiveTable:
         assert rows["Total"][1] == "3"
         mat_ages = [covs["age"][0], covs["age"][1]]
         assert rows["MAT"][3] == f"{np.mean(mat_ages):.2f}"
-        assert rows["MAT"][5] == "-"  # no scores supplied
+        assert rows["MAT"][5] == "0.00"  # nobody inactive
 
     def test_inactive_share_with_scores(self):
         text, _, _ = self.build(inactive=np.array([False, True, False]))
@@ -206,13 +206,13 @@ class TestDescriptiveTable:
                               make_professor("E2", birth=date(1950, 1, 1),
                                              appointed=date(2005, 1, 1))])
         covs = derive_covariates(roster, self.CENSUS, self.WINDOW)
-        text = descriptive_table(roster, covs, fmt="csv")
+        text = descriptive_table(roster, covs, np.zeros(2, dtype=bool), fmt="csv")
         rows = {r[0]: r for r in csv.reader(io.StringIO(text.split("\n\n")[1]))}
         assert rows["Total"][1] == "0.00" and rows["Total"][2] == "0.00"
 
     def test_empty_roster_rejected(self):
         with pytest.raises(ValueError, match="empty roster"):
-            descriptive_table(make_roster([]), {})
+            descriptive_table(make_roster([]), {}, np.zeros(0, dtype=bool))
 
     def test_text_format_is_aligned(self):
         text, _, _ = self.build(fmt="text")
