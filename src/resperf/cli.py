@@ -157,9 +157,8 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
     covariates = _input_stage("roster covariates", derive_covariates, roster, census,
                               window_years)
     excluded = tuple(excluded_doc_types) or DEFAULT_EXCLUDED_DOC_TYPES
-    corpus = _input_stage(
-        "publication ingest", ingest_publications, pubs_path, excluded,
-        roster_ids=set(roster.ids) if strict else None)
+    corpus = _input_stage("publication ingest", ingest_publications, pubs_path,
+                          dict(zip(roster.ids, range(len(roster)))), excluded, strict)
     if conventions_path:
         conventions = _input_stage("convention map", load_convention_map,
                                    conventions_path, force_convention)
@@ -400,7 +399,7 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
     roster, corpus = _compute_stage("generation", generate_cohort, config)
     out = _out_dir(out_path)
     write_roster(out / "roster.csv", roster)
-    write_publications(out / "publications.csv", corpus)
+    write_publications(out / "publications.csv", corpus, roster.ids)
     write_convention_map(out / "conventions.csv",
                          {f.sds: f.convention for f in config.fields})
 

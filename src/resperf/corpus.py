@@ -59,6 +59,9 @@ ROSTER_OPTIONAL_FIELDS = ("active_start", "active_end")
 
 PUBLICATION_FIELDS = ("id", "year", "subject_category", "journal_if",
                       "citations", "doc_type", "byline")
+# The name write_publications gives the k-th byline author not on the
+# roster, k counted from 1 in corpus order.
+COAUTHOR_NAME = "X{}"
 
 # Largest citation count ingest accepts: counts above 2**53 would not be
 # summed exactly in the float64 scaling means (nor fit the int64 column).
@@ -495,29 +498,28 @@ class Roster:
 
 
 class NameSequence(Sequence):
-    """Read-only names: the ``head`` list, then ``pattern.format(k)`` for k =
-    1..``count``, each formatted only when read.
+    """Read-only names ``pattern.format(k)`` for k = 1..``count``, each
+    formatted only when read.
 
     An index returns a name, a slice a list, iteration maps the pattern; it
-    equals the list of its names.  The simulator names its publications and
-    co-authors with it, so a cohort nobody writes out builds no tail names.
+    equals the list of its names.  The simulator names its publications with
+    it, and ``simulate`` the co-authors it writes out, so a cohort nobody
+    writes out builds no names.
     """
 
-    def __init__(self, head: list[str], pattern: str, count: int):
-        self.head, self.pattern, self.count = head, pattern, count
+    def __init__(self, pattern: str, count: int):
+        self.pattern, self.count = pattern, count
 
     def __len__(self) -> int:
-        return len(self.head) + self.count
-
-    def _name(self, i: int) -> str:
-        return self.head[i] if i < len(self.head) else self.pattern.format(i - len(self.head) + 1)
+        return self.count
 
     def __getitem__(self, index):
-        at = range(len(self))[index]  # bounds-checked, negative indices resolved
-        return [self._name(i) for i in at] if isinstance(index, slice) else self._name(at)
+        at = range(1, self.count + 1)[index]  # bounds-checked, negative indices resolved
+        return list(map(self.pattern.format, at)) if isinstance(index, slice) \
+            else self.pattern.format(at)
 
     def __iter__(self) -> Iterator[str]:
-        return itertools.chain(self.head, map(self.pattern.format, range(1, self.count + 1)))
+        return map(self.pattern.format, range(1, self.count + 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, NameSequence)):
@@ -530,8 +532,7 @@ _COLUMN_DTYPES = {"year": np.int64, "category": np.int32, "citations": np.int64,
                   "impact": np.float64, "doc_type": np.int32, "n_authors": np.int32,
                   "author": np.int32, "university": np.int32}
 # The vocabulary each coded corpus column indexes.
-_CODED = {"category": "categories", "doc_type": "doc_types", "author": "authors",
-          "university": "universities"}
+_CODED = {"category": "categories", "doc_type": "doc_types", "university": "universities"}
 
 
 class Corpus:
@@ -544,13 +545,17 @@ class Corpus:
     (byline length) and ``shared`` (first and last author share a
     university).  The authorship table has one row per byline slot, ordered
     by publication and then position: ``pub`` (publication index),
-    ``position``, ``author`` (code into ``authors``) and ``university`` (code
-    into ``universities``).
+    ``position``, ``author`` and ``university`` (code into
+    ``universities``).
+
+    ``author`` is the slot's row in the roster the corpus was read against,
+    or -1 for an author not on it.  Such an author enters scoring only
+    through byline length, position and the first and last universities, so
+    nothing names one.
 
     Ingest and the simulator build the columns with numpy and pass them,
     less the derived ``shared``, ``pub`` and ``position``, to the
-    constructor.  The simulator codes roster authors first, in roster
-    order, and passes ``ids`` and ``authors`` as :class:`NameSequence`.
+    constructor; the simulator passes ``ids`` as a :class:`NameSequence`.
     Treated as read-only after construction.
     """
 
@@ -570,25 +575,15 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def authored_by(self, author_ids: Sequence[str], window: tuple[int, int]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """The in-window authorships of ``author_ids``, in corpus order.
+    def authored_by(self, window: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The in-window authorships of rostered professors, in corpus order.
 
-        Returns ``who``, each authorship's index into ``author_ids``, and
-        ``rows``, its row in the authorship table.  Ids on no byline have none.
+        Returns ``who``, each authorship's roster row, and ``rows``, its row
+        in the authorship table.
         """
-        n = len(author_ids)
-        if self.authors[:n] == list(author_ids):  # roster-first codes, as the simulator's
-            owner = np.full(len(self.authors), -1, dtype=np.int64)
-            owner[:n] = np.arange(n)
-        else:  # each author's index into author_ids, in one pass over the authors
-            index = {author: i for i, author in enumerate(author_ids)}
-            owner = np.fromiter(map(index.get, self.authors, repeat(-1)), np.int64,
-                                len(self.authors))
-        who = owner[self.author]
         year = self.year[self.pub]
-        rows = np.flatnonzero((who >= 0) & (window[0] <= year) & (year <= window[1]))
-        return who[rows], rows
+        rows = np.flatnonzero((self.author >= 0) & (window[0] <= year) & (year <= window[1]))
+        return self.author[rows], rows
 
 
 def empty_corpus() -> Corpus:
@@ -631,6 +626,8 @@ def _day_ordinal(text: str) -> int:
 
 
 _GENDERS = {"m": True, "male": True, "f": False, "female": False}
+# The byline separators: a roster id holding one could never match a byline author.
+_NOT_A_BYLINE_AUTHOR = re.compile("[;@]")
 _UNIVERSITY_CODES = {name: code for code, name in enumerate(UNIVERSITY_TYPES)}
 
 
@@ -656,6 +653,8 @@ def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> Roster:
         problems.start(lines)
         pid = list(map(str.strip, pid))
         problems.flag(_mask(map(operator.not_, pid), n), lambda i: "empty id")
+        problems.flag(_mask(map(_NOT_A_BYLINE_AUTHOR.search, pid), n),
+                      lambda i: f"id {pid[i]!r} holds ';' or '@', so no byline can name it")
         first = list(map(seen.setdefault, pid, lines))
         problems.flag(np.array(first) != lines,
                       lambda i: f"duplicate id {pid[i]!r} (first seen on line {first[i]})")
@@ -823,17 +822,19 @@ def _split_bylines(raws: list) -> tuple[list[str], list[str], np.ndarray, dict[i
 PART_BYTES = 1 << 20
 
 
-def ingest_publications(path,
+def ingest_publications(path, roster_rows: Mapping[str, int],
                         excluded_doc_types: Iterable[str] = DEFAULT_EXCLUDED_DOC_TYPES,
-                        roster_ids=None) -> Corpus:
+                        strict: bool = False) -> Corpus:
     """Read a publication corpus (CSV, or JSON-lines for .jsonl/.ndjson/.json).
 
-    Rows whose doc_type is in ``excluded_doc_types`` (case-insensitive) are
-    dropped before validation and counted in ``Corpus.dropped``.  If
-    ``roster_ids`` is given, every byline author id must be in it.  Rows
-    are validated a block at a time, straight into the corpus columns, and
-    the :class:`IngestError` lists every problem in line order, each row
-    named by its first failing check.
+    ``roster_rows`` maps each rostered professor's id to its roster row,
+    which codes the byline slots the id fills; every other slot is coded
+    -1.  Rows whose doc_type is in ``excluded_doc_types`` (case-insensitive)
+    are dropped before validation and counted in ``Corpus.dropped``.  With
+    ``strict``, every byline author must be rostered.  Rows are validated a
+    block at a time, straight into the corpus columns, and the
+    :class:`IngestError` lists every problem in line order, each row named
+    by its first failing check.
 
     The file is read in :func:`_parts`, each but the first in a forked
     process, and the parts' results are merged into exactly what a one-part
@@ -847,8 +848,13 @@ def ingest_publications(path,
     logger.debug("%s: read in %d part(s), from lines %s", path, len(parts),
                  ", ".join(str(before + 1) for _, before, _ in parts))
     results = _in_processes(functools.partial(_publication_part, path, layout, excluded,
-                                              roster_ids), parts)
-    return _merged_corpus(path, results)
+                                              roster_rows, strict), parts)
+    corpus = _merged_corpus(path, results)
+    logger.debug("%s: %d row(s) read, %d dropped by doc type, %d kept, in %d part(s); "
+                 "%d byline slot(s), %d naming a rostered professor", path,
+                 sum(result["rows"] for result in results), corpus.dropped, len(corpus),
+                 len(parts), corpus.author.size, np.count_nonzero(corpus.author >= 0))
+    return corpus
 
 
 def _parts(path: Path, json_lines: bool) -> list[tuple[int, int, int | None]]:
@@ -1002,13 +1008,15 @@ def _send(read: Callable, part, w: int, inherited: list[int]) -> None:
         os._exit(0)
 
 
-def _publication_part(path: Path, layout: tuple | None, excluded: set[str], roster_ids,
+def _publication_part(path: Path, layout: tuple | None, excluded: set[str],
+                      roster_rows: Mapping[str, int], strict: bool,
                       part: tuple[int, int, int | None]) -> dict:
     """Read and check one part of a corpus file: its row problems, rows read
     and dropped, the ``ids`` and ``lines`` of the rows that pass every check
     but the duplicate-id one, and, if it has no problem, its ``columns``
     with codes into its own ``vocabularies``: name-to-code maps for the
-    first part, name lists for the others."""
+    first part, name lists for the others.  ``author`` codes are roster
+    rows, the same in every part."""
     problems = RowProblems(path)
     vocabularies = {name: _code_map() for name in _CODED.values()}
     ids: list[str] = []
@@ -1027,7 +1035,8 @@ def _publication_part(path: Path, layout: tuple | None, excluded: set[str], rost
                                        for column in (lines, doc_type, *cells)]
         if not lines:
             continue
-        columns = _publication_block(problems, lines, cells, roster_ids, vocabularies)
+        columns = _publication_block(problems, lines, cells, roster_rows, strict,
+                                     vocabularies)
         ids += columns.pop("ids")
         kept.extend(columns.pop("lines"))
         if columns:
@@ -1087,7 +1096,8 @@ def _merged_corpus(path: Path, results: list[dict]) -> Corpus:
 
 
 def _publication_block(problems: RowProblems, lines: list[int], cells: list,
-                       roster_ids, vocabularies: dict[str, defaultdict]) -> dict:
+                       roster_rows: Mapping[str, int], strict: bool,
+                       vocabularies: dict[str, defaultdict]) -> dict:
     """Check one block of kept publication rows; the first failing check, in
     this order, names a row.  The ``ids`` and ``lines`` of the rows that
     pass, and while the part has no problem their other corpus columns less
@@ -1127,19 +1137,23 @@ def _publication_block(problems: RowProblems, lines: list[int], cells: list,
     broken = np.zeros(n, dtype=bool)
     broken[rows[list(failed)]] = True
     problems.flag(broken, lambda i: failed[int(np.searchsorted(rows, i))])
-    codes = vocabularies["authors"]
-    author = np.array(list(map(codes.__getitem__, authors)), dtype=np.int64)
+    author = np.fromiter(map(roster_rows.get, authors, repeat(-1)), np.int64, len(authors))
     slot_row = np.repeat(rows, counts)
-    # two slots of one byline with one author code make equal keys
-    keys = np.sort(slot_row * len(codes) + author)
+    # An author twice on a byline: two of its slots with one name hash (the
+    # lookup above cached it), confirmed on the names, so a hash collision
+    # rejects nothing.
+    key = np.fromiter(map(hash, authors), np.int64, len(authors))
+    order = np.lexsort((key, slot_row))
+    key, pair = key[order], slot_row[order]
     twice = np.zeros(n, dtype=bool)
-    twice[keys[1:][keys[1:] == keys[:-1]] // max(len(codes), 1)] = True
+    for i in set(pair[1:][(pair[1:] == pair[:-1]) & (key[1:] == key[:-1])].tolist()):
+        twice[i] = isinstance(_parse_byline(raw_byline[i] or ""), str)
     problems.flag(twice, lambda i: _parse_byline(raw_byline[i] or ""))
-    if roster_ids is not None:
+    if strict:
         listed = np.zeros(n, dtype=bool)
-        listed[slot_row[~_mask(map(roster_ids.__contains__, authors), len(authors))]] = True
+        listed[slot_row[author < 0]] = True
         problems.flag(listed, lambda i: "unknown author id(s) " + ", ".join(
-            a for a in _parse_byline(raw_byline[i] or "")[0] if a not in roster_ids))
+            a for a in _parse_byline(raw_byline[i] or "")[0] if a not in roster_rows))
     if problems.found:
         good = (~problems.bad).tolist()
         return {"ids": list(compress(pid, good)), "lines": list(compress(lines, good))}
@@ -1213,13 +1227,20 @@ def write_roster(path, roster: Roster) -> None:
         _names(UNIVERSITY_TYPES, roster.utype), start, end])
 
 
-def write_publications(path, corpus: Corpus) -> None:
-    authors = list(corpus.authors)  # a NameSequence formats once, not once per slot
-    slots = zip(corpus.author.tolist(), corpus.university.tolist())
+def write_publications(path, corpus: Corpus, roster_ids: Sequence[str]) -> None:
+    """Write ``corpus`` as a publication CSV.  A byline slot names its author
+    by ``roster_ids[author]``, or, where ``author`` is -1, the k-th such slot
+    in corpus order by ``COAUTHOR_NAME.format(k)``."""
+    rostered = corpus.author >= 0
+    authors = np.empty(corpus.author.size, dtype=object)
+    authors[rostered] = np.array(roster_ids, dtype=object)[corpus.author[rostered]]
+    others = authors.size - np.count_nonzero(rostered)
+    authors[~rostered] = list(map(COAUTHOR_NAME.format, range(1, others + 1)))
+    slots = zip(authors.tolist(), corpus.university.tolist())
     write_csv(path, PUBLICATION_FIELDS, [
         corpus.ids, corpus.year, _names(corpus.categories, corpus.category),
         _blank_nan(corpus.impact), corpus.citations, _names(corpus.doc_types, corpus.doc_type),
-        (";".join([f"{authors[a]}@{corpus.universities[u]}" for a, u in islice(slots, n)])
+        (";".join([f"{a}@{corpus.universities[u]}" for a, u in islice(slots, n)])
          for n in corpus.n_authors.tolist())])
 
 

@@ -98,12 +98,12 @@ def compute_scores(roster: Roster, corpus: Corpus, conventions: ConventionMap,
     cell has no nonzero impact-factor mean, is skipped by IJ, with one
     warning line per professor and publication in roster and then corpus
     order, logged in multi-line records; with ``strict`` the first such
-    publication raises :class:`MissingCellError`.  Professor ids must be
-    unique.
+    publication raises :class:`MissingCellError`.  ``corpus`` codes its
+    byline authors by row of ``roster``, whose ids must be unique.
     """
     if len(set(roster.ids)) != len(roster):
         raise ValueError("duplicate professor id in roster")
-    who, rows = corpus.authored_by(roster.ids, window)   # in-window roster authorships
+    who, rows = corpus.authored_by(window)   # in-window roster authorships
     pub = corpus.pub[rows]
 
     cbar, ifbar = build_scaling_table(corpus)

@@ -53,9 +53,8 @@ BYLINE_MEAN = {POSITION_WEIGHTED: 5.0, ALPHABETICAL: 3.0}
 SAME_UNIVERSITY_SHARE = 0.45
 EXTERNAL_UNIVERSITIES = 12
 
-# Names of the k-th publication and the k-th co-author, k counted from 1.
+# Name of the k-th publication, k counted from 1.
 PUBLICATION_ID = "W{:07d}"
-COAUTHOR_NAME = "X{}"
 
 
 @dataclass(frozen=True)
@@ -287,8 +286,8 @@ def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
     co_ext = rng.integers(0, EXTERNAL_UNIVERSITIES, size=n_co)
 
     # Authorship table in byline order.  Authors are coded as the roster
-    # index for the focal professor and n + k for the k-th co-author, named
-    # COAUTHOR_NAME.format(k + 1); universities index the pools, then the
+    # row for the focal professor and -1 for a co-author, whom only
+    # write_publications names; universities index the pools, then the
     # external ones.
     slot_pub = np.repeat(np.arange(total), n_authors)
     starts = np.cumsum(n_authors) - n_authors
@@ -296,8 +295,7 @@ def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
     slot_owner = owner[slot_pub]
     pool_start = np.cumsum([0] + [size for _, _, size in UNIVERSITY_POOLS])
     univ = pool_start[type_idx] + univ_num
-    author = np.where(focal, slot_owner, 0)
-    author[~focal] = n + np.arange(n_co)
+    author = np.where(focal, slot_owner, -1)
     university = univ[slot_owner]
     university[~focal] = np.where(co_same, university[~focal], pool_start[-1] + co_ext)
 
@@ -305,12 +303,11 @@ def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
     field_category = np.array([categories.setdefault(f.sds, len(categories))
                                for f in config.fields])
     corpus = Corpus({
-        "ids": NameSequence([], PUBLICATION_ID, total),
+        "ids": NameSequence(PUBLICATION_ID, total),
         "year": years, "category": field_category[pub_field],
         "categories": list(categories), "citations": citations, "impact": impact,
         "doc_type": np.zeros(total, dtype=np.int32), "doc_types": ["article"],
         "n_authors": n_authors, "author": author,
-        "authors": NameSequence(roster.ids, COAUTHOR_NAME, n_co),
         "university": university,
         "universities": [f"{prefix}{k}" for _, prefix, size in UNIVERSITY_POOLS
                          for k in range(size)]

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 
 import numpy as np
 
-from resperf.corpus import UNIVERSITY_TYPES, Corpus, Roster, working_years
+from resperf.corpus import (COAUTHOR_NAME, UNIVERSITY_TYPES, Corpus, Roster, working_years,
+                            write_publications)
 from resperf.indicators import INDICATORS
 from resperf.cohort import _group_percentiles
 from resperf.regress import RegressionFrame, _min_aic, fit_fractional_logit
@@ -93,11 +94,12 @@ def make_publication(id="W1", year=2008, category="MAT/01", journal_if=1.5,
                tuple((a, u) for a, u in byline))
 
 
-def make_corpus(pubs, dropped: int = 0) -> Corpus:
-    """Corpus over the records in ``pubs``, in their order."""
+def make_corpus(pubs, roster_ids, dropped: int = 0) -> Corpus:
+    """Corpus over the records in ``pubs``, in their order, each byline
+    author coded by its index in ``roster_ids``, or -1 if not there."""
     pubs = list(pubs)
-    codes: dict[str, dict[str, int]] = {"categories": {}, "doc_types": {}, "authors": {},
-                                        "universities": {}}
+    rows = {pid: i for i, pid in enumerate(roster_ids)}
+    codes: dict[str, dict[str, int]] = {"categories": {}, "doc_types": {}, "universities": {}}
 
     def code(name: str, values) -> list[int]:
         return [codes[name].setdefault(v, len(codes[name])) for v in values]
@@ -110,15 +112,33 @@ def make_corpus(pubs, dropped: int = 0) -> Corpus:
         "impact": [math.nan if p.journal_if is None else p.journal_if for p in pubs],
         "doc_type": code("doc_types", (p.doc_type for p in pubs)),
         "n_authors": [len(p.byline) for p in pubs],
-        "author": code("authors", (a for a, _ in slots)),
+        "author": [rows.get(a, -1) for a, _ in slots],
         "university": code("universities", (u for _, u in slots)),
         **{name: list(c) for name, c in codes.items()}}, dropped)
 
 
-def records(corpus: Corpus) -> list[Pub]:
+def unrostered(pubs, roster_ids) -> list[Pub]:
+    """The records with every byline author not in ``roster_ids`` read as
+    None, as :func:`records` reads them back."""
+    ids = set(roster_ids)
+    return [replace(p, byline=tuple((a if a in ids else None, u) for a, u in p.byline))
+            for p in pubs]
+
+
+def write_pubs(path, pubs, roster_ids) -> None:
+    """Write the records in ``pubs`` as a publication CSV, through
+    ``write_publications``; their authors not in ``roster_ids`` must be
+    X1, X2, ... in corpus order, the names it gives them."""
+    others = [a for p in pubs for a, _ in p.byline if a not in roster_ids]
+    assert others == [COAUTHOR_NAME.format(k + 1) for k in range(len(others))], others
+    write_publications(path, make_corpus(pubs, roster_ids), roster_ids)
+
+
+def records(corpus: Corpus, roster_ids) -> list[Pub]:
     """The publications of ``corpus`` as records, read from its stored columns
-    (not the derived ``pub``, ``position`` and ``shared``)."""
-    slots = [(corpus.authors[a], corpus.universities[u]) for a, u in
+    (not the derived ``pub``, ``position`` and ``shared``); a byline author
+    is its id in ``roster_ids``, or None if not rostered."""
+    slots = [(roster_ids[a] if a >= 0 else None, corpus.universities[u]) for a, u in
              zip(corpus.author.tolist(), corpus.university.tolist())]
     return [Pub(pid, year, corpus.categories[cat], None if math.isnan(jif) else jif,
                 cites, corpus.doc_types[doc], tuple(slots[end - n:end]))
@@ -141,7 +161,12 @@ def build_tiny_world() -> tuple[Roster, Corpus]:
         make_professor("P4", gender="female", birth=date(1962, 7, 23),
                        appointed=date(2004, 11, 1), sds="BIO/05", uda="BIO"),
     ]
-    pubs = [
+    return make_roster(profs), make_corpus(tiny_publications(), [p.id for p in profs])
+
+
+def tiny_publications() -> list[Pub]:
+    """The tiny world's publications; its co-authors are X1..X13 in corpus order."""
+    return [
         make_publication("W01", 2006, "MAT/01", 1.2, 10, byline=(("P1", "U1"), ("X1", "U2"))),
         make_publication("W02", 2007, "MAT/01", 0.8, 0, byline=(("P1", "U1"),)),
         make_publication("W03", 2008, "MAT/01", 1.9, 3, byline=(("P2", "U3"), ("X2", "U9"))),
@@ -155,7 +180,6 @@ def build_tiny_world() -> tuple[Roster, Corpus]:
         make_publication("W11", 2010, "BIO/05", 3.1, 4, byline=(("P3", "U6"), ("X12", "U9"), ("X13", "U6"), ("P4", "U2"))),
         make_publication("W12", 2005, "BIO/05", 2.0, 30, byline=(("P3", "U6"),)),
     ]
-    return make_roster(profs), make_corpus(pubs)
 
 
 def make_frame(rows) -> RegressionFrame:

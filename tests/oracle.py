@@ -125,6 +125,9 @@ def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> Roster:
         if not pid:
             problems.append(f"line {line}: empty id")
             continue
+        if ";" in pid or "@" in pid:
+            problems.append(f"line {line}: id {pid!r} holds ';' or '@', so no byline can name it")
+            continue
         if pid in seen:
             problems.append(
                 f"line {line}: duplicate id {pid!r} (first seen on line {seen[pid]})")
@@ -177,18 +180,19 @@ def ingest_roster(path, sds_map: Mapping[str, str] | None = None) -> Roster:
 
 
 class ColumnBuffer:
-    """Growable corpus columns; strings are interned into codes as they arrive."""
+    """Growable corpus columns; strings are interned into codes as they
+    arrive, and authors coded by ``roster_rows``, -1 if not rostered."""
 
     DTYPES = {"year": "q", "category": "i", "citations": "q", "impact": "d",
               "doc_type": "i", "n_authors": "i", "author": "i", "university": "i"}
 
-    def __init__(self):
+    def __init__(self, roster_rows: Mapping[str, int]):
+        self.roster_rows = roster_rows
         self.ids: list[str] = []
         for name, code in self.DTYPES.items():
             setattr(self, name, array(code))
         self.categories: dict[str, int] = {}
         self.doc_types: dict[str, int] = {}
-        self.authors: dict[str, int] = {}
         self.universities: dict[str, int] = {}
 
     def append(self, pid, year, category, impact, citations, doc_type, authors,
@@ -200,22 +204,23 @@ class ColumnBuffer:
         self.impact.append(impact)
         self.doc_type.append(self.doc_types.setdefault(doc_type, len(self.doc_types)))
         self.n_authors.append(len(authors))
-        self.author.extend([self.authors.setdefault(a, len(self.authors)) for a in authors])
+        self.author.extend([self.roster_rows.get(a, -1) for a in authors])
         self.university.extend([self.universities.setdefault(u, len(self.universities))
                                 for u in universities])
 
     def columns(self) -> dict:
-        vocabularies = ("categories", "doc_types", "authors", "universities")
+        vocabularies = ("categories", "doc_types", "universities")
         return {name: list(value) if name in vocabularies else value
-                for name, value in vars(self).items()}
+                for name, value in vars(self).items() if name != "roster_rows"}
 
 
-def ingest_publications(path, excluded_doc_types: Iterable[str] = DEFAULT_EXCLUDED_DOC_TYPES,
-                        roster_ids=None) -> Corpus:
+def ingest_publications(path, roster_rows: Mapping[str, int],
+                        excluded_doc_types: Iterable[str] = DEFAULT_EXCLUDED_DOC_TYPES,
+                        strict: bool = False) -> Corpus:
     """The publication corpus, read and checked one row at a time."""
     path = Path(path)
     excluded = {t.strip().lower() for t in excluded_doc_types}
-    buffer = ColumnBuffer()
+    buffer = ColumnBuffer(roster_rows)
     problems: list[str] = []
     seen: dict[str, int] = {}
     dropped = 0
@@ -256,8 +261,7 @@ def ingest_publications(path, excluded_doc_types: Iterable[str] = DEFAULT_EXCLUD
             problem = f"citations {cites} out of range"
         elif isinstance(byline := _parse_byline(byline or ""), str):
             problem = byline
-        elif roster_ids is not None and (
-                unknown := [a for a in byline[0] if a not in roster_ids]):
+        elif strict and (unknown := [a for a in byline[0] if a not in roster_rows]):
             problem = f"unknown author id(s) {', '.join(unknown)}"
         elif pid in seen:
             problem = f"duplicate publication id {pid!r} (first seen on line {seen[pid]})"
@@ -340,11 +344,11 @@ def derive_covariates(professor: Prof, census_date: date,
 Scaling = Mapping[tuple[int, str], tuple[float | None, float | None]]
 
 
-def scaling_table(corpus: Corpus) -> Scaling:
+def scaling_table(pubs: list[Pub]) -> Scaling:
     cited: dict[tuple[int, str], list[int]] = {}
     impact: dict[tuple[int, str], list[float]] = {}
     keys: dict[tuple[int, str], None] = {}
-    for pub in records(corpus):
+    for pub in pubs:
         key = (pub.year, pub.subject_category)
         keys[key] = None
         if pub.citations > 0:
@@ -356,11 +360,11 @@ def scaling_table(corpus: Corpus) -> Scaling:
             for key in keys}
 
 
-def publications_by_author(corpus: Corpus, window: tuple[int, int]
+def publications_by_author(pubs: list[Pub], window: tuple[int, int]
                            ) -> dict[str, list[tuple[Pub, int]]]:
     """Each author's in-window (publication, byline position) pairs, in corpus order."""
     out: dict[str, list[tuple[Pub, int]]] = {}
-    for pub in records(corpus):
+    for pub in pubs:
         if window[0] <= pub.year <= window[1]:
             for pos, (author, _) in enumerate(pub.byline):
                 out.setdefault(author, []).append((pub, pos))
@@ -449,8 +453,9 @@ def compute_scores(professor: Prof, pubs: list[tuple[Pub, int]],
 def roster_scores(roster, corpus, conventions, window, strict=False):
     """Score columns, as ``resperf.indicators.compute_scores`` returns them,
     built one professor at a time, with cell means from ``corpus``."""
-    scaling = scaling_table(corpus)
-    by_author = publications_by_author(corpus, window)
+    pubs = records(corpus, roster.ids)
+    scaling = scaling_table(pubs)
+    by_author = publications_by_author(pubs, window)
     rows = [compute_scores(p, by_author.get(p.id, []), scaling, conventions, window, strict)
             for p in professors(roster)]
     columns = list(zip(*rows)) or [()] * 5

@@ -94,7 +94,7 @@ def invariance_world():
             category=INVARIANCE_CATS[int(rng.integers(0, 4))],
             journal_if=round(float(rng.uniform(0.5, 6.0)), 2),
             citations=int(rng.integers(0, 30)), byline=byline))
-    return make_roster(roster), make_corpus(pubs)
+    return make_roster(roster), make_corpus(pubs, [p.id for p in roster])
 
 
 def test_citation_scale_invariance():
@@ -108,7 +108,7 @@ def test_citation_scale_invariance():
             roster.ids, scores["FSS"].tolist(), scores["IA"].tolist())}
 
     base = all_scores(corpus)
-    cells = sorted({(p.year, p.subject_category) for p in records(corpus)})
+    cells = sorted({(p.year, p.subject_category) for p in records(corpus, roster.ids)})
     ok = True
     worst = 0.0
     for k in (2, 5, 10):
@@ -116,7 +116,7 @@ def test_citation_scale_invariance():
             scaled = make_corpus([
                 replace(p, citations=p.citations * k)
                 if (p.year, p.subject_category) == cell else p
-                for p in records(corpus)])
+                for p in records(corpus, roster.ids)], roster.ids)
             for pid, (fss, ia) in all_scores(scaled).items():
                 base_fss, base_ia = base[pid]
                 worst = max(worst, abs(fss - base_fss))

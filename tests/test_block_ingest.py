@@ -34,7 +34,6 @@ def outcome(ingest, *args, **kwargs):
               for name, value in vars(result).items() if not name.startswith("_")}
     if "impact" in values:
         values["impact"] = [None if math.isnan(x) else x for x in values["impact"]]
-        values["authors"] = list(values["authors"])
     return "columns", values
 
 
@@ -42,6 +41,10 @@ def both(ingest_name, block_rows, *args, **kwargs):
     with mock.patch.object(resperf.corpus, "BLOCK_ROWS", block_rows):
         bulk = outcome(getattr(resperf.corpus, ingest_name), *args, **kwargs)
     return bulk, outcome(getattr(oracle, ingest_name), *args, **kwargs)
+
+
+# The roster rows bylines are read against: P4 and the X authors are not on it.
+ROSTER_ROWS = {"P0": 0, "P1": 1, "P2": 2, "P3": 3}
 
 
 def publication_rows(n: int) -> list[list]:
@@ -93,19 +96,24 @@ PUBLICATION_EDGES = {
 @given(n=st.integers(1, 7), block_rows=st.sampled_from([2, 3]), as_json=st.booleans(),
        changes=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.data()),
                         max_size=3),
+       coauthors=st.lists(st.tuples(st.integers(0, 6), st.lists(
+           st.sampled_from(["X1", "X2", "X3", "P1", "P4"]), min_size=1, max_size=3)),
+           max_size=3),
        extra=st.sampled_from([None, "\n", "[1]\n", '{"id": "W9"\n']),
        strict=st.booleans())
 def test_publications_match_the_row_loop(tmp_path_factory, n, block_rows, as_json,
-                                         changes, extra, strict):
-    """Valid rows with up to three cells set to edge values."""
+                                         changes, coauthors, extra, strict):
+    """Valid rows, with co-authors added, some of them on the roster, some
+    repeated on a byline, and up to three cells set to edge values."""
     rows = publication_rows(n)
+    for row, names in coauthors:
+        rows[row % n][6] += [f"{name}@U{k}" for k, name in enumerate(names)]
     for row, column, data in changes:
         rows[row % n][column] = data.draw(st.sampled_from(PUBLICATION_EDGES[column]))
     path = tmp_path_factory.mktemp("pubs") / ("pubs.jsonl" if as_json else "pubs.csv")
     write_publications(path, rows, as_json, extra)
-    roster_ids = {"P0", "P1", "P2", "P3"} if strict else None
-    bulk, reference = both("ingest_publications", block_rows, path,
-                           roster_ids=roster_ids)
+    bulk, reference = both("ingest_publications", block_rows, path, ROSTER_ROWS,
+                           strict=strict)
     assert bulk == reference
 
 
@@ -125,7 +133,7 @@ def test_block_edges(tmp_path):
                 for suffix in ("csv", "jsonl"):
                     path = tmp_path / f"pubs{block_rows}-{at}-{kind}.{suffix}"
                     write_publications(path, rows, suffix == "jsonl")
-                    bulk, reference = both("ingest_publications", block_rows, path)
+                    bulk, reference = both("ingest_publications", block_rows, path, ROSTER_ROWS)
                     assert bulk == reference
                     assert bulk[0] == "problems"
 
@@ -140,7 +148,7 @@ def test_a_quoted_line_break_across_blocks(tmp_path):
     path = tmp_path / "pubs.csv"
     write_publications(path, rows, False)
     for block_rows in (2, 3):
-        bulk, reference = both("ingest_publications", block_rows, path)
+        bulk, reference = both("ingest_publications", block_rows, path, ROSTER_ROWS)
         assert bulk == reference
         assert bulk[2] == ["line 5: year 1800 out of range", "line 7: year 1700 out of range"]
 
@@ -194,7 +202,7 @@ def test_every_single_cell_edge(tmp_path):
                 rows[2][column] = value
                 path = tmp_path / f"pubs{column}-{k}.{suffix}"
                 write_publications(path, rows, suffix == "jsonl")
-                bulk, reference = both("ingest_publications", 3, path)
+                bulk, reference = both("ingest_publications", 3, path, ROSTER_ROWS)
                 assert bulk == reference
     for column in range(len(GOOD_ROSTER_ROW)):
         for k, text in enumerate([*ROSTER_EDGES, *(span for pair in SPANS for span in pair)]):

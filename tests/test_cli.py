@@ -23,13 +23,13 @@ from hypothesis import strategies as st
 import oracle
 import resperf
 import resperf.sim
-from helpers import build_tiny_world, make_corpus, make_roster, professors, records
+from helpers import (build_tiny_world, make_corpus, make_roster, professors,
+                     tiny_publications, write_pubs)
 from resperf.cli import _read_frame, main
-from resperf.corpus import (IngestError, derive_covariates, write_publications,
-                            write_roster)
+from resperf.corpus import IngestError, derive_covariates, write_roster
 from resperf.credit import ConventionMap
-from test_columnar import lenient_world
-from test_parallel_ingest import assert_no_child_left
+from test_columnar import lenient_records
+from test_parallel_ingest import assert_no_child_left, split
 
 runner = CliRunner()
 
@@ -41,9 +41,9 @@ def invoke(*args):
 @pytest.fixture(scope="module")
 def tiny_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("tiny")
-    roster, corpus = build_tiny_world()
+    roster = build_tiny_world()[0]
     write_roster(root / "roster.csv", roster)
-    write_publications(root / "pubs.csv", corpus)
+    write_pubs(root / "pubs.csv", tiny_publications(), roster.ids)
     return root
 
 
@@ -186,6 +186,48 @@ class TestCompute:
                      "--out", tmp_path / "x")
         assert res.exit_code == 2
         assert "unknown author" in res.output
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_strict_names_every_unknown_author_in_line_order(self, tiny_files, tmp_path,
+                                                             cores):
+        patches = split(cores)
+        for patch in patches:
+            patch.start()
+        try:
+            res = invoke("compute", "--roster", tiny_files / "roster.csv",
+                         "--pubs", tiny_files / "pubs.csv", "--strict",
+                         "--out", tmp_path / "x")
+        finally:
+            for patch in patches:
+                patch.stop()
+        assert res.exit_code == 2
+        unknown = {2: "X1", 4: "X2", 5: "X3", 6: "X4", 7: "X5, X6", 8: "X7, X8", 10: "X9",
+                   11: "X10, X11", 12: "X12, X13"}
+        assert (f"publication ingest: {tiny_files / 'pubs.csv'}: " + "; ".join(
+            f"line {line}: unknown author id(s) {names}" for line, names in unknown.items())
+                in " ".join(res.output.split()))
+
+    def test_a_roster_id_no_byline_can_name_exits_two(self, tiny_files, tmp_path):
+        lines = (tiny_files / "roster.csv").read_text().splitlines()
+        lines[2] = lines[2].replace("P2,", "P2@U3,", 1)
+        roster = tmp_path / "roster.csv"
+        roster.write_text("\n".join(lines) + "\n")
+        res = invoke("compute", "--roster", roster, "--pubs", tiny_files / "pubs.csv",
+                     "--out", tmp_path / "x")
+        assert res.exit_code == 2
+        assert (f"roster ingest: {roster}: line 3: id 'P2@U3' holds ';' or '@', so no "
+                f"byline can name it") in " ".join(res.output.split())
+
+    def test_verbose_logs_the_ingest_counts(self, tiny_files, tmp_path):
+        args = ["compute", "--roster", tiny_files / "roster.csv",
+                "--pubs", tiny_files / "pubs.csv", "--out", tmp_path / "x"]
+        quiet = run_tree([sys.executable, "-m", "resperf.cli", *args])
+        verbose = run_tree([sys.executable, "-m", "resperf.cli", "-v", *args])
+        assert quiet.returncode == verbose.returncode == 0
+        assert quiet.stderr == ""
+        assert (f"DEBUG resperf.corpus: {tiny_files / 'pubs.csv'}: 12 row(s) read, 0 dropped "
+                f"by doc type, 12 kept, in 1 part(s); 28 byline slot(s), 15 naming a "
+                f"rostered professor") in verbose.stderr.splitlines()
 
     @pytest.mark.parametrize("command", ["compute", "report"])
     def test_invalid_roster_covariates_exit_two_naming_every_row(self, tiny_files, tmp_path,
@@ -467,11 +509,11 @@ class TestRegress:
             "than terms (n=2, k=2); MAT: all candidate degrees failed: "), res.output
 
     def test_nothing_fittable_exits_one_even_with_partial(self, tmp_path):
-        roster, corpus = build_tiny_world()
+        roster, _ = build_tiny_world()
         write_roster(tmp_path / "roster.csv", make_roster(professors(roster)[:2]))
-        pubs = [p for p in records(corpus) if p.id in
-                {"W01", "W02", "W03", "W04", "W05"}]
-        write_publications(tmp_path / "pubs.csv", make_corpus(pubs))
+        write_pubs(tmp_path / "pubs.csv", [p for p in tiny_publications() if p.id in
+                                           {"W01", "W02", "W03", "W04", "W05"}],
+                   roster.ids)
         comp = tmp_path / "comp"
         res = invoke("compute", "--roster", tmp_path / "roster.csv",
                      "--pubs", tmp_path / "pubs.csv", "--out", comp)
@@ -957,8 +999,8 @@ class TestLenientStderr:
     PREFIX = "WARNING resperf.indicators: "
 
     def test_skip_lines_are_the_oracle_messages_prefixed(self, tmp_path, caplog):
-        roster, corpus = lenient_world()
-        pubs = records(corpus)
+        people, pubs = lenient_records()
+        roster = make_roster(people)
         # the first skipped publication's id holds a line break
         k = next(k for k, p in enumerate(pubs) if p.journal_if is None
                  and 2006 <= p.year <= 2010 and any(a.startswith("P") for a, _ in p.byline))
@@ -969,7 +1011,8 @@ class TestLenientStderr:
             json.dumps({**asdict(p), "byline": [f"{a}@{u}" for a, u in p.byline]}) + "\n"
             for p in pubs), encoding="utf-8")
         with caplog.at_level(logging.WARNING, logger="resperf.indicators"):
-            oracle.roster_scores(roster, make_corpus(pubs), ConventionMap(), (2006, 2010))
+            oracle.roster_scores(roster, make_corpus(pubs, roster.ids), ConventionMap(),
+                                 (2006, 2010))
         want = [self.PREFIX + line for r in caplog.records
                 for line in r.getMessage().split("\n")]
 

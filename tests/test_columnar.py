@@ -1,5 +1,6 @@
 """The vectorised covariates and scoring pass against the per-professor oracle, exactly."""
 
+import itertools
 import json
 import logging
 import math
@@ -14,8 +15,8 @@ import oracle
 from helpers import (make_corpus, make_professor, make_publication, make_roster, plain,
                      professors, records, years)
 from resperf.cohort import cohort_percentiles
-from resperf.corpus import (UNIVERSITY_TYPES, derive_covariates, ingest_publications,
-                            write_publications)
+from resperf.corpus import (COAUTHOR_NAME, UNIVERSITY_TYPES, derive_covariates,
+                            ingest_publications, write_publications)
 from resperf.credit import ConventionMap
 from resperf.indicators import MissingCellError, build_scaling_table, compute_scores
 from resperf.sim import SimConfig, generate_cohort
@@ -28,7 +29,7 @@ def same_percentiles(got, want):
     return np.array_equal(got, want, equal_nan=True)
 
 
-def lenient_world():
+def lenient_records():
     """Unknown IFs, an IF-less cell, a zero-IF cell, shared bylines, old years."""
     rng = np.random.default_rng(41)
     people = [make_professor(f"P{i}", sds=("MAT/01", "BIO/05")[i % 2],
@@ -57,7 +58,13 @@ def lenient_world():
             f"W{j:03d}", year, category, journal_if,
             0 if rng.random() < 0.3 else int(rng.integers(1, 50)),
             byline=[byline[k] for k in order]))
-    return make_roster(people), make_corpus(pubs)
+    return people, pubs
+
+
+def lenient_world():
+    people, pubs = lenient_records()
+    roster = make_roster(people)
+    return roster, make_corpus(pubs, roster.ids)
 
 
 def messages(caplog):
@@ -196,24 +203,27 @@ def decoded(corpus):
         "doc_type": [corpus.doc_types[c] for c in corpus.doc_type],
         "n_authors": corpus.n_authors.tolist(), "shared": corpus.shared.tolist(),
         "pub": corpus.pub.tolist(), "position": corpus.position.tolist(),
-        "author": [corpus.authors[c] for c in corpus.author],
+        "author": corpus.author.tolist(),
         "university": [corpus.universities[c] for c in corpus.university],
     }
 
 
 class TestRoundTrip:
     def test_sim_corpus_through_csv_and_jsonl(self, tmp_path):
-        _, corpus = generate_cohort(SimConfig(n_professors=300, seed=77))
+        roster, corpus = generate_cohort(SimConfig(n_professors=300, seed=77))
         csv_path = tmp_path / "pubs.csv"
-        write_publications(csv_path, corpus)
+        write_publications(csv_path, corpus, roster.ids)
         jsonl_path = tmp_path / "pubs.jsonl"
+        names = map(COAUTHOR_NAME.format, itertools.count(1))
         jsonl_path.write_text("".join(json.dumps({
             "id": p.id, "year": p.year, "subject_category": p.subject_category,
             "journal_if": p.journal_if, "citations": p.citations,
             "doc_type": p.doc_type,
-            "byline": [f"{a}@{u}" for a, u in p.byline]}) + "\n"
-            for p in records(corpus)))
+            "byline": [f"{next(names) if a is None else a}@{u}" for a, u in p.byline]}) + "\n"
+            for p in records(corpus, roster.ids)))
+        rows = dict(zip(roster.ids, range(len(roster))))
         want = decoded(corpus)
-        assert decoded(ingest_publications(csv_path)) == want
-        assert decoded(ingest_publications(jsonl_path)) == want
-        assert records(ingest_publications(csv_path)) == records(corpus)
+        assert decoded(ingest_publications(csv_path, rows)) == want
+        assert decoded(ingest_publications(jsonl_path, rows)) == want
+        assert (records(ingest_publications(csv_path, rows), roster.ids)
+                == records(corpus, roster.ids))

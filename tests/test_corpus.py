@@ -14,17 +14,19 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from helpers import (make_corpus, make_professor, make_publication, make_roster,
-                     professors, records)
+from helpers import (make_professor, make_publication, make_roster, professors, records,
+                     unrostered, write_pubs)
 import resperf.corpus
 from resperf.corpus import (DAYS_PER_YEAR, IngestError, NameSequence, _blank_nan, csv_text,
                             derive_covariates, exact_years,
                             ingest_publications, ingest_roster, read_blocks, read_pairs,
-                            whole_years, working_years, write_csv, write_publications,
-                            write_roster)
+                            whole_years, working_years, write_csv, write_roster)
 
 ROSTER_HEADER = "id,gender,birth_date,appointment_date,sds,uda,university_type"
 PUBS_HEADER = "id,year,subject_category,journal_if,citations,doc_type,byline"
+# The roster rows the publication tests read bylines against; X1.. are not rostered.
+ROWS = {"P1": 0, "P2": 1}
+IDS = list(ROWS)
 
 
 def write_lines(path, header, *rows):
@@ -66,6 +68,18 @@ class TestRosterIngest:
         with pytest.raises(IngestError) as info:
             ingest_roster(path)
         assert "line 3" in str(info.value) and "line 2" in str(info.value)
+
+    def test_an_id_no_byline_can_name_is_rejected(self, tmp_path):
+        path = write_lines(
+            tmp_path / "roster.csv", ROSTER_HEADER,
+            "P1,M,1950-06-30,1985-03-01,MAT/01,MAT,public",
+            "A@B,M,1950-06-30,1985-03-01,MAT/01,MAT,public",
+            '"C;D",M,1950-06-30,1985-03-01,MAT/01,MAT,public')
+        with pytest.raises(IngestError) as info:
+            ingest_roster(path)
+        assert info.value.problems == [
+            "line 3: id 'A@B' holds ';' or '@', so no byline can name it",
+            "line 4: id 'C;D' holds ';' or '@', so no byline can name it"]
 
     def test_appointment_before_age_twenty_rejected(self, tmp_path):
         path = write_lines(
@@ -174,10 +188,11 @@ class TestPublicationIngest:
             tmp_path / "pubs.csv", PUBS_HEADER,
             "W1,2008,MAT/01,1.5,4,article,P1@U1;X1@U2",
             "W2,2009,MAT/01,,0,article,P1@U1")
-        corpus = ingest_publications(path)
+        corpus = ingest_publications(path, ROWS)
         assert len(corpus) == 2
-        assert records(corpus)[0].byline == (("P1", "U1"), ("X1", "U2"))
-        assert records(corpus)[1].journal_if is None
+        assert corpus.author.tolist() == [0, -1, 0]
+        assert records(corpus, IDS)[0].byline == (("P1", "U1"), (None, "U2"))
+        assert records(corpus, IDS)[1].journal_if is None
         assert corpus.dropped == 0
 
     def test_jsonl_matches_csv(self, tmp_path):
@@ -193,8 +208,8 @@ class TestPublicationIngest:
             '{"id": "W2", "year": 2009, "subject_category": "BIO/05", '
             '"journal_if": 2.25, "citations": 0, "doc_type": "review", '
             '"byline": "P2@U3"}\n')
-        assert (records(ingest_publications(jsonl_path))
-                == records(ingest_publications(csv_path)))
+        assert (records(ingest_publications(jsonl_path, ROWS), IDS)
+                == records(ingest_publications(csv_path, ROWS), IDS))
 
     def test_excluded_doc_types_counted(self, tmp_path):
         path = write_lines(
@@ -202,7 +217,7 @@ class TestPublicationIngest:
             "W1,2008,MAT/01,1.5,4,article,P1@U1",
             "W2,2008,MAT/01,1.5,4,Editorial Material,P1@U1",
             "W3,2008,MAT/01,1.5,4,reply,nonsense-byline")
-        corpus = ingest_publications(path)
+        corpus = ingest_publications(path, ROWS)
         # dropped rows are never validated, so the bad byline on W3 is moot
         assert len(corpus) == 1 and corpus.dropped == 2
 
@@ -211,7 +226,7 @@ class TestPublicationIngest:
             tmp_path / "pubs.csv", PUBS_HEADER,
             "W1,2008,MAT/01,1.5,4,article,P1@U1",
             "W2,2008,MAT/01,1.5,4,review,P1@U1")
-        corpus = ingest_publications(path, excluded_doc_types=("review",))
+        corpus = ingest_publications(path, ROWS, excluded_doc_types=("review",))
         assert len(corpus) == 1 and corpus.dropped == 1
 
     @pytest.mark.parametrize("row,needle", [
@@ -231,7 +246,7 @@ class TestPublicationIngest:
     def test_bad_rows_rejected(self, tmp_path, row, needle):
         path = write_lines(tmp_path / "pubs.csv", PUBS_HEADER, row)
         with pytest.raises(IngestError, match=needle):
-            ingest_publications(path)
+            ingest_publications(path, ROWS)
 
     GOOD_JSON = ('{"id": "W1", "year": 2008, "subject_category": "MAT/01", '
                  '"journal_if": 1.5, "citations": 4, "doc_type": "article", '
@@ -258,7 +273,7 @@ class TestPublicationIngest:
         path.write_text(self.GOOD_JSON + "\n" + self.GOOD_JSON.replace(old, new)
                         .replace('"W1"', '"W2"') + "\n")
         with pytest.raises(IngestError) as err:
-            ingest_publications(path)
+            ingest_publications(path, ROWS)
         assert err.value.problems == [f"line 2: {needle}"]
 
     @pytest.mark.parametrize("line,kind", [("[1, 2]", "list"), ('"W1"', "str"),
@@ -267,20 +282,20 @@ class TestPublicationIngest:
         path = tmp_path / "pubs.jsonl"
         path.write_text(self.GOOD_JSON + "\n" + line + "\n")
         with pytest.raises(IngestError) as err:
-            ingest_publications(path)
+            ingest_publications(path, ROWS)
         assert err.value.problems == [f"line 2: expected a JSON object, got {kind}"]
 
     def test_whole_float_citations_accepted(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         path.write_text(self.GOOD_JSON.replace('"citations": 4', '"citations": 4.0') + "\n")
-        assert records(ingest_publications(path))[0].citations == 4
+        assert records(ingest_publications(path, ROWS), IDS)[0].citations == 4
 
     def test_problems_listed_in_line_order(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         path.write_text(self.GOOD_JSON.replace('"year": 2008', '"year": 1800') + "\n"
                         + '{"id": "W2"\n')
         with pytest.raises(IngestError) as err:
-            ingest_publications(path)
+            ingest_publications(path, ROWS)
         assert err.value.problems == ["line 1: year 1800 out of range",
                                       "line 2: invalid JSON (Expecting ',' delimiter)"]
 
@@ -290,21 +305,50 @@ class TestPublicationIngest:
             "W1,2008,MAT/01,1.5,4,article,P1@U1",
             "W1,2009,MAT/01,1.5,4,article,P1@U1")
         with pytest.raises(IngestError, match="duplicate publication id"):
-            ingest_publications(path)
+            ingest_publications(path, ROWS)
 
     def test_strict_rejects_unknown_authors(self, tmp_path):
         path = write_lines(
             tmp_path / "pubs.csv", PUBS_HEADER,
             "W1,2008,MAT/01,1.5,4,article,P1@U1;X9@U2")
         with pytest.raises(IngestError, match="unknown author"):
-            ingest_publications(path, roster_ids={"P1"})
+            ingest_publications(path, ROWS, strict=True)
         # lenient mode keeps the row
-        assert len(ingest_publications(path)) == 1
+        assert len(ingest_publications(path, ROWS)) == 1
+
+    @pytest.mark.parametrize("byline,twice", [("X1@U1;P1@U2;X1@U3", "X1"),
+                                              ("P2@U1;X1@U2;P2@U1", "P2")])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_an_author_twice_on_a_byline(self, tmp_path, byline, twice, as_json):
+        rows = [("W1", "P1@U1;X1@U2;X2@U2"), ("W2", byline), ("W3", "X3@U1;X3@U2")]
+        if as_json:
+            path = tmp_path / "pubs.jsonl"
+            path.write_text("".join(json.dumps(
+                {"id": pid, "year": 2008, "subject_category": "MAT/01", "citations": 4,
+                 "doc_type": "article", "byline": text.split(";")}) + "\n"
+                for pid, text in rows))
+        else:
+            path = write_lines(tmp_path / "pubs.csv", PUBS_HEADER, *(
+                f"{pid},2008,MAT/01,1.5,4,article,{text}" for pid, text in rows))
+        with pytest.raises(IngestError) as err:
+            ingest_publications(path, ROWS)
+        line = 2 if as_json else 3  # W2's
+        assert err.value.problems == [
+            f"line {line}: author {twice!r} appears twice on the byline",
+            f"line {line + 1}: author 'X3' appears twice on the byline"]
+
+    def test_a_name_hash_collision_rejects_no_byline(self, tmp_path):
+        path = write_lines(tmp_path / "pubs.csv", PUBS_HEADER,
+                           "W1,2008,MAT/01,1.5,4,article,X1@U1;P1@U1;X2@U2;X3@U2")
+        # every name hashes alike
+        with mock.patch("resperf.corpus.hash", lambda name: 0, create=True):
+            corpus = ingest_publications(path, ROWS)
+        assert corpus.author.tolist() == [-1, 0, -1, -1]
 
     def test_empty_file_warns(self, tmp_path, caplog):
         path = write_lines(tmp_path / "pubs.csv", PUBS_HEADER)
         with caplog.at_level(logging.WARNING):
-            corpus = ingest_publications(path)
+            corpus = ingest_publications(path, ROWS)
         assert len(corpus) == 0
         assert "empty publication file" in caplog.text
 
@@ -312,27 +356,27 @@ class TestPublicationIngest:
         pubs = [make_publication("W1", byline=(("P1", "U1"), ("X1", "U2"))),
                 make_publication("W2", journal_if=None, citations=0)]
         path = tmp_path / "pubs.csv"
-        write_publications(path, make_corpus(pubs))
-        assert records(ingest_publications(path)) == pubs
+        write_pubs(path, pubs, IDS)
+        assert records(ingest_publications(path, ROWS), IDS) == unrostered(pubs, IDS)
 
     def test_missing_column_named_on_line_one(self, tmp_path):
         path = write_lines(tmp_path / "pubs.csv", PUBS_HEADER.replace(",citations", ""),
                            "W1,2008,MAT/01,1.5,article,P1@U1")
         with pytest.raises(IngestError) as err:
-            ingest_publications(path)
+            ingest_publications(path, ROWS)
         assert err.value.problems == ["line 1: missing column(s) citations"]
 
     def test_short_row_reads_as_empty_cells(self, tmp_path):
         path = write_lines(tmp_path / "pubs.csv", PUBS_HEADER, "W1,2008,MAT/01,1.5")
         with pytest.raises(IngestError) as err:
-            ingest_publications(path)
+            ingest_publications(path, ROWS)
         assert err.value.problems == ["line 2: unparseable citations ''"]
 
     def test_invalid_json_line_reported(self, tmp_path):
         path = tmp_path / "pubs.jsonl"
         path.write_text('{"id": "W1"\n')
         with pytest.raises(IngestError, match="invalid JSON"):
-            ingest_publications(path)
+            ingest_publications(path, ROWS)
 
 
 EDGE_VALUES = [None, True, 0, -1, 3.7, 2 ** 53 + 1, 2 ** 63, 1e300, math.nan, math.inf,
@@ -401,7 +445,7 @@ class TestIngestNeverCrashes:
     @staticmethod
     def check(path):
         try:
-            corpus = ingest_publications(path)
+            corpus = ingest_publications(path, ROWS)
         except IngestError:
             return
         assert len(corpus) == len(corpus.ids) == corpus.year.size
@@ -506,11 +550,10 @@ class TestWriteCsv:
 
 
 class TestNameSequence:
-    @given(n_head=st.integers(0, 3), count=st.integers(0, 4), data=st.data())
-    def test_equals_the_eager_list(self, n_head, count, data):
-        head = [f"P{i}" for i in range(n_head)]
-        names = NameSequence(head, "W{:03d}", count)
-        eager = head + [f"W{k:03d}" for k in range(1, count + 1)]
+    @given(count=st.integers(0, 7), data=st.data())
+    def test_equals_the_eager_list(self, count, data):
+        names = NameSequence("W{:03d}", count)
+        eager = [f"W{k:03d}" for k in range(1, count + 1)]
         size = len(eager)
         assert len(names) == size
         assert [names[i] for i in range(-size, size)] == eager + eager
@@ -522,7 +565,7 @@ class TestNameSequence:
         assert names[cut] == eager[cut]
         assert list(names) == eager
         assert names == eager and eager == names
-        assert names == NameSequence(eager, "", 0)
+        assert names == NameSequence("W{:03d}", count)
         assert names != eager + ["W999"] and names != tuple(eager)
         if size:
             assert names != eager[:-1] + ["other"]
@@ -535,29 +578,29 @@ class TestNameSequence:
                 formatted.append(args)
                 return super().format(*args)
 
-        names = NameSequence(["P1", "P2"], Pattern("X{}"), 3)
-        assert names[:2] == ["P1", "P2"] and len(names) == 5 and formatted == []
+        names = NameSequence(Pattern("X{}"), 3)
+        assert len(names) == 3 and formatted == []
         assert names[-1] == "X3" and formatted == [(3,)]
 
 
 class TestCorpusIndex:
     def test_authored_by_positions_and_window(self, tiny_world):
-        _, corpus = tiny_world
+        roster, corpus = tiny_world
 
-        def hits(author_ids, window=(2006, 2010)):
-            who, rows = corpus.authored_by(author_ids, window)
-            return [(author_ids[i], corpus.ids[p], pos) for i, p, pos in zip(
+        def hits(window=(2006, 2010)):
+            who, rows = corpus.authored_by(window)
+            return [(roster.ids[i], corpus.ids[p], pos) for i, p, pos in zip(
                 who.tolist(), corpus.pub[rows].tolist(), corpus.position[rows].tolist())]
 
-        assert hits(["P3"]) == [("P3", "W06", 0), ("P3", "W07", 1), ("P3", "W08", 0),
-                                ("P3", "W11", 0)]
+        # every rostered author, in corpus order, by roster row; no co-author
+        assert hits() == [
+            ("P1", "W01", 0), ("P1", "W02", 0), ("P2", "W03", 0), ("P1", "W04", 0),
+            ("P2", "W04", 1), ("P2", "W05", 1), ("P3", "W06", 0), ("P3", "W07", 1),
+            ("P3", "W08", 0), ("P4", "W08", 1), ("P4", "W09", 0), ("P4", "W10", 2),
+            ("P3", "W11", 0), ("P4", "W11", 3)]
         # a wider window includes the 2005 publication
-        assert len(hits(["P3"], (1900, 2100))) == 5
-        assert hits(["NOBODY"]) == []
-        # several authors at once, in corpus order, indexed into the id list
-        assert hits(["P4", "NOBODY", "P3"]) == [
-            ("P3", "W06", 0), ("P3", "W07", 1), ("P3", "W08", 0), ("P4", "W08", 1),
-            ("P4", "W09", 0), ("P4", "W10", 2), ("P3", "W11", 0), ("P4", "W11", 3)]
+        assert hits((1900, 2100))[-1] == ("P3", "W12", 0)
+        assert hits((2011, 2020)) == []
 
 
 class TestSdsMap:

@@ -9,9 +9,9 @@ import hashlib
 
 from click.testing import CliRunner
 
-from helpers import build_tiny_world
+from helpers import build_tiny_world, tiny_publications, write_pubs
 from resperf.cli import main
-from resperf.corpus import write_publications, write_roster
+from resperf.corpus import write_roster
 
 TINY_INPUTS = {
     "roster.csv": "04eb9f9333d7a6df49106c744aea1486b99fbb006e324d55c5a893606e8f7966",
@@ -49,9 +49,9 @@ def run(*args):
 
 
 def test_compute_on_the_tiny_world(tmp_path):
-    roster, corpus = build_tiny_world()
+    roster = build_tiny_world()[0]
     write_roster(tmp_path / "roster.csv", roster)
-    write_publications(tmp_path / "pubs.csv", corpus)
+    write_pubs(tmp_path / "pubs.csv", tiny_publications(), roster.ids)
     assert digests(tmp_path, TINY_INPUTS) == TINY_INPUTS
     run("compute", "--roster", tmp_path / "roster.csv", "--pubs", tmp_path / "pubs.csv",
         "--out", tmp_path / "out")

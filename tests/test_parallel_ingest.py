@@ -23,7 +23,8 @@ import oracle
 import resperf.corpus as corpus
 from resperf.cli import main
 from resperf.corpus import IngestError
-from test_block_ingest import (PUBLICATION_EDGES, PUBLICATION_HEADER, outcome,
+from helpers import tiny_publications, write_pubs
+from test_block_ingest import (PUBLICATION_EDGES, PUBLICATION_HEADER, ROSTER_ROWS, outcome,
                                publication_rows, write_publications)
 
 
@@ -35,15 +36,16 @@ def split(cores: int, block_rows: int = 3):
             mock.patch.object(corpus, "BLOCK_ROWS", block_rows)]
 
 
-def read(path, cores: int, block_rows: int = 3, ingest=None, **kwargs):
-    """What ingest returns or raises when ``path`` is cut into up to ``cores``
-    parts, and the parts it was cut into."""
+def read(path, cores: int, block_rows: int = 3, **kwargs):
+    """What ingest returns or raises, reading bylines against ROSTER_ROWS,
+    when ``path`` is cut into up to ``cores`` parts, and the parts it was
+    cut into."""
     patches = split(cores, block_rows)
     for patch in patches:
         patch.start()
     try:
         parts = corpus._parts(path, path.suffix == ".jsonl")
-        return outcome(ingest or corpus.ingest_publications, path, **kwargs), parts
+        return outcome(corpus.ingest_publications, path, ROSTER_ROWS, **kwargs), parts
     finally:
         for patch in patches:
             patch.stop()
@@ -55,7 +57,8 @@ def three_ways(path, cores: int = 2, block_rows: int = 3, **kwargs):
     in_parts, parts = read(path, cores, block_rows, **kwargs)
     whole, one = read(path, 1, block_rows, **kwargs)
     assert one == [corpus.WHOLE_FILE]
-    return in_parts, whole, outcome(oracle.ingest_publications, path, **kwargs), len(parts)
+    return (in_parts, whole, outcome(oracle.ingest_publications, path, ROSTER_ROWS, **kwargs),
+            len(parts))
 
 
 def with_endings(path, ending: bytes) -> None:
@@ -68,21 +71,26 @@ def with_endings(path, ending: bytes) -> None:
        as_json=st.booleans(),
        changes=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 6), st.data()),
                         max_size=3),
+       coauthors=st.lists(st.tuples(st.integers(0, 8), st.lists(
+           st.sampled_from(["X1", "X2", "X3", "P1", "P4"]), min_size=1, max_size=3)),
+           max_size=3),
        extra=st.sampled_from([None, "\n", "[1]\n", '{"id": "W9"\n']),
        ending=st.sampled_from([b"\n", b"\r\n", b"\r"]), strict=st.booleans())
 def test_parts_match_one_part_and_the_row_loop(tmp_path_factory, n, cores, block_rows,
-                                               as_json, changes, extra, ending, strict):
-    """Valid rows with up to three cells set to edge values, any line ending,
-    cut into 2 or 3 parts."""
+                                               as_json, changes, coauthors, extra, ending,
+                                               strict):
+    """Valid rows, with co-authors added, some of them on the roster, some
+    repeated on a byline, and up to three cells set to edge values, any line
+    ending, cut into 2 or 3 parts."""
     rows = publication_rows(n)
+    for row, names in coauthors:
+        rows[row % n][6] += [f"{name}@U{k}" for k, name in enumerate(names)]
     for row, column, data in changes:
         rows[row % n][column] = data.draw(st.sampled_from(PUBLICATION_EDGES[column]))
     path = tmp_path_factory.mktemp("pubs") / ("pubs.jsonl" if as_json else "pubs.csv")
     write_publications(path, rows, as_json, extra)
     with_endings(path, ending)
-    roster_ids = {"P0", "P1", "P2", "P3"} if strict else None
-    in_parts, whole, reference, _ = three_ways(path, cores, block_rows,
-                                               roster_ids=roster_ids)
+    in_parts, whole, reference, _ = three_ways(path, cores, block_rows, strict=strict)
     assert in_parts == whole == reference
 
 
@@ -125,6 +133,48 @@ def test_a_duplicate_id_across_parts(tmp_path):
         first = 3 if suffix == "csv" else 2
         assert in_parts[2] == [f"line {first + 6}: duplicate publication id 'W1' "
                                f"(first seen on line {first})"]
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+@pytest.mark.parametrize("row", [1, 7])
+def test_an_author_twice_on_a_byline_in_either_part(tmp_path, suffix, row):
+    """A repeated author off the roster and one on it, in the first part or
+    in a forked later one."""
+    first = row + (suffix == "csv") + 1
+    for byline, twice in ((["X1@U1", "P1@U2", "X1@U3"], "X1"),
+                          (["P2@U1", "X1@U2", "P2@U2"], "P2")):
+        rows = publication_rows(9)
+        rows[row][6] = byline
+        rows[row + 1][6] = ["X2@U1", "X2@U2"]
+        path = tmp_path / f"pubs.{suffix}"
+        write_publications(path, rows, suffix == "jsonl")
+        in_parts, whole, reference, parts = three_ways(path, 3)
+        assert parts == 3
+        assert in_parts == whole == reference == ("problems", str(path), [
+            f"line {first}: author {twice!r} appears twice on the byline",
+            f"line {first + 1}: author 'X2' appears twice on the byline"])
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_strict_names_unknown_authors_in_every_part(tmp_path, suffix):
+    rows = publication_rows(9)
+    for i, row in enumerate(rows):
+        row[6] = [f"P{i % 4}@U1"]
+    rows[1][6] = ["X1@U1", "P1@U2"]
+    rows[4][6] = ["P3@U1", "P4@U2"]  # P4 is not on the roster
+    rows[7][6] = ["X2@U1", "P1@U1", "X3@U2"]
+    path = tmp_path / f"pubs.{suffix}"
+    write_publications(path, rows, suffix == "jsonl")
+    first = 3 if suffix == "csv" else 2
+    for cores in (1, 3):
+        assert read(path, cores, strict=True)[0] == ("problems", str(path), [
+            f"line {first}: unknown author id(s) X1",
+            f"line {first + 3}: unknown author id(s) P4",
+            f"line {first + 6}: unknown author id(s) X2, X3"])
+    # a lenient read keeps every row, coding P4 and X1..X3 -1
+    lenient, parts = read(path, 3)
+    assert len(parts) == 3
+    assert lenient[1]["author"] == [0, -1, 1, 2, 3, 3, -1, 1, 2, -1, 1, -1, 0]
 
 
 def test_a_csv_error_in_a_later_part_wins_over_row_problems(tmp_path):
@@ -350,6 +400,9 @@ def test_parts_are_logged_at_debug_level(tmp_path, caplog):
     with caplog.at_level("DEBUG", logger="resperf.corpus"):
         read(path, 3)
     assert f"{path}: read in 3 part(s), from lines 1, 4, 7" in caplog.messages
+    # publication_rows(9) has 9 bylines of 1-3 authors each, 18 slots, P4's 3 not rostered
+    assert (f"{path}: 9 row(s) read, 0 dropped by doc type, 9 kept, in 3 part(s); "
+            f"18 byline slot(s), 15 naming a rostered professor") in caplog.messages
 
 
 class TestInvalidUtf8:
@@ -375,9 +428,8 @@ class TestInvalidUtf8:
 
     @pytest.fixture
     def tiny_files(self, tmp_path, tiny_world):
-        roster, pubs = tiny_world
-        corpus.write_roster(tmp_path / "roster.csv", roster)
-        corpus.write_publications(tmp_path / "pubs.csv", pubs)
+        corpus.write_roster(tmp_path / "roster.csv", tiny_world[0])
+        write_pubs(tmp_path / "pubs.csv", tiny_publications(), tiny_world[0].ids)
         return tmp_path
 
     def test_corpus_through_compute(self, tmp_path, tiny_files):

@@ -5,7 +5,8 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import make_corpus, make_professor, make_roster, plain, professors, years
+from helpers import (make_corpus, make_professor, make_roster, plain, professors,
+                     tiny_publications, years)
 from resperf.cohort import cohort_percentiles
 from resperf.corpus import derive_covariates
 from resperf.credit import ConventionMap
@@ -25,12 +26,13 @@ class TestComputeIndicatorScores:
         scores = compute_scores(roster, corpus, conventions, WINDOW, years(roster, WINDOW))
         for i, prof in enumerate(professors(roster)):
             alone = make_roster([prof])
-            alone = compute_scores(alone, corpus, conventions, WINDOW, years(alone, WINDOW))
+            alone = compute_scores(alone, make_corpus(tiny_publications(), alone.ids),
+                                   conventions, WINDOW, years(alone, WINDOW))
             assert plain(alone) == plain({k: v[i:i + 1] for k, v in scores.items()})
 
     def test_empty_corpus_marks_everyone_inactive(self):
         roster = make_roster([make_professor("P1"), make_professor("P2")])
-        scores = compute_scores(roster, make_corpus(()), ConventionMap(), WINDOW,
+        scores = compute_scores(roster, make_corpus((), roster.ids), ConventionMap(), WINDOW,
                                 years(roster, WINDOW))
         assert scores["n_pubs"].tolist() == [0, 0]
         pcts = cohort_percentiles(roster, scores)

@@ -8,6 +8,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+import resperf.corpus
 import resperf.sim
 from helpers import professors, records
 from resperf.corpus import derive_covariates, write_publications, write_roster
@@ -24,7 +25,7 @@ def cohort_age_seniority(roster, window):
 
 
 def serialize(roster, corpus):
-    return professors(roster), records(corpus)
+    return professors(roster), records(corpus, roster.ids)
 
 
 class TestConfig:
@@ -89,7 +90,7 @@ class TestGenerateCohort:
         roster, corpus = generate_cohort(FAST)
         for tag in ("a", "b"):
             write_roster(tmp_path / f"roster_{tag}.csv", roster)
-            write_publications(tmp_path / f"pubs_{tag}.csv", corpus)
+            write_publications(tmp_path / f"pubs_{tag}.csv", corpus, roster.ids)
         assert ((tmp_path / "roster_a.csv").read_bytes()
                 == (tmp_path / "roster_b.csv").read_bytes())
         assert ((tmp_path / "pubs_a.csv").read_bytes()
@@ -113,10 +114,8 @@ class TestGenerateCohort:
 
     def test_focal_professor_on_every_byline(self):
         roster, corpus = generate_cohort(FAST)
-        ids = set(roster.ids)
-        for pub in records(corpus):
-            focal = [a for a, _ in pub.byline if a in ids]
-            assert len(focal) == 1
+        for pub in records(corpus, roster.ids):
+            assert sum(a is not None for a, _ in pub.byline) == 1
             assert pub.year in range(2006, 2011)
             assert pub.citations >= 0
             assert pub.journal_if is not None and pub.journal_if >= 0
@@ -155,7 +154,7 @@ class TestGenerateCohort:
 
         def inactive_share(cfg):
             roster, corpus = generate_cohort(cfg)
-            active = {a for p in records(corpus) for a, _ in p.byline}
+            active = {a for p in records(corpus, roster.ids) for a, _ in p.byline}
             return np.mean([pid not in active for pid in roster.ids])
 
         assert inactive_share(noisy) > inactive_share(base) + 0.02
@@ -239,8 +238,8 @@ class TestRecoveryExperiment:
             recovery_experiment(replace(FAST, n_professors=100), n_runs=2)
 
     def test_later_runs_format_no_names(self, monkeypatch, caplog, tmp_path):
-        """Runs after run 0 that log no skip warning never name a publication
-        or a co-author; writing run 0's files names each once."""
+        """Runs after run 0 that log no skip warning never name a publication;
+        writing run 0's files names each publication and co-author once."""
         formatted = []
 
         class Pattern(str):
@@ -248,15 +247,16 @@ class TestRecoveryExperiment:
                 formatted.append(args)
                 return super().format(*args)
 
-        for name in ("PUBLICATION_ID", "COAUTHOR_NAME"):
-            monkeypatch.setattr(resperf.sim, name, Pattern(getattr(resperf.sim, name)))
+        for module, name in ((resperf.sim, "PUBLICATION_ID"),
+                             (resperf.corpus, "COAUTHOR_NAME")):
+            monkeypatch.setattr(module, name, Pattern(getattr(module, name)))
         roster, corpus = generate_cohort(FAST)
         with caplog.at_level(logging.WARNING):
             report = recovery_experiment(FAST, n_runs=4, first=(roster, corpus))
         assert report.n_failed == 0 and caplog.records == []
         assert formatted == []
-        write_publications(tmp_path / "pubs.csv", corpus)
-        assert len(formatted) == len(corpus.ids) + len(corpus.authors) - len(roster)
+        write_publications(tmp_path / "pubs.csv", corpus, roster.ids)
+        assert len(formatted) == len(corpus.ids) + np.count_nonzero(corpus.author < 0)
 
     def test_run_count_validated(self):
         with pytest.raises(ValueError, match="n_runs"):
