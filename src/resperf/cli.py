@@ -30,8 +30,8 @@ from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, Roster, RowProblem
                      ingest_publications, ingest_roster, json_number, read_blocks,
                      read_json_object, read_pairs, write_csv, write_publications,
                      write_roster)
-from .credit import (CONVENTIONS, ConventionMap, CreditError,
-                     load_convention_map, write_convention_map)
+from .credit import (CONVENTIONS, ConventionMap, load_convention_map,
+                     write_convention_map)
 from .indicators import INDICATORS
 from .pipeline import run_scoring
 from .regress import (FitError, FitResult, ModelSpec, RegressionFrame,
@@ -78,7 +78,7 @@ def _require_paths(*paths) -> None:
 def _input_stage(label: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (IngestError, CreditError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # IngestError and CreditError among them
         raise click.UsageError(f"{label}: {exc}") from exc
 
 

@@ -59,9 +59,11 @@ ROSTER_OPTIONAL_FIELDS = ("active_start", "active_end")
 
 PUBLICATION_FIELDS = ("id", "year", "subject_category", "journal_if",
                       "citations", "doc_type", "byline")
-# The name write_publications gives the k-th byline author not on the
-# roster, k counted from 1 in corpus order.
+# Names write_publications gives what the corpus does not keep: the k-th
+# byline author not on the roster, k counted from 1 in corpus order, and
+# every publication's doc_type.
 COAUTHOR_NAME = "X{}"
+DOC_TYPE = "article"
 
 # Largest citation count ingest accepts: counts above 2**53 would not be
 # summed exactly in the float64 scaling means (nor fit the int64 column).
@@ -501,10 +503,9 @@ class NameSequence(Sequence):
     """Read-only names ``pattern.format(k)`` for k = 1..``count``, each
     formatted only when read.
 
-    An index returns a name, a slice a list, iteration maps the pattern; it
-    equals the list of its names.  The simulator names its publications with
-    it, and ``simulate`` the co-authors it writes out, so a cohort nobody
-    writes out builds no names.
+    An index returns a name, a slice a list, iteration maps the pattern.
+    The simulator names its publications with it, so a cohort nobody writes
+    out builds no names.
     """
 
     def __init__(self, pattern: str, count: int):
@@ -521,18 +522,13 @@ class NameSequence(Sequence):
     def __iter__(self) -> Iterator[str]:
         return map(self.pattern.format, range(1, self.count + 1))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, NameSequence)):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
 
 # Numeric corpus columns; every other column is a list of strings or a NameSequence.
 _COLUMN_DTYPES = {"year": np.int64, "category": np.int32, "citations": np.int64,
-                  "impact": np.float64, "doc_type": np.int32, "n_authors": np.int32,
-                  "author": np.int32, "university": np.int32}
+                  "impact": np.float64, "n_authors": np.int32, "author": np.int32,
+                  "university": np.int32}
 # The vocabulary each coded corpus column indexes.
-_CODED = {"category": "categories", "doc_type": "doc_types", "university": "universities"}
+_CODED = {"category": "categories", "university": "universities"}
 
 
 class Corpus:
@@ -541,17 +537,17 @@ class Corpus:
     Per publication, in corpus order: ``ids``, ``year``, ``category`` (code
     into ``categories``), ``citations``, ``impact`` (journal impact factor,
     NaN where unknown; ingest rejects NaN and infinite input values, so NaN
-    means only that), ``doc_type`` (code into ``doc_types``), ``n_authors``
-    (byline length) and ``shared`` (first and last author share a
-    university).  The authorship table has one row per byline slot, ordered
-    by publication and then position: ``pub`` (publication index),
-    ``position``, ``author`` and ``university`` (code into
-    ``universities``).
+    means only that), ``n_authors`` (byline length) and ``shared`` (first
+    and last author share a university).  The authorship table has one row
+    per byline slot, ordered by publication and then position: ``pub``
+    (publication index), ``position``, ``author`` and ``university`` (code
+    into ``universities``).
 
     ``author`` is the slot's row in the roster the corpus was read against,
     or -1 for an author not on it.  Such an author enters scoring only
     through byline length, position and the first and last universities, so
-    nothing names one.
+    nothing names one.  A row's doc type only decides whether ingest drops
+    it, so the corpus keeps none.
 
     Ingest and the simulator build the columns with numpy and pass them,
     less the derived ``shared``, ``pub`` and ``position``, to the
@@ -1014,9 +1010,8 @@ def _publication_part(path: Path, layout: tuple | None, excluded: set[str],
     """Read and check one part of a corpus file: its row problems, rows read
     and dropped, the ``ids`` and ``lines`` of the rows that pass every check
     but the duplicate-id one, and, if it has no problem, its ``columns``
-    with codes into its own ``vocabularies``: name-to-code maps for the
-    first part, name lists for the others.  ``author`` codes are roster
-    rows, the same in every part."""
+    with codes into its own ``vocabularies``, name lists in code order.
+    ``author`` codes are roster rows, the same in every part."""
     problems = RowProblems(path)
     vocabularies = {name: _code_map() for name in _CODED.values()}
     ids: list[str] = []
@@ -1026,30 +1021,23 @@ def _publication_part(path: Path, layout: tuple | None, excluded: set[str],
     # CSV cells are strings ("" when empty); JSON values may be anything, None when absent
     for lines, cells in _part_blocks(path, part, PUBLICATION_FIELDS, layout, problems):
         n_rows += len(lines)
-        doc_type = _texts(cells[5])
-        drop = _mask(map(excluded.__contains__, map(str.lower, doc_type)), len(lines))
+        drop = _mask(map(excluded.__contains__, map(str.lower, _texts(cells[5]))), len(lines))
         if drop.any():
             dropped += int(drop.sum())
             keep = (~drop).tolist()
-            lines, doc_type, *cells = [list(compress(column, keep))
-                                       for column in (lines, doc_type, *cells)]
+            lines, *cells = [list(compress(column, keep)) for column in (lines, *cells)]
         if not lines:
             continue
         columns = _publication_block(problems, lines, cells, roster_rows, strict,
                                      vocabularies)
         ids += columns.pop("ids")
         kept.extend(columns.pop("lines"))
-        if columns:
-            columns["doc_type"] = list(map(vocabularies["doc_types"].__getitem__, doc_type))
-            for name, values in columns.items():
-                buffers.extend(name, values)
+        for name, values in columns.items():
+            buffers.extend(name, values)
     return {"problems": problems.found, "rows": n_rows, "dropped": dropped, "ids": ids,
             "lines": np.frombuffer(kept, np.int64),
             "columns": None if problems.found else buffers.arrays(),
-            # the merge looks the other parts' names up in the first part's
-            # maps, and needs only those names, in code order
-            "vocabularies": vocabularies if not part[0] else
-            {name: list(codes) for name, codes in vocabularies.items()}}
+            "vocabularies": {name: list(codes) for name, codes in vocabularies.items()}}
 
 
 def _merged_corpus(path: Path, results: list[dict]) -> Corpus:
@@ -1057,8 +1045,7 @@ def _merged_corpus(path: Path, results: list[dict]) -> Corpus:
     listing their problems and every repeated id, in line order."""
     problems = RowProblems(path)
     problems.found = [problem for result in results for problem in result["problems"]]
-    ids = results[0]["ids"] if len(results) == 1 else \
-        list(itertools.chain.from_iterable(result["ids"] for result in results))
+    ids = list(itertools.chain.from_iterable(result["ids"] for result in results))
     if len(set(ids)) < len(ids):
         lines = np.concatenate([result["lines"] for result in results])
         seen: dict[str, int] = {}
@@ -1070,28 +1057,20 @@ def _merged_corpus(path: Path, results: list[dict]) -> Corpus:
     problems.raise_any()
     if not sum(result["rows"] for result in results):
         logger.warning("%s: empty publication file", path)
-    # codes into vocabularies extended in file order, as a one-part read
-    # extends them: the first part's, then each later part's new names
-    codes = results[0]["vocabularies"]
-    vocabularies = {name: list(known) for name, known in codes.items()}
-    columns = {name: [values] for name, values in results[0]["columns"].items()}
-    for k, result in enumerate(results[1:], start=2):
-        remap = {}
-        for name, names in result["vocabularies"].items():
-            remap[name] = found = np.fromiter(map(codes[name].get, names, repeat(-1)),
-                                              np.int32, len(names))
-            new = np.flatnonzero(found < 0)
-            found[new] = np.arange(len(vocabularies[name]), len(vocabularies[name]) + new.size)
-            added = list(map(names.__getitem__, new.tolist()))
-            if k < len(results):  # a later part may name them too
-                codes[name].update(zip(added, found[new].tolist()))
-            vocabularies[name] += added
+    # Every part's codes go through one name-to-code map per vocabulary,
+    # which codes names in file order as a one-part read does, so the first
+    # part's come out unchanged.
+    codes = {name: _code_map() for name in _CODED.values()}
+    columns = {name: [] for name in _COLUMN_DTYPES}
+    for result in results:
         for name, values in result["columns"].items():
-            columns[name].append(remap[_CODED[name]][values] if name in _CODED else values)
-    return Corpus({"ids": ids, **vocabularies,
-                   **{name: parts[0] if len(parts) == 1 else
-                      np.concatenate(parts, dtype=_COLUMN_DTYPES[name])
-                      for name, parts in columns.items()}},
+            if name in _CODED:
+                names = result["vocabularies"][_CODED[name]]
+                values = np.fromiter(map(codes[_CODED[name]].__getitem__, names), np.int32,
+                                     len(names))[values]
+            columns[name].append(values)
+    return Corpus({"ids": ids, **{name: list(known) for name, known in codes.items()},
+                   **{name: np.concatenate(parts) for name, parts in columns.items()}},
                   sum(result["dropped"] for result in results))
 
 
@@ -1100,8 +1079,8 @@ def _publication_block(problems: RowProblems, lines: list[int], cells: list,
                        vocabularies: dict[str, defaultdict]) -> dict:
     """Check one block of kept publication rows; the first failing check, in
     this order, names a row.  The ``ids`` and ``lines`` of the rows that
-    pass, and while the part has no problem their other corpus columns less
-    doc_type.  The duplicate-id check, the last one, is left to the merge."""
+    pass, and while the part has no problem their other corpus columns.  The
+    duplicate-id check, the last one, is left to the merge."""
     raw_id, raw_year, raw_category, raw_impact, raw_citations, _, raw_byline = cells
     n = len(lines)
     problems.start(lines)
@@ -1230,7 +1209,8 @@ def write_roster(path, roster: Roster) -> None:
 def write_publications(path, corpus: Corpus, roster_ids: Sequence[str]) -> None:
     """Write ``corpus`` as a publication CSV.  A byline slot names its author
     by ``roster_ids[author]``, or, where ``author`` is -1, the k-th such slot
-    in corpus order by ``COAUTHOR_NAME.format(k)``."""
+    in corpus order by ``COAUTHOR_NAME.format(k)``; every doc_type is
+    ``DOC_TYPE``."""
     rostered = corpus.author >= 0
     authors = np.empty(corpus.author.size, dtype=object)
     authors[rostered] = np.array(roster_ids, dtype=object)[corpus.author[rostered]]
@@ -1239,7 +1219,7 @@ def write_publications(path, corpus: Corpus, roster_ids: Sequence[str]) -> None:
     slots = zip(authors.tolist(), corpus.university.tolist())
     write_csv(path, PUBLICATION_FIELDS, [
         corpus.ids, corpus.year, _names(corpus.categories, corpus.category),
-        _blank_nan(corpus.impact), corpus.citations, _names(corpus.doc_types, corpus.doc_type),
+        _blank_nan(corpus.impact), corpus.citations, repeat(DOC_TYPE, len(corpus)),
         (";".join([f"{a}@{corpus.universities[u]}" for a, u in islice(slots, n)])
          for n in corpus.n_authors.tolist())])
 

@@ -306,7 +306,6 @@ def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
         "ids": NameSequence(PUBLICATION_ID, total),
         "year": years, "category": field_category[pub_field],
         "categories": list(categories), "citations": citations, "impact": impact,
-        "doc_type": np.zeros(total, dtype=np.int32), "doc_types": ["article"],
         "n_authors": n_authors, "author": author,
         "university": university,
         "universities": [f"{prefix}{k}" for _, prefix, size in UNIVERSITY_POOLS

@@ -37,7 +37,6 @@ class Pub:
     subject_category: str
     journal_if: float | None
     citations: int
-    doc_type: str
     byline: tuple[tuple[str, str], ...]
 
 
@@ -89,9 +88,8 @@ def plain(columns) -> dict[str, list]:
 
 
 def make_publication(id="W1", year=2008, category="MAT/01", journal_if=1.5,
-                     citations=4, doc_type="article", byline=(("P1", "U1"),)) -> Pub:
-    return Pub(id, year, category, journal_if, citations, doc_type,
-               tuple((a, u) for a, u in byline))
+                     citations=4, byline=(("P1", "U1"),)) -> Pub:
+    return Pub(id, year, category, journal_if, citations, tuple((a, u) for a, u in byline))
 
 
 def make_corpus(pubs, roster_ids, dropped: int = 0) -> Corpus:
@@ -99,7 +97,7 @@ def make_corpus(pubs, roster_ids, dropped: int = 0) -> Corpus:
     author coded by its index in ``roster_ids``, or -1 if not there."""
     pubs = list(pubs)
     rows = {pid: i for i, pid in enumerate(roster_ids)}
-    codes: dict[str, dict[str, int]] = {"categories": {}, "doc_types": {}, "universities": {}}
+    codes: dict[str, dict[str, int]] = {"categories": {}, "universities": {}}
 
     def code(name: str, values) -> list[int]:
         return [codes[name].setdefault(v, len(codes[name])) for v in values]
@@ -110,7 +108,6 @@ def make_corpus(pubs, roster_ids, dropped: int = 0) -> Corpus:
         "category": code("categories", (p.subject_category for p in pubs)),
         "citations": [p.citations for p in pubs],
         "impact": [math.nan if p.journal_if is None else p.journal_if for p in pubs],
-        "doc_type": code("doc_types", (p.doc_type for p in pubs)),
         "n_authors": [len(p.byline) for p in pubs],
         "author": [rows.get(a, -1) for a, _ in slots],
         "university": code("universities", (u for _, u in slots)),
@@ -141,12 +138,11 @@ def records(corpus: Corpus, roster_ids) -> list[Pub]:
     slots = [(roster_ids[a] if a >= 0 else None, corpus.universities[u]) for a, u in
              zip(corpus.author.tolist(), corpus.university.tolist())]
     return [Pub(pid, year, corpus.categories[cat], None if math.isnan(jif) else jif,
-                cites, corpus.doc_types[doc], tuple(slots[end - n:end]))
-            for pid, year, cat, jif, cites, doc, n, end in zip(
+                cites, tuple(slots[end - n:end]))
+            for pid, year, cat, jif, cites, n, end in zip(
                 corpus.ids, corpus.year.tolist(), corpus.category.tolist(),
                 corpus.impact.tolist(), corpus.citations.tolist(),
-                corpus.doc_type.tolist(), corpus.n_authors.tolist(),
-                np.cumsum(corpus.n_authors).tolist())]
+                corpus.n_authors.tolist(), np.cumsum(corpus.n_authors).tolist())]
 
 
 def build_tiny_world() -> tuple[Roster, Corpus]:

@@ -184,7 +184,7 @@ class ColumnBuffer:
     arrive, and authors coded by ``roster_rows``, -1 if not rostered."""
 
     DTYPES = {"year": "q", "category": "i", "citations": "q", "impact": "d",
-              "doc_type": "i", "n_authors": "i", "author": "i", "university": "i"}
+              "n_authors": "i", "author": "i", "university": "i"}
 
     def __init__(self, roster_rows: Mapping[str, int]):
         self.roster_rows = roster_rows
@@ -192,24 +192,21 @@ class ColumnBuffer:
         for name, code in self.DTYPES.items():
             setattr(self, name, array(code))
         self.categories: dict[str, int] = {}
-        self.doc_types: dict[str, int] = {}
         self.universities: dict[str, int] = {}
 
-    def append(self, pid, year, category, impact, citations, doc_type, authors,
-               universities) -> None:
+    def append(self, pid, year, category, impact, citations, authors, universities) -> None:
         self.ids.append(pid)
         self.year.append(year)
         self.category.append(self.categories.setdefault(category, len(self.categories)))
         self.citations.append(citations)
         self.impact.append(impact)
-        self.doc_type.append(self.doc_types.setdefault(doc_type, len(self.doc_types)))
         self.n_authors.append(len(authors))
         self.author.extend([self.roster_rows.get(a, -1) for a in authors])
         self.university.extend([self.universities.setdefault(u, len(self.universities))
                                 for u in universities])
 
     def columns(self) -> dict:
-        vocabularies = ("categories", "doc_types", "universities")
+        vocabularies = ("categories", "universities")
         return {name: list(value) if name in vocabularies else value
                 for name, value in vars(self).items() if name != "roster_rows"}
 
@@ -229,8 +226,7 @@ def ingest_publications(path, roster_rows: Mapping[str, int],
     else:
         rows = csv_rows(path, PUBLICATION_FIELDS)
     for line, (pid, year, category, journal_if, citations, doc_type, byline) in rows:
-        doc_type = str(doc_type or "").strip()
-        if doc_type.lower() in excluded:
+        if str(doc_type or "").strip().lower() in excluded:
             dropped += 1
             continue
         pid = str(pid or "").strip()
@@ -267,7 +263,7 @@ def ingest_publications(path, roster_rows: Mapping[str, int],
             problem = f"duplicate publication id {pid!r} (first seen on line {seen[pid]})"
         else:
             seen[pid] = line
-            buffer.append(pid, year_value, category, impact, cites, doc_type, *byline)
+            buffer.append(pid, year_value, category, impact, cites, *byline)
             continue
         problems.append(f"line {line}: {problem}")
     if problems:

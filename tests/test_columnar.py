@@ -15,7 +15,7 @@ import oracle
 from helpers import (make_corpus, make_professor, make_publication, make_roster, plain,
                      professors, records, years)
 from resperf.cohort import cohort_percentiles
-from resperf.corpus import (COAUTHOR_NAME, UNIVERSITY_TYPES, derive_covariates,
+from resperf.corpus import (COAUTHOR_NAME, DOC_TYPE, UNIVERSITY_TYPES, derive_covariates,
                             ingest_publications, write_publications)
 from resperf.credit import ConventionMap
 from resperf.indicators import MissingCellError, build_scaling_table, compute_scores
@@ -196,11 +196,10 @@ class TestCovariateOracle:
 def decoded(corpus):
     """Every column with codes replaced by the strings they stand for."""
     return {
-        "ids": corpus.ids, "year": corpus.year.tolist(),
+        "ids": list(corpus.ids), "year": corpus.year.tolist(),
         "category": [corpus.categories[c] for c in corpus.category],
         "citations": corpus.citations.tolist(),
         "impact": [None if math.isnan(x) else x for x in corpus.impact.tolist()],
-        "doc_type": [corpus.doc_types[c] for c in corpus.doc_type],
         "n_authors": corpus.n_authors.tolist(), "shared": corpus.shared.tolist(),
         "pub": corpus.pub.tolist(), "position": corpus.position.tolist(),
         "author": corpus.author.tolist(),
@@ -218,7 +217,7 @@ class TestRoundTrip:
         jsonl_path.write_text("".join(json.dumps({
             "id": p.id, "year": p.year, "subject_category": p.subject_category,
             "journal_if": p.journal_if, "citations": p.citations,
-            "doc_type": p.doc_type,
+            "doc_type": DOC_TYPE,
             "byline": [f"{next(names) if a is None else a}@{u}" for a, u in p.byline]}) + "\n"
             for p in records(corpus, roster.ids)))
         rows = dict(zip(roster.ids, range(len(roster))))

@@ -164,8 +164,7 @@ class TestFss:
         scaled = [
             pub if (pub.year, pub.subject_category) != target
             else make_publication(pub.id, pub.year, pub.subject_category,
-                                  pub.journal_if, pub.citations * 7, pub.doc_type,
-                                  pub.byline)
+                                  pub.journal_if, pub.citations * 7, pub.byline)
             for pub in pubs]
         for p in roster:
             got = score(p, scaled).fss

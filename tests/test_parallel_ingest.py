@@ -136,6 +136,29 @@ def test_a_duplicate_id_across_parts(tmp_path):
 
 
 @pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+def test_later_parts_name_what_the_first_does_not(tmp_path, suffix):
+    """Parts 2 and 3 both name a category and a university that part 1
+    does not, part 3 after part 2 met them and before a name of its own:
+    the read in parts codes every name as a one-part read does."""
+    plan = [("SCA", "U1"), ("SCA", "U1"), ("SCA", "U1"), ("SCB", "U2"), ("SCA", "U1"),
+            ("SCB", "U2"), ("SCC", "U3"), ("SCB", "U2"), ("SCA", "U1")]
+    rows = publication_rows(9)
+    for row, (category, university) in zip(rows, plan):
+        row[2], row[6] = category, [f"P1@{university}"]
+    path = tmp_path / f"pubs.{suffix}"
+    write_publications(path, rows, suffix == "jsonl")
+    in_parts, parts = read(path, 3)
+    # part 1 holds rows 0-1 of the CSV file, after its header, and rows 0-2 of the JSON lines
+    assert [before for _, before, _ in parts] == ([0, 3, 7] if suffix == "csv" else [0, 3, 6])
+    whole, _ = read(path, 1)
+    assert in_parts == whole == outcome(oracle.ingest_publications, path, ROSTER_ROWS)
+    columns = in_parts[1]
+    assert columns["categories"] == ["SCA", "SCB", "SCC"]
+    assert columns["universities"] == ["U1", "U2", "U3"]
+    assert columns["category"] == columns["university"] == [0, 0, 0, 1, 0, 1, 2, 1, 0]
+
+
+@pytest.mark.parametrize("suffix", ["csv", "jsonl"])
 @pytest.mark.parametrize("row", [1, 7])
 def test_an_author_twice_on_a_byline_in_either_part(tmp_path, suffix, row):
     """A repeated author off the roster and one on it, in the first part or
