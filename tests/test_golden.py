@@ -26,6 +26,7 @@ SIMULATE_SEED_8 = {
     "roster.csv": "c479eddfa5dbf0208a4bc59bbbf60178c2daec9d573adf91ad5e66258114d7d5",
     "publications.csv": "222afe489d137892998d336866a49f6279ddec976eb2a4acc8e7a058db0e9902",
     "recovery_runs.csv": "4e7acfae85b13356487c23057eea4ef9c05515c61a219e7406d3716daf479fe3",
+    "recovery.json": "0368c509fea28afabed7b89e9f1ca6c0174aff1e1953f6a9d883804f854f1778",
 }
 CHAIN_SEED_8 = {
     "regression_table.txt": "3d31f29eb7c0052f684bde10201495ddf0e08557cc231c5c1b16eebd05b91f16",
@@ -35,6 +36,7 @@ CHAIN_SEED_8 = {
     "age_histogram.csv": "6c8e0c51109dc47633104359ab9021eca99332f2be84e5e5e1a60b813fc6cd33",
     "appointment_age_histogram.csv": "cec30a96950966a4b3309305f419e41455f9b87b3f0f034f3f4004ae9cc663bf",
     "fss_cv_by_sds.csv": "cbec676123d4288edec82393b263fb78a18560bf7aa12683b992c9124702381f",
+    "fits.json": "8b44b5931f16e0162b601a008b81978cffc36b6d96fa62302cdb783e5e5a187e",
 }
 
 
