@@ -402,9 +402,16 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
     write_publications(out / "publications.csv", corpus, roster.ids)
     write_convention_map(out / "conventions.csv",
                          {f.sds: f.convention for f in config.fields})
+    drawn = f"{len(roster)} professors, {len(corpus)} publications"
 
-    rep = _compute_stage("recovery", recovery_experiment, config, runs,
-                         max_degree, dependent, first=(roster, corpus))
+    # Run 0's cohort is handed over with no name left on it, so the runs free
+    # it after run 0; _compute_stage's arguments would hold it to the end.
+    cohort = [(roster, corpus)]
+    del roster, corpus
+    try:
+        rep = recovery_experiment(config, runs, max_degree, dependent, first=cohort.pop())
+    except Exception as exc:
+        raise click.ClickException(f"recovery: {exc}") from exc
     (out / "recovery.json").write_text(
         json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     header = ("run", "seed", "n", "n_terms", "age_ame", "seniority_ame", "pseudo_r2", "aic",
@@ -416,8 +423,7 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
 
     frac_age = rep.age_negative_fraction
     frac_sen = rep.seniority_positive_fraction
-    click.echo(f"{len(roster)} professors, {len(corpus)} publications; "
-               f"{runs} run(s), {rep.n_failed} failed; "
+    click.echo(f"{drawn}; {runs} run(s), {rep.n_failed} failed; "
                f"age AME negative in {'-' if frac_age is None else f'{frac_age:.0%}'}, "
                f"seniority AME positive in {'-' if frac_sen is None else f'{frac_sen:.0%}'}")
     _write_manifest(out, "simulate",

@@ -1210,18 +1210,32 @@ def write_publications(path, corpus: Corpus, roster_ids: Sequence[str]) -> None:
     """Write ``corpus`` as a publication CSV.  A byline slot names its author
     by ``roster_ids[author]``, or, where ``author`` is -1, the k-th such slot
     in corpus order by ``COAUTHOR_NAME.format(k)``; every doc_type is
-    ``DOC_TYPE``."""
-    rostered = corpus.author >= 0
-    authors = np.empty(corpus.author.size, dtype=object)
-    authors[rostered] = np.array(roster_ids, dtype=object)[corpus.author[rostered]]
-    others = authors.size - np.count_nonzero(rostered)
-    authors[~rostered] = list(map(COAUTHOR_NAME.format, range(1, others + 1)))
-    slots = zip(authors.tolist(), corpus.university.tolist())
+    ``DOC_TYPE``.  Bylines are built a ``WRITE_ROWS`` chunk of publications
+    at a time, so no list of the whole corpus's slots is held."""
     write_csv(path, PUBLICATION_FIELDS, [
         corpus.ids, corpus.year, _names(corpus.categories, corpus.category),
         _blank_nan(corpus.impact), corpus.citations, repeat(DOC_TYPE, len(corpus)),
-        (";".join([f"{a}@{corpus.universities[u]}" for a, u in islice(slots, n)])
-         for n in corpus.n_authors.tolist())])
+        itertools.chain.from_iterable(_bylines(corpus, roster_ids))])
+
+
+def _bylines(corpus: Corpus, roster_ids: Sequence[str]) -> Iterator[list[str]]:
+    """The byline cells of :func:`write_publications`, a list per
+    ``WRITE_ROWS`` publications; co-authors are numbered on across lists."""
+    names = np.array(roster_ids, dtype=object)
+    at = np.array(["@" + name for name in corpus.universities], dtype=object)
+    slot = named = 0
+    for row in range(0, len(corpus), WRITE_ROWS):
+        counts = corpus.n_authors[row:row + WRITE_ROWS].tolist()
+        author = corpus.author[slot:slot + sum(counts)]
+        rostered = author >= 0
+        cells = np.empty(author.size, dtype=object)
+        cells[rostered] = names[author[rostered]]
+        others = author.size - np.count_nonzero(rostered)
+        cells[~rostered] = list(map(COAUTHOR_NAME.format, range(named + 1, named + others + 1)))
+        cells = iter((cells + at[corpus.university[slot:slot + author.size]]).tolist())
+        yield [";".join(islice(cells, n)) for n in counts]
+        slot += author.size
+        named += others
 
 
 def working_years(start: np.ndarray, end: np.ndarray,

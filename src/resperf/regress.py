@@ -51,12 +51,8 @@ class QuasiSeparationError(FitError):
 def logistic(eta):
     """Numerically stable logistic CDF."""
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    expe = np.exp(eta[~pos])
-    out[~pos] = expe / (1.0 + expe)
-    return out
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def bernoulli_qll(y, eta) -> float:

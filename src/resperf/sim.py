@@ -285,19 +285,17 @@ def generate_cohort(config: SimConfig) -> tuple[Roster, Corpus]:
     co_same = rng.random(n_co) < SAME_UNIVERSITY_SHARE
     co_ext = rng.integers(0, EXTERNAL_UNIVERSITIES, size=n_co)
 
-    # Authorship table in byline order.  Authors are coded as the roster
-    # row for the focal professor and -1 for a co-author, whom only
-    # write_publications names; universities index the pools, then the
-    # external ones.
-    slot_pub = np.repeat(np.arange(total), n_authors)
-    starts = np.cumsum(n_authors) - n_authors
-    focal = np.arange(slot_pub.size) - starts[slot_pub] == focal_pos[slot_pub]
-    slot_owner = owner[slot_pub]
+    # Authorship table in byline order, in the Corpus's int32 columns.
+    # Authors are coded as the roster row for the focal professor and -1
+    # for a co-author, whom only write_publications names; universities
+    # index the pools, then the external ones.
+    author = np.full(total + n_co, -1, dtype=np.int32)
+    author[np.cumsum(n_authors) - n_authors + focal_pos] = owner
     pool_start = np.cumsum([0] + [size for _, _, size in UNIVERSITY_POOLS])
-    univ = pool_start[type_idx] + univ_num
-    author = np.where(focal, slot_owner, -1)
-    university = univ[slot_owner]
-    university[~focal] = np.where(co_same, university[~focal], pool_start[-1] + co_ext)
+    univ = (pool_start[type_idx] + univ_num).astype(np.int32)
+    university = np.repeat(univ[owner], n_authors)
+    co = author < 0
+    university[co] = np.where(co_same, university[co], pool_start[-1] + co_ext)
 
     categories: dict[str, int] = {}
     field_category = np.array([categories.setdefault(f.sds, len(categories))
@@ -359,6 +357,25 @@ def _mean_sd(values: list[float]) -> tuple[float | None, float | None]:
     return float(arr.mean()), sd
 
 
+def _recovery_run(cfg: SimConfig, run: int, max_degree: int, dependent: str,
+                  cohort: tuple[Roster, Corpus] | None) -> RunResult:
+    """Run ``run`` of :func:`recovery_experiment` on ``cohort``, or on a cohort
+    drawn from ``cfg`` when it is None.  What the run builds dies with it."""
+    outcome = RunResult(run=run, seed=cfg.seed)
+    try:
+        roster, corpus = generate_cohort(cfg) if cohort is None else cohort
+        covariates = derive_covariates(roster, date(cfg.window[1], 12, 31), cfg.window)
+        _, percentiles = run_scoring(roster, corpus, cfg.conventions(), covariates, cfg.window)
+        frame = regression_frame(roster, covariates, percentiles)
+        fit = fit_with_selected_degree(frame, ModelSpec(dependent=dependent), max_degree)
+    except FitError as exc:  # a cohort the model cannot fit; bugs propagate
+        outcome.error = f"{type(exc).__name__}: {exc}"
+        return outcome
+    return replace(outcome, n=fit.n, n_terms=len(fit.terms), age_ame=fit.ame.get("Age"),
+                   seniority_ame=fit.ame.get("Seniority"), pseudo_r2=fit.pseudo_r2,
+                   aic=fit.aic, age_degree=fit.age_degree, converged=fit.converged)
+
+
 def recovery_experiment(config: SimConfig, n_runs: int,
                         max_degree: int = 1,
                         dependent: str = "FSS",
@@ -367,33 +384,24 @@ def recovery_experiment(config: SimConfig, n_runs: int,
 
     Run r uses seed ``config.seed + r``; ``first``, when given, is run 0's
     cohort, already generated from ``config``.  Each run's model offers age
-    degrees 1..``max_degree`` to :func:`regress.fit_with_selected_degree`.  A run
-    whose model cannot be fitted (:class:`FitError`) is recorded as failed, with
-    an ``error`` such as "QuasiSeparationError: all candidate degrees failed:
-    ...", and does not stop the experiment; any other exception propagates.  Sign-recovery fractions are taken over the runs
+    degrees 1..``max_degree`` to :func:`regress.fit_with_selected_degree`.  A
+    run whose model cannot be fitted (:class:`FitError`) is recorded as
+    failed, with an ``error`` such as "QuasiSeparationError: all candidate
+    degrees failed: ...", and does not stop the experiment; any other
+    exception propagates.  Sign-recovery fractions are taken over the runs
     that produced the corresponding effect.
+
+    One run's objects are alive at a time: a run's cohort, scores and fit
+    are dropped before the next cohort is drawn, and ``first`` is let go
+    after run 0, so it is freed then unless the caller still holds it.
     """
     if n_runs <= 0:
         raise ValueError("n_runs must be positive")
     results: list[RunResult] = []
     for run in range(n_runs):
-        cfg = replace(config, seed=config.seed + run)
-        outcome = RunResult(run=run, seed=cfg.seed)
-        try:
-            roster, corpus = first if run == 0 and first is not None else generate_cohort(cfg)
-            covariates = derive_covariates(roster, date(cfg.window[1], 12, 31), cfg.window)
-            _, percentiles = run_scoring(roster, corpus, cfg.conventions(), covariates,
-                                         cfg.window)
-            frame = regression_frame(roster, covariates, percentiles)
-            fit = fit_with_selected_degree(frame, ModelSpec(dependent=dependent), max_degree)
-            outcome = replace(outcome, n=fit.n, n_terms=len(fit.terms),
-                              age_ame=fit.ame.get("Age"),
-                              seniority_ame=fit.ame.get("Seniority"),
-                              pseudo_r2=fit.pseudo_r2, aic=fit.aic,
-                              age_degree=fit.age_degree, converged=fit.converged)
-        except FitError as exc:  # a cohort the model cannot fit; bugs propagate
-            outcome.error = f"{type(exc).__name__}: {exc}"
-        results.append(outcome)
+        results.append(_recovery_run(replace(config, seed=config.seed + run), run,
+                                     max_degree, dependent, first))
+        first = None
 
     ok = [r for r in results if r.error is None]
     age_ames = [r.age_ame for r in ok if r.age_ame is not None]

@@ -19,6 +19,9 @@ each cohort with a Python tie loop.  It calls neither
 The vectorised code adds the same terms in the same order, so tests compare
 the two with ``==``.  :func:`exact_dependence` runs one ``matrix_rank`` per
 column, where ``resperf.regress.collinearity_check`` factorises once.
+:func:`write_publications` names every byline slot of the corpus at once,
+where ``resperf.corpus.write_publications`` names a chunk of them at a time;
+tests compare the two files byte for byte.
 """
 
 from __future__ import annotations
@@ -30,16 +33,18 @@ import math
 import operator
 from array import array
 from datetime import date
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from helpers import Prof, Pub, professors, records
-from resperf.corpus import (DAYS_PER_YEAR, DEFAULT_EXCLUDED_DOC_TYPES, MAX_CITATIONS,
-                            MIN_APPOINTMENT_AGE, PUBLICATION_FIELDS, RECENT_PROMOTION_YEARS,
-                            ROSTER_FIELDS, ROSTER_OPTIONAL_FIELDS, UNIVERSITY_TYPES, Corpus,
-                            IngestError, Roster, _parse_byline, _real_number, _whole_number)
+from resperf.corpus import (COAUTHOR_NAME, DAYS_PER_YEAR, DEFAULT_EXCLUDED_DOC_TYPES,
+                            DOC_TYPE, MAX_CITATIONS, MIN_APPOINTMENT_AGE, PUBLICATION_FIELDS,
+                            RECENT_PROMOTION_YEARS, ROSTER_FIELDS, ROSTER_OPTIONAL_FIELDS,
+                            UNIVERSITY_TYPES, Corpus, IngestError, Roster, _blank_nan, _names,
+                            _parse_byline, _real_number, _whole_number, write_csv)
 from resperf.credit import ConventionMap, byline_weights
 from resperf.indicators import INDICATORS, MissingCellError
 
@@ -269,6 +274,23 @@ def ingest_publications(path, roster_rows: Mapping[str, int],
     if problems:
         raise IngestError(path, problems)
     return Corpus(buffer.columns(), dropped)
+
+
+def write_publications(path, corpus: Corpus, roster_ids: Sequence[str]) -> None:
+    """``corpus`` as a publication CSV, every slot's author named up front:
+    ``roster_ids[author]``, or the k-th slot coded -1 as
+    ``COAUTHOR_NAME.format(k)``."""
+    rostered = corpus.author >= 0
+    authors = np.empty(corpus.author.size, dtype=object)
+    authors[rostered] = np.array(roster_ids, dtype=object)[corpus.author[rostered]]
+    others = authors.size - np.count_nonzero(rostered)
+    authors[~rostered] = list(map(COAUTHOR_NAME.format, range(1, others + 1)))
+    slots = zip(authors.tolist(), corpus.university.tolist())
+    write_csv(path, PUBLICATION_FIELDS, [
+        corpus.ids, corpus.year, _names(corpus.categories, corpus.category),
+        _blank_nan(corpus.impact), corpus.citations, repeat(DOC_TYPE, len(corpus)),
+        (";".join([f"{a}@{corpus.universities[u]}" for a, u in islice(slots, n)])
+         for n in corpus.n_authors.tolist())])
 
 
 def exact_years(start: date, end: date) -> float:

@@ -1,6 +1,7 @@
 """Command-line driver: artifacts, exit codes, deterministic reruns."""
 
 import csv
+import gc
 import json
 import logging
 import os
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import asdict, replace
 from datetime import date
 from pathlib import Path
@@ -673,6 +675,42 @@ class TestSimulate:
                      "--out", tmp_path / "out")
         assert res.exit_code == 0, res.output
         assert calls == [40, 41, 42]
+
+    def test_each_cohort_is_freed_before_the_next_is_drawn(self, tmp_path, monkeypatch):
+        """simulate hands run 0's cohort to the runs and keeps no reference to
+        it, so reference counting frees every run's corpus before the next
+        cohort is drawn."""
+        drawn = []
+        original = resperf.sim.generate_cohort
+
+        def draw(config):
+            assert [ref() for ref in drawn] == [None] * len(drawn)
+            roster, corpus = original(config)
+            drawn.append(weakref.ref(corpus))
+            return roster, corpus
+        monkeypatch.setattr(resperf.sim, "generate_cohort", draw)
+        monkeypatch.setattr(resperf.cli, "generate_cohort", draw)
+        gc.disable()
+        try:
+            res = invoke("simulate", "--runs", 3, "--seed", 40, "--n-professors", 150,
+                         "--out", tmp_path / "out")
+        finally:
+            gc.enable()
+        assert res.exit_code == 0, res.output
+        assert len(drawn) == 3 and drawn[-1]() is None
+
+    def test_a_later_run_failing_exits_one_naming_the_stage(self, tmp_path, monkeypatch):
+        original = resperf.sim.generate_cohort
+
+        def draw(config):
+            if config.seed == 41:
+                raise ValueError("infeasible correlation target")
+            return original(config)
+        monkeypatch.setattr(resperf.sim, "generate_cohort", draw)
+        res = invoke("simulate", "--runs", 2, "--seed", 40, "--n-professors", 150,
+                     "--out", tmp_path / "out")
+        assert res.exit_code == 1
+        assert "Error: recovery: infeasible correlation target" in res.output
 
     def test_zero_runs_exits_two(self, tmp_path):
         res = invoke("simulate", "--runs", 0, "--out", tmp_path / "x")

@@ -9,18 +9,19 @@ from datetime import date
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
+import oracle
 from helpers import (make_professor, make_publication, make_roster, professors, records,
                      unrostered, write_pubs)
 import resperf.corpus
-from resperf.corpus import (DAYS_PER_YEAR, IngestError, NameSequence, _blank_nan, csv_text,
-                            derive_covariates, exact_years,
-                            ingest_publications, ingest_roster, read_blocks, read_pairs,
-                            whole_years, working_years, write_csv, write_roster)
+from resperf.corpus import (DAYS_PER_YEAR, Corpus, IngestError, NameSequence, _blank_nan,
+                            csv_text, derive_covariates, exact_years, ingest_publications,
+                            ingest_roster, read_blocks, read_pairs, whole_years,
+                            working_years, write_csv, write_publications, write_roster)
 
 ROSTER_HEADER = "id,gender,birth_date,appointment_date,sds,uda,university_type"
 PUBS_HEADER = "id,year,subject_category,journal_if,citations,doc_type,byline"
@@ -547,6 +548,37 @@ class TestWriteCsv:
                                      np.array([1.5, np.nan, -0.0, np.inf, 1e-300])])
         assert path.read_bytes() == (b'a,b\r\n"x,y",1.5\r\nplain,nan\r\n"say ""hi""",-0.0\r\n'
                                      b'"two\nlines",inf\r\n"cr\r",1e-300\r\n')
+
+
+class TestWritePublications:
+    @settings(deadline=None, max_examples=300)
+    @given(roster_ids=st.lists(CSV_TEXT, min_size=3, max_size=3),
+           universities=st.lists(CSV_TEXT, min_size=3, max_size=3),
+           pubs=st.lists(st.tuples(st.lists(st.tuples(st.integers(-1, 2), st.integers(0, 2)),
+                                            min_size=1, max_size=8),
+                                   CSV_FLOATS,
+                                   st.integers(0, 2 ** 53)), max_size=9),
+           write_rows=st.sampled_from([1, 2, 3]))
+    @example(roster_ids=["P1", "P2", "P3"], universities=["U1", "U2", "U3"], pubs=[],
+             write_rows=1)
+    def test_equals_the_whole_corpus_writer(self, tmp_path_factory, roster_ids,
+                                            universities, pubs, write_rows):
+        """Bylines built a chunk at a time, co-authors numbered on across
+        chunks, give the file of the writer that names every slot at once."""
+        slots = [slot for byline, _, _ in pubs for slot in byline]
+        corpus = Corpus({
+            "ids": [f"W{k}" for k in range(len(pubs))], "year": [2008] * len(pubs),
+            "category": [k % 2 for k in range(len(pubs))], "categories": ["A", "B,c"],
+            "citations": [cites for _, _, cites in pubs],
+            "impact": [impact for _, impact, _ in pubs],
+            "n_authors": [len(byline) for byline, _, _ in pubs],
+            "author": [a for a, _ in slots], "university": [u for _, u in slots],
+            "universities": universities})
+        root = tmp_path_factory.mktemp("pubs")
+        with mock.patch.object(resperf.corpus, "WRITE_ROWS", write_rows):
+            write_publications(root / "chunked.csv", corpus, roster_ids)
+            oracle.write_publications(root / "whole.csv", corpus, roster_ids)
+        assert (root / "chunked.csv").read_bytes() == (root / "whole.csv").read_bytes()
 
 
 class TestNameSequence:

@@ -44,6 +44,27 @@ class TestLogisticPieces:
         assert logistic(np.array([500.0, -500.0])) == pytest.approx([1.0, 0.0], abs=1e-12)
         assert np.all(np.isfinite(logistic(np.array([-800.0, 800.0]))))
 
+    def test_logistic_equals_the_masked_formula_bit_for_bit(self):
+        """Each sign takes the old gather-and-scatter formula's float
+        operations, so every non-NaN value comes out with the same bits."""
+        def masked(eta):
+            out = np.empty_like(eta)
+            pos = eta >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+            expe = np.exp(eta[~pos])
+            out[~pos] = expe / (1.0 + expe)
+            return out
+
+        rng = np.random.default_rng(5)
+        magnitudes = np.concatenate([rng.normal(0.0, 4.0, 4000), rng.normal(0.0, 40.0, 4000),
+                                     10.0 ** rng.uniform(-320, 308, 4000),
+                                     [0.0, 5e-324, 1e-300, 36.7, 37.0, 709.0, 710.0,
+                                      745.2, 1e308, np.finfo(float).max, np.inf]])
+        eta = np.concatenate([magnitudes, -magnitudes])
+        assert np.signbit(eta[np.flatnonzero(eta == 0.0)]).tolist() == [False, True]
+        assert logistic(eta).tobytes() == masked(eta).tobytes()
+        assert np.isnan(logistic(np.array([np.nan]))).all()
+
     def test_qll_finite_at_extremes(self):
         y = np.array([0.0, 1.0, 0.5])
         eta = np.array([-700.0, 700.0, 0.0])

@@ -1,7 +1,10 @@
 """Synthetic cohort generator: determinism, calibration, recovery harness."""
 
+import gc
 import logging
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 from datetime import date
 
@@ -170,6 +173,26 @@ class TestGenerateCohort:
                     for p in professors(roster)]
         assert abs(float(np.mean(app_ages)) - FAST.mean_appointment_age) < 1.0
 
+    def test_traced_peaks_at_twenty_thousand_professors(self, tmp_path):
+        """Generating the cohort (whose columns hold about 16 MB) and, above
+        what is live when it starts, writing its publications.  Slot-sized
+        temporaries in either, or a list of the whole corpus's byline
+        slots, break the bound."""
+        config = SimConfig(n_professors=20000)
+        generate_cohort(replace(config, n_professors=50))  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            roster, corpus = generate_cohort(config)
+            generated = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            write_publications(tmp_path / "pubs.csv", corpus, roster.ids)
+            written = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert generated <= 40e6
+        assert written <= 12e6
+
 
 class TestRecoveryExperiment:
     def test_signs_recovered_quickly(self):
@@ -257,6 +280,35 @@ class TestRecoveryExperiment:
         assert formatted == []
         write_publications(tmp_path / "pubs.csv", corpus, roster.ids)
         assert len(formatted) == len(corpus.ids) + np.count_nonzero(corpus.author < 0)
+
+    @staticmethod
+    def drawing(monkeypatch):
+        """Patch the generator: each draw first checks that every corpus
+        drawn before it is freed, then keeps a weak reference to its own."""
+        drawn = []
+
+        def draw(config):
+            assert [ref() for ref in drawn] == [None] * len(drawn)
+            roster, corpus = generate_cohort(config)
+            drawn.append(weakref.ref(corpus))
+            return roster, corpus
+        monkeypatch.setattr(resperf.sim, "generate_cohort", draw)
+        return draw, drawn
+
+    @pytest.mark.parametrize("handed_over", [False, True])
+    def test_one_run_alive_at_a_time(self, monkeypatch, handed_over):
+        """Run k's corpus is freed, by reference counting alone, before run
+        k+1's cohort is drawn; a handed-over run 0 cohort that the caller no
+        longer holds is freed after run 0."""
+        draw, drawn = self.drawing(monkeypatch)
+        gc.disable()
+        try:
+            report = recovery_experiment(FAST, n_runs=3,
+                                         first=draw(FAST) if handed_over else None)
+        finally:
+            gc.enable()
+        assert report.n_failed == 0 and len(drawn) == 3
+        assert drawn[-1]() is None
 
     def test_run_count_validated(self):
         with pytest.raises(ValueError, match="n_runs"):
