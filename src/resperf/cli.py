@@ -15,21 +15,19 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 import sys
 from dataclasses import replace
 from datetime import date
-from itertools import repeat
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .corpus import (DEFAULT_EXCLUDED_DOC_TYPES, IngestError, Roster, RowProblems,
-                     _blank_nan, _in_processes, _mask, _real_numbers, derive_covariates,
-                     ingest_publications, ingest_roster, json_number, read_blocks,
-                     read_json_object, read_pairs, write_csv, write_publications,
-                     write_roster)
+from .corpus import (CODE, COUNT, DEFAULT_EXCLUDED_DOC_TYPES, ID, MAX_COUNT_DIGITS, REAL,
+                     TEXT, Column, IngestError, Roster, _blank_nan, _in_processes,
+                     derive_covariates, ingest_publications, ingest_roster, json_number,
+                     read_columns, read_json_object, read_pairs, write_csv,
+                     write_publications, write_roster)
 from .credit import (CONVENTIONS, ConventionMap, load_convention_map,
                      write_convention_map)
 from .indicators import INDICATORS
@@ -201,75 +199,46 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
                              "covariates.csv", "manifest.json"])
 
 
-_COVARIATE_COLUMNS = ("professor_id", "uda", "age", "seniority", "gender_dummy", "u1", "u2", "u3")
-_PERCENTILE_COLUMNS = ("professor_id", "indicator", "percentile")
 _INDICATOR_CODES = {name: code for code, name in enumerate(INDICATORS)}
-_DUMMIES = {"0": 0.0, "1": 1.0}
 # Exclusive bound on age and seniority: compute writes values below it,
 # since roster dates fall in years 1 to 9999.
 _MAX_YEARS = 10_000
+_COVARIATE_COLUMNS = (
+    Column("professor_id", ID, "duplicate professor_id {!r}"),
+    Column("uda", TEXT),
+    *(Column(name, REAL, f"{name} must be a finite number, got {{!r}}",
+             f"{name} must be in [0, {_MAX_YEARS}), got {{!r}}",
+             bounds=(0.0, math.nextafter(_MAX_YEARS, 0))) for name in ("age", "seniority")),
+    *(Column(name, CODE, f"{name} must be 0 or 1, got {{!r}}", codes={"0": 0, "1": 1})
+      for name in ("gender_dummy", "u1", "u2", "u3")))
 
 
 def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
     """compute's covariates.csv and percentiles.csv, validated, as one frame."""
-    problems = RowProblems(cov_path)
-    index: dict[str, int] = {}
-    udas: list[str] = []
-    numbers: list[np.ndarray] = []
-    for lines, (pid, uda, *cells) in read_blocks(cov_path, _COVARIATE_COLUMNS):
-        n = len(lines)
-        problems.start(lines)
-        row = range(len(udas), len(udas) + n)
-        first = list(map(index.setdefault, pid, row))
-        problems.flag(np.array(first) != row,
-                      lambda i: f"duplicate professor_id {pid[i]!r}", stop=False)
-        problems.flag(_mask(map(operator.not_, map(str.strip, uda)), n),
-                      lambda i: "empty uda", stop=False)
-        block = np.empty((n, len(cells)))
-        for j, (name, texts) in enumerate(zip(_COVARIATE_COLUMNS[2:], cells)):
-            if name in ("age", "seniority"):
-                block[:, j] = values = _real_numbers(texts)[0]
-                problems.flag(~np.isfinite(values), lambda i: f"{name} must be a finite "
-                                                              f"number, got {texts[i]!r}",
-                              stop=False)
-                problems.flag(~((values >= 0) & (values < _MAX_YEARS)) & np.isfinite(values),
-                              lambda i: f"{name} must be in [0, {_MAX_YEARS}), "
-                                        f"got {texts[i]!r}", stop=False)
-            else:
-                block[:, j] = values = np.array(list(map(_DUMMIES.get, texts)), np.float64)
-                problems.flag(np.isnan(values),
-                              lambda i: f"{name} must be 0 or 1, got {texts[i]!r}", stop=False)
-        udas += uda
-        numbers.append(block)
-    problems.raise_any()
+    covariates, rows = read_columns(cov_path, _COVARIATE_COLUMNS)
+    ids = list(rows)  # each row's, no id being repeated
+    percentiles = np.full((len(ids), len(INDICATORS)), np.nan)
 
-    problems = RowProblems(pct_path)
-    percentiles = np.full((len(udas), len(INDICATORS)), np.nan)
-    for lines, (pid, indicator, texts) in read_blocks(pct_path, _PERCENTILE_COLUMNS):
-        n = len(lines)
-        problems.start(lines)
-        row = np.fromiter(map(index.get, pid, repeat(-1)), np.int64, n)
-        problems.flag(row < 0, lambda i: f"unknown professor_id {pid[i]!r}")
-        column = np.fromiter(map(_INDICATOR_CODES.get, indicator, repeat(-1)), np.int64, n)
-        problems.flag(column < 0, lambda i: f"unknown indicator {indicator[i]!r}")
-        values = _real_numbers(texts)[0]
-        problems.flag(~((values >= 0.0) & (values <= 100.0)),
-                      lambda i: f"percentile must be finite and in [0, 100], got {texts[i]!r}")
-        # a (professor, indicator) set on an earlier line, of an earlier block or this one
-        good = np.flatnonzero(~problems.bad)
-        _, first = np.unique(row[good] * len(INDICATORS) + column[good], return_index=True)
-        repeated = np.zeros(n, dtype=bool)
-        repeated[good] = True
-        repeated[good[first]] = False
-        repeated[good] |= ~np.isnan(percentiles[row[good], column[good]])
-        problems.flag(repeated, lambda i: f"second {indicator[i]} percentile for {pid[i]!r}")
-        ok = np.flatnonzero(~problems.bad)
-        percentiles[row[ok], column[ok]] = values[ok]
-    problems.raise_any()
+    def once(block, good):
+        """The good rows whose (professor, indicator) pair an earlier good row
+        gave; each good row's percentile is set."""
+        pid, indicator = block["professor_id"], block["indicator"]
+        ok = np.flatnonzero(good)
+        first = ok[np.unique(pid[ok] * len(INDICATORS) + indicator[ok], return_index=True)[1]]
+        repeated = good.copy()
+        repeated[first] = ~np.isnan(percentiles[pid[first], indicator[first]])
+        percentiles[pid[ok], indicator[ok]] = block["percentile"][ok]
+        return repeated, lambda i: (f"second {INDICATORS[indicator[i]]} percentile "
+                                    f"for {ids[pid[i]]!r}")
 
-    numbers = np.concatenate(numbers) if numbers else np.zeros((0, 6))
-    return RegressionFrame(uda=np.array(udas, dtype=str),
-                           age=numbers[:, 0], covariates=numbers[:, 1:], percentiles=percentiles)
+    read_columns(pct_path, (
+        Column("professor_id", CODE, "unknown professor_id {!r}", stop=True, codes=rows),
+        Column("indicator", CODE, "unknown indicator {!r}", stop=True, codes=_INDICATOR_CODES),
+        Column("percentile", REAL, "percentile must be finite and in [0, 100], got {!r}",
+               stop=True, bounds=(0.0, 100.0))), once)
+    numbers = np.column_stack([covariates[column.name] for column in _COVARIATE_COLUMNS[2:]])
+    return RegressionFrame(uda=np.array(covariates["uda"], dtype=str), age=numbers[:, 0],
+                           covariates=numbers[:, 1:], percentiles=percentiles)
 
 
 def _spec_from_file(data: dict, overrides: dict) -> ModelSpec:
@@ -319,7 +288,8 @@ def regress(data_path, dependent, max_degree, max_seniority, spec_path,
     frame = _input_stage("regression inputs", _read_frame, cov_path, pct_path)
     groups = [("Total", frame)]
     if not total_only:
-        groups += [(str(uda), frame.subset(frame.uda == uda)) for uda in np.unique(frame.uda)]
+        groups += [(uda, frame.subset(frame.uda == uda))
+                   for uda in sorted(set(frame.uda.tolist()))]
 
     fits: dict[str, FitResult] = {}
     failures: list[str] = []
@@ -435,48 +405,21 @@ def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
                              "recovery.json", "recovery_runs.csv", "manifest.json"])
 
 
-_INDICATOR_COLUMNS = ("professor_id", "fss", "p", "ia", "ij", "n_pubs")
-# Most digits of an n_pubs count: it must fit in an int64.
-_MAX_COUNT_DIGITS = 18
+_INDICATOR_COLUMNS = (
+    Column("professor_id", ID, "duplicate professor_id {!r}"),
+    *(Column(name, REAL, f"{name} must be a finite number >= 0, got {{!r}}")
+      for name in ("fss", "p")),
+    *(Column(name, REAL, f"{name} must be a finite number >= 0 or empty, got {{!r}}",
+             blank=True) for name in ("ia", "ij")),
+    Column("n_pubs", COUNT, "n_pubs must be a whole number >= 0, got {!r}",
+           f"n_pubs must be below 10^{MAX_COUNT_DIGITS}, got {{!r}}"))
 
 
 def _read_indicators(path: Path) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
     """compute's indicators.csv, validated: each professor id's row, and the
     fss and n_pubs columns."""
-    problems = RowProblems(path)
-    rows: dict[str, int] = {}
-    fss: list[np.ndarray] = []
-    n_pubs: list[np.ndarray] = []
-    for lines, (pid, *cells, count) in read_blocks(path, _INDICATOR_COLUMNS):
-        n = len(lines)
-        problems.start(lines)
-        row = range(len(rows), len(rows) + n)
-        problems.flag(np.array(list(map(rows.setdefault, pid, row))) != row,
-                      lambda i: f"duplicate professor_id {pid[i]!r}", stop=False)
-        for name, texts in zip(_INDICATOR_COLUMNS[1:5], cells):
-            values = _real_numbers(texts)[0]
-            optional = name in ("ia", "ij")
-            invalid = ~(np.isfinite(values) & (values >= 0))
-            if optional:
-                invalid &= _mask(map(operator.truth, texts), n)
-            problems.flag(invalid, lambda i: f"{name} must be a finite number >= 0"
-                                             f"{' or empty' if optional else ''}, "
-                                             f"got {texts[i]!r}", stop=False)
-            if name == "fss":
-                fss.append(values)
-        whole = _mask(map(operator.and_, map(str.isascii, count), map(str.isdigit, count)), n)
-        problems.flag(~whole,
-                      lambda i: f"n_pubs must be a whole number >= 0, got {count[i]!r}",
-                      stop=False)
-        large = whole & _mask((len(c.lstrip("0")) > _MAX_COUNT_DIGITS for c in count), n)
-        problems.flag(large, lambda i: f"n_pubs must be below 10^{_MAX_COUNT_DIGITS}, "
-                                       f"got {count[i]!r}", stop=False)
-        n_pubs.append(np.array([int(c) if w else 0
-                                for c, w in zip(count, (whole & ~large).tolist())],
-                               dtype=np.int64))
-    problems.raise_any()
-    return (rows, np.concatenate(fss) if fss else np.zeros(0),
-            np.concatenate(n_pubs) if n_pubs else np.zeros(0, np.int64))
+    columns, rows = read_columns(path, _INDICATOR_COLUMNS)
+    return rows, columns["fss"], columns["n_pubs"]
 
 
 def _headcounts(data: dict, roster: Roster) -> dict[str, int]:
@@ -550,12 +493,12 @@ def report_cmd(roster_path, indicators_path, window, census_date, totals_path,
         (out / name).write_text(histogram_csv(bins), encoding="utf-8")
 
     cvs = group_coefficient_of_variation({roster.sds_names[c]: fss[roster.sds == c]
-                                          for c in np.unique(roster.sds).tolist()})
+                                          for c in sorted(set(roster.sds.tolist()))})
     write_csv(out / "fss_cv_by_sds.csv", ["sds", "coefficient_of_variation"],
               [list(cvs), list(cvs.values())])
 
     click.echo(f"reported on {len(roster)} professors across "
-               f"{np.unique(roster.uda).size} discipline(s)")
+               f"{len(set(roster.uda.tolist()))} discipline(s)")
     _write_manifest(out, "report",
                     inputs={"roster": str(roster_path),
                             "indicators": str(indicators_path),

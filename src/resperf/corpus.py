@@ -3,8 +3,9 @@
 Every file resperf reads goes through :func:`read_blocks` (header CSV),
 its block reader (a publication corpus, CSV or JSON lines with one object
 per line), :func:`read_pairs` or :func:`read_json_object`, which fail with
-an :class:`IngestError` naming the file.  Row files are read and checked a block of rows at a time,
-one mask per check, and :class:`RowProblems` names each bad row.  Ingestion
+an :class:`IngestError` naming the file.  Row files are read and checked a
+block of rows at a time, one mask per check, and :class:`RowProblems` names
+each bad row; :func:`read_columns` checks each declared :class:`Column`.  Ingestion
 either returns fully validated columns or fails with a row-addressed error
 listing every problem found: a roster goes straight into the columns of a
 :class:`Roster`, publications into those of a :class:`Corpus`.  A large
@@ -338,19 +339,21 @@ def _whole_numbers(cells) -> list[int | None]:
 
 def _real_numbers(cells) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_real_number` of each cell as float64, NaN where it is None,
-    and the mask of those cells."""
+    and the mask of those cells, among them each None or "" cell, which is
+    not parsed."""
     n = len(cells)
     given = _mask(map(operator.is_not, cells, repeat(None)), n)
+    if "" in cells:
+        given &= _mask(map(operator.ne, cells, repeat("")), n)
     present = cells if given.all() else list(compress(cells, given.tolist()))
-    parsed = None
+    values = np.full(n, np.nan)
     if set(map(type, present)) <= {str, int, float}:
         try:
-            parsed = list(map(float, present))
+            values[given] = np.fromiter(map(float, present), np.float64, len(present))
+            return values, ~given
         except (ValueError, OverflowError):
             pass
-    if parsed is None:
-        parsed = list(map(_real_number, present))
-    values = np.full(n, np.nan)
+    parsed = list(map(_real_number, present))
     values[given] = parsed  # None reads NaN
     unread = ~given
     unread[given] = _mask(map(operator.is_, parsed, repeat(None)), len(parsed))
@@ -386,6 +389,92 @@ class _Columns:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: np.frombuffer(data, self.dtypes[name])
                 for name, data in self.data.items()}
+
+
+# The kinds of a Column.  A COUNT has at most MAX_COUNT_DIGITS digits after
+# its leading zeros, so that it fits in an int64.
+ID, TEXT, REAL, COUNT, CODE = "id", "text", "real", "count", "code"
+MAX_COUNT_DIGITS = 18
+
+
+@dataclass(frozen=True)
+class Column:
+    """A column :func:`read_columns` checks.  Each cell must be, by ``kind``,
+    ID: not blank after strip ("empty <name>") nor an earlier row's id;
+    TEXT: not blank after strip ("empty <name>"); REAL: a finite number in
+    ``bounds``, or with ``blank`` "" (read NaN); COUNT: ASCII digits, at most
+    MAX_COUNT_DIGITS after leading zeros; CODE: a key of ``codes``, read as
+    its value.  A failing cell's problem is ``message.format(cell)``, or
+    ``outside``'s for a REAL out of bounds or a COUNT too long, where given.
+    With ``stop``, a row failing this column is left out of later checks."""
+
+    name: str
+    kind: str
+    message: str = ""
+    outside: str | None = None
+    stop: bool = False
+    bounds: tuple[float, float] = (0.0, math.inf)
+    blank: bool = False
+    codes: Mapping[str, int] | None = None
+
+
+def read_columns(path, columns: Sequence[Column], rule: Callable | None = None
+                 ) -> tuple[dict[str, np.ndarray | list[str]], dict[str, int]]:
+    """The checked ``columns`` of a CSV file, by name, and the row of each
+    id.  ``rule``, given a block's columns and the mask of its rows no
+    ``stop`` column failed, returns the mask and ``message(i)`` of a last
+    check.  The IngestError lists every problem, as RowProblems does."""
+    problems, rows, n = RowProblems(path), {}, 0
+    parts = {c.name: [] for c in columns}
+    for lines, cells in read_blocks(path, [c.name for c in columns]):
+        problems.start(lines)
+        block = {c.name: _column_block(c, texts, problems, rows, n)
+                 for c, texts in zip(columns, cells)}
+        if rule is not None:
+            problems.flag(*rule(block, ~problems.bad))
+        for name, values in block.items():
+            parts[name].append(values)
+        n += len(lines)
+    problems.raise_any()
+    return {c.name: list(itertools.chain(*parts[c.name])) if c.kind in (ID, TEXT) else
+            np.concatenate([np.zeros(0, np.float64 if c.kind == REAL else np.int64),
+                            *parts[c.name]]) for c in columns}, rows
+
+
+def _column_block(column: Column, cells, problems: RowProblems, rows: dict, first: int):
+    """The values of a block of ``column``'s cells, rows ``first`` on, with
+    their failures added to ``problems`` and an ID column's ids to ``rows``."""
+    n, kind = len(cells), column.kind
+
+    def flag(mask, message=column.message):
+        problems.flag(mask, lambda i: message.format(cells[i]), column.stop)
+
+    if kind in (ID, TEXT):
+        flag(_mask(map(operator.not_, map(str.strip, cells)), n), f"empty {column.name}")
+        if kind == ID:
+            row = np.arange(first, first + n)
+            flag(np.fromiter(map(rows.setdefault, cells, row.tolist()), np.int64, n) != row)
+        return cells
+    if kind == CODE:
+        values = np.fromiter(map(column.codes.get, cells, repeat(-1)), np.int64, n)
+        flag(values < 0)
+        return values
+    if kind == COUNT:
+        whole = _mask(map(operator.and_, map(str.isascii, cells), map(str.isdigit, cells)), n)
+        flag(~whole)
+        large = whole & _mask((len(c.lstrip("0")) > MAX_COUNT_DIGITS for c in cells), n)
+        flag(large, column.outside or column.message)
+        return np.array([int(c) if w else 0 for c, w in zip(cells, (whole & ~large).tolist())],
+                        np.int64)
+    values = _real_numbers(cells)[0]
+    finite = np.isfinite(values)
+    unread = ~finite & _mask(map(operator.truth, cells), n) if column.blank else ~finite
+    low, high = column.bounds
+    outside = finite & ~((low <= values) & (values <= high))
+    flag(unread if column.outside else unread | outside)
+    if column.outside:
+        flag(outside, column.outside)
+    return values
 
 
 def read_pairs(path, key_name: str, value_name: str,

@@ -131,7 +131,7 @@ def descriptive_table(roster: Roster,
     if not len(roster):
         raise ValueError("empty roster")
     groups = sorted(((roster.uda_names[c], roster.uda == c)
-                     for c in np.unique(roster.uda).tolist()), key=lambda g: g[0])
+                     for c in set(roster.uda.tolist())), key=lambda g: g[0])
     for uda in population_totals or ():
         if uda not in {name for name, _ in groups}:
             logger.warning("population total for %r has no rostered professors; "

@@ -22,6 +22,10 @@ column, where ``resperf.regress.collinearity_check`` factorises once.
 :func:`write_publications` names every byline slot of the corpus at once,
 where ``resperf.corpus.write_publications`` names a chunk of them at a time;
 tests compare the two files byte for byte.
+:func:`_read_frame` and :func:`_read_indicators` are the block loops that
+read compute's covariates.csv, percentiles.csv and indicators.csv back
+before ``resperf.corpus.read_columns`` did, kept as they were; they share
+``read_blocks``, ``RowProblems`` and the cell parsers with ``resperf.corpus``.
 """
 
 from __future__ import annotations
@@ -43,10 +47,12 @@ from helpers import Prof, Pub, professors, records
 from resperf.corpus import (COAUTHOR_NAME, DAYS_PER_YEAR, DEFAULT_EXCLUDED_DOC_TYPES,
                             DOC_TYPE, MAX_CITATIONS, MIN_APPOINTMENT_AGE, PUBLICATION_FIELDS,
                             RECENT_PROMOTION_YEARS, ROSTER_FIELDS, ROSTER_OPTIONAL_FIELDS,
-                            UNIVERSITY_TYPES, Corpus, IngestError, Roster, _blank_nan, _names,
-                            _parse_byline, _real_number, _whole_number, write_csv)
+                            UNIVERSITY_TYPES, Corpus, IngestError, Roster, RowProblems,
+                            _blank_nan, _mask, _names, _parse_byline, _real_number,
+                            _real_numbers, _whole_number, read_blocks, write_csv)
 from resperf.credit import ConventionMap, byline_weights
 from resperf.indicators import INDICATORS, MissingCellError
+from resperf.regress import RegressionFrame
 
 logger = logging.getLogger("resperf.indicators")
 
@@ -527,3 +533,118 @@ def exact_dependence(X: np.ndarray) -> tuple[list[int], list[int]]:
         raises = np.linalg.matrix_rank(X[:, kept + [j]]) == len(kept) + 1
         (kept if raises else dropped).append(j)
     return kept, dropped
+
+
+_COVARIATE_COLUMNS = ("professor_id", "uda", "age", "seniority", "gender_dummy", "u1", "u2", "u3")
+_PERCENTILE_COLUMNS = ("professor_id", "indicator", "percentile")
+_INDICATOR_CODES = {name: code for code, name in enumerate(INDICATORS)}
+_DUMMIES = {"0": 0.0, "1": 1.0}
+# Exclusive bound on age and seniority: compute writes values below it,
+# since roster dates fall in years 1 to 9999.
+_MAX_YEARS = 10_000
+
+
+def _read_frame(cov_path: Path, pct_path: Path) -> RegressionFrame:
+    """compute's covariates.csv and percentiles.csv, validated, as one frame."""
+    problems = RowProblems(cov_path)
+    index: dict[str, int] = {}
+    udas: list[str] = []
+    numbers: list[np.ndarray] = []
+    for lines, (pid, uda, *cells) in read_blocks(cov_path, _COVARIATE_COLUMNS):
+        n = len(lines)
+        problems.start(lines)
+        row = range(len(udas), len(udas) + n)
+        first = list(map(index.setdefault, pid, row))
+        problems.flag(np.array(first) != row,
+                      lambda i: f"duplicate professor_id {pid[i]!r}", stop=False)
+        problems.flag(_mask(map(operator.not_, map(str.strip, uda)), n),
+                      lambda i: "empty uda", stop=False)
+        block = np.empty((n, len(cells)))
+        for j, (name, texts) in enumerate(zip(_COVARIATE_COLUMNS[2:], cells)):
+            if name in ("age", "seniority"):
+                block[:, j] = values = _real_numbers(texts)[0]
+                problems.flag(~np.isfinite(values), lambda i: f"{name} must be a finite "
+                                                              f"number, got {texts[i]!r}",
+                              stop=False)
+                problems.flag(~((values >= 0) & (values < _MAX_YEARS)) & np.isfinite(values),
+                              lambda i: f"{name} must be in [0, {_MAX_YEARS}), "
+                                        f"got {texts[i]!r}", stop=False)
+            else:
+                block[:, j] = values = np.array(list(map(_DUMMIES.get, texts)), np.float64)
+                problems.flag(np.isnan(values),
+                              lambda i: f"{name} must be 0 or 1, got {texts[i]!r}", stop=False)
+        udas += uda
+        numbers.append(block)
+    problems.raise_any()
+
+    problems = RowProblems(pct_path)
+    percentiles = np.full((len(udas), len(INDICATORS)), np.nan)
+    for lines, (pid, indicator, texts) in read_blocks(pct_path, _PERCENTILE_COLUMNS):
+        n = len(lines)
+        problems.start(lines)
+        row = np.fromiter(map(index.get, pid, repeat(-1)), np.int64, n)
+        problems.flag(row < 0, lambda i: f"unknown professor_id {pid[i]!r}")
+        column = np.fromiter(map(_INDICATOR_CODES.get, indicator, repeat(-1)), np.int64, n)
+        problems.flag(column < 0, lambda i: f"unknown indicator {indicator[i]!r}")
+        values = _real_numbers(texts)[0]
+        problems.flag(~((values >= 0.0) & (values <= 100.0)),
+                      lambda i: f"percentile must be finite and in [0, 100], got {texts[i]!r}")
+        # a (professor, indicator) set on an earlier line, of an earlier block or this one
+        good = np.flatnonzero(~problems.bad)
+        _, first = np.unique(row[good] * len(INDICATORS) + column[good], return_index=True)
+        repeated = np.zeros(n, dtype=bool)
+        repeated[good] = True
+        repeated[good[first]] = False
+        repeated[good] |= ~np.isnan(percentiles[row[good], column[good]])
+        problems.flag(repeated, lambda i: f"second {indicator[i]} percentile for {pid[i]!r}")
+        ok = np.flatnonzero(~problems.bad)
+        percentiles[row[ok], column[ok]] = values[ok]
+    problems.raise_any()
+
+    numbers = np.concatenate(numbers) if numbers else np.zeros((0, 6))
+    return RegressionFrame(uda=np.array(udas, dtype=str),
+                           age=numbers[:, 0], covariates=numbers[:, 1:], percentiles=percentiles)
+
+
+_INDICATOR_COLUMNS = ("professor_id", "fss", "p", "ia", "ij", "n_pubs")
+# Most digits of an n_pubs count: it must fit in an int64.
+_MAX_COUNT_DIGITS = 18
+
+
+def _read_indicators(path: Path) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """compute's indicators.csv, validated: each professor id's row, and the
+    fss and n_pubs columns."""
+    problems = RowProblems(path)
+    rows: dict[str, int] = {}
+    fss: list[np.ndarray] = []
+    n_pubs: list[np.ndarray] = []
+    for lines, (pid, *cells, count) in read_blocks(path, _INDICATOR_COLUMNS):
+        n = len(lines)
+        problems.start(lines)
+        row = range(len(rows), len(rows) + n)
+        problems.flag(np.array(list(map(rows.setdefault, pid, row))) != row,
+                      lambda i: f"duplicate professor_id {pid[i]!r}", stop=False)
+        for name, texts in zip(_INDICATOR_COLUMNS[1:5], cells):
+            values = _real_numbers(texts)[0]
+            optional = name in ("ia", "ij")
+            invalid = ~(np.isfinite(values) & (values >= 0))
+            if optional:
+                invalid &= _mask(map(operator.truth, texts), n)
+            problems.flag(invalid, lambda i: f"{name} must be a finite number >= 0"
+                                             f"{' or empty' if optional else ''}, "
+                                             f"got {texts[i]!r}", stop=False)
+            if name == "fss":
+                fss.append(values)
+        whole = _mask(map(operator.and_, map(str.isascii, count), map(str.isdigit, count)), n)
+        problems.flag(~whole,
+                      lambda i: f"n_pubs must be a whole number >= 0, got {count[i]!r}",
+                      stop=False)
+        large = whole & _mask((len(c.lstrip("0")) > _MAX_COUNT_DIGITS for c in count), n)
+        problems.flag(large, lambda i: f"n_pubs must be below 10^{_MAX_COUNT_DIGITS}, "
+                                       f"got {count[i]!r}", stop=False)
+        n_pubs.append(np.array([int(c) if w else 0
+                                for c, w in zip(count, (whole & ~large).tolist())],
+                               dtype=np.int64))
+    problems.raise_any()
+    return (rows, np.concatenate(fss) if fss else np.zeros(0),
+            np.concatenate(n_pubs) if n_pubs else np.zeros(0, np.int64))

@@ -979,6 +979,34 @@ def test_a_repeated_column_exits_two_if_read(sim_chain, tmp_path, probe):
         assert f"{tmp_path / name}: line 1: duplicate column(s) {column}" in res.output
 
 
+def test_an_empty_professor_id_exits_two(sim_chain, tmp_path):
+    """A professor whose id is blanked in covariates.csv and percentiles.csv
+    alike once fitted with the rest, and a blank-id indicators.csv row was
+    passed over; either is an empty id, as in a roster."""
+    comp = tmp_path / "comp"
+    shutil.copytree(sim_chain / "comp", comp)
+    for name in ("covariates.csv", "percentiles.csv"):
+        with (comp / name).open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        pid = rows[1][0] if name == "covariates.csv" else pid
+        with (comp / name).open("w", newline="") as fh:
+            csv.writer(fh).writerows([["" if row[0] == pid else row[0], *row[1:]]
+                                      for row in rows])
+    res = invoke("regress", "--data", comp, "--out", tmp_path / "reg")
+    assert res.exit_code == 2, res.output
+    assert f"{comp / 'covariates.csv'}: line 2: empty professor_id" in res.output
+    assert "line 3:" not in res.output
+
+    indicators = comp / "indicators.csv"
+    with indicators.open("a", newline="") as fh:
+        fh.write(" ,MAT,1.0,1.0,,,1,0\r\n")
+    n = len(indicators.read_text().splitlines())
+    res = invoke("report", "--roster", sim_chain / "sim" / "roster.csv",
+                 "--indicators", indicators, "--out", tmp_path / "rep")
+    assert res.exit_code == 2, res.output
+    assert f"{indicators}: line {n}: empty professor_id" in res.output
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SRC_DIR = Path(resperf.__file__).resolve().parents[1]
 
@@ -995,6 +1023,27 @@ def run_tree(args, bin_dir=None):
     if bin_dir is not None:
         env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", os.defpath)])
     return subprocess.run(args, capture_output=True, text=True, env=env)
+
+
+def test_no_command_imports_numpy_ma(tiny_files, sim_chain, tmp_path):
+    """numpy 2's np.unique(x) imports numpy.ma, 7-21 ms and 1.4 MB a
+    process, to ask whether x is masked; no command needs it."""
+    code = ("import sys\n"
+            "from resperf.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print('numpy.ma loaded:', 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+    comp, sim = sim_chain / "comp", sim_chain / "sim"
+    for args in (["compute", "--roster", tiny_files / "roster.csv",
+                  "--pubs", tiny_files / "pubs.csv"],
+                 ["regress", "--data", comp],
+                 ["report", "--roster", sim / "roster.csv", "--indicators",
+                  comp / "indicators.csv"],
+                 ["simulate", "--n-professors", "60", "--runs", "2"]):
+        proc = run_tree([sys.executable, "-c", code, *args, "--out", tmp_path / args[0]])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "numpy.ma loaded: False", (args[0], proc.stderr)
 
 
 def write_console_script(bin_dir, name):
