@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from .corpus import (CODE, COUNT, DEFAULT_EXCLUDED_DOC_TYPES, ID, MAX_COUNT_DIGITS, REAL,
-                     TEXT, Column, IngestError, Roster, _blank_nan, _in_processes,
+                     TEXT, Column, Roster, RowProblems, _blank_nan, _in_processes,
                      derive_covariates, ingest_publications, ingest_roster, json_number,
                      read_columns, read_json_object, read_pairs, write_csv,
                      write_publications, write_roster)
@@ -67,10 +67,8 @@ def _parse_census(text: str | None, window: tuple[int, int]) -> date:
         raise click.UsageError(f"census date must be ISO formatted, got {text!r}")
 
 
-def _require_paths(*paths) -> None:
-    for p in paths:
-        if p is not None and not Path(p).exists():
-            raise click.UsageError(f"input path does not exist: {p}")
+# An input file or directory: one that does not exist exits 2 naming it.
+_INPUT = click.Path(exists=True)
 
 
 def _input_stage(label: str, fn, *args, **kwargs):
@@ -121,18 +119,18 @@ def main(verbose: bool) -> None:
 
 
 @main.command()
-@click.option("--roster", "roster_path", required=True, help="Roster CSV.")
-@click.option("--pubs", "pubs_path", required=True,
+@click.option("--roster", "roster_path", type=_INPUT, required=True, help="Roster CSV.")
+@click.option("--pubs", "pubs_path", type=_INPUT, required=True,
               help="Publication corpus (CSV or JSON-lines).")
 @click.option("--window", default="2006:2010", show_default=True,
               help="Observation years, START:END inclusive.")
 @click.option("--census-date", default=None,
               help="Covariate census date (ISO); default is the window's last day.")
-@click.option("--conventions", "conventions_path", default=None,
+@click.option("--conventions", "conventions_path", type=_INPUT, default=None,
               help="CSV (sds, convention) overriding credit conventions per field.")
 @click.option("--force-convention", type=click.Choice(CONVENTIONS), default=None,
               help="Apply one credit convention to every field.")
-@click.option("--sds-map", "sds_map_path", default=None,
+@click.option("--sds-map", "sds_map_path", type=_INPUT, default=None,
               help="CSV (sds, uda) used to validate roster field codes.")
 @click.option("--exclude-doc-type", "excluded_doc_types", multiple=True,
               help="Document types to drop at ingest (repeatable); "
@@ -145,7 +143,6 @@ def compute(roster_path, pubs_path, window, census_date, conventions_path,
             force_convention, sds_map_path, excluded_doc_types, strict,
             out_path) -> None:
     """Score every rostered professor and percentile-scale the cohorts."""
-    _require_paths(roster_path, pubs_path, conventions_path, sds_map_path)
     window_years = _parse_window(window)
     census = _parse_census(census_date, window_years)
 
@@ -249,7 +246,7 @@ def _spec_from_file(data: dict, overrides: dict) -> ModelSpec:
 
 
 @main.command()
-@click.option("--data", "data_path", required=True,
+@click.option("--data", "data_path", type=_INPUT, required=True,
               help="Directory holding compute output (covariates.csv, percentiles.csv).")
 @click.option("--dependent", type=click.Choice(INDICATORS), default="FSS",
               show_default=True, help="Indicator whose percentile is modeled.")
@@ -257,7 +254,7 @@ def _spec_from_file(data: dict, overrides: dict) -> ModelSpec:
               help="Highest age polynomial degree offered to AIC selection.")
 @click.option("--max-seniority", type=float, default=None,
               help="Keep only professors with seniority strictly below this.")
-@click.option("--spec", "spec_path", default=None,
+@click.option("--spec", "spec_path", type=_INPUT, default=None,
               help="JSON model spec (dependent, covariates, max_seniority); "
                    "flags override its entries.")
 @click.option("--total-only", is_flag=True, help="Skip the per-discipline fits.")
@@ -269,10 +266,6 @@ def _spec_from_file(data: dict, overrides: dict) -> ModelSpec:
 def regress(data_path, dependent, max_degree, max_seniority, spec_path,
             total_only, allow_partial, fmt, out_path) -> None:
     """Fit fractional-logit performance models per discipline and in total."""
-    data = Path(data_path)
-    cov_path, pct_path = data / "covariates.csv", data / "percentiles.csv"
-    _require_paths(data, cov_path, pct_path, spec_path)
-
     # flags override the spec file; the degree comes from AIC selection
     overrides = {}
     if click.get_current_context().get_parameter_source("dependent").name != "DEFAULT":
@@ -285,7 +278,9 @@ def regress(data_path, dependent, max_degree, max_seniority, spec_path,
     else:
         spec = _input_stage("model spec", ModelSpec.from_mapping, overrides)
 
-    frame = _input_stage("regression inputs", _read_frame, cov_path, pct_path)
+    data = Path(data_path)
+    frame = _input_stage("regression inputs", _read_frame, data / "covariates.csv",
+                         data / "percentiles.csv")
     groups = [("Total", frame)]
     if not total_only:
         groups += [(uda, frame.subset(frame.uda == uda))
@@ -337,7 +332,7 @@ def regress(data_path, dependent, max_degree, max_seniority, spec_path,
 
 
 @main.command()
-@click.option("--config", "config_path", default=None,
+@click.option("--config", "config_path", type=_INPUT, default=None,
               help="JSON simulation config; defaults are a realistic cohort.")
 @click.option("--runs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Sign-recovery repetitions (seed advances by 1 per run).")
@@ -352,7 +347,6 @@ def regress(data_path, dependent, max_degree, max_seniority, spec_path,
 def simulate(config_path, runs, seed, n_professors, dependent, max_degree,
              out_path) -> None:
     """Generate a synthetic cohort and measure ground-truth sign recovery."""
-    _require_paths(config_path)
     config = _input_stage("sim config", SimConfig.from_file, config_path) \
         if config_path else SimConfig()
     overrides = {}
@@ -444,12 +438,12 @@ def _positive_finite(ctx, param, value: float) -> float:
 
 
 @main.command("report")
-@click.option("--roster", "roster_path", required=True, help="Roster CSV.")
-@click.option("--indicators", "indicators_path", required=True,
+@click.option("--roster", "roster_path", type=_INPUT, required=True, help="Roster CSV.")
+@click.option("--indicators", "indicators_path", type=_INPUT, required=True,
               help="indicators.csv from a compute run.")
 @click.option("--window", default="2006:2010", show_default=True)
 @click.option("--census-date", default=None)
-@click.option("--totals", "totals_path", default=None,
+@click.option("--totals", "totals_path", type=_INPUT, default=None,
               help="JSON mapping uda -> population headcount for coverage shares.")
 @click.option("--age-bin-width", type=float, default=5.0, show_default=True,
               callback=_positive_finite, help="Histogram bin width in years.")
@@ -459,10 +453,11 @@ def _positive_finite(ctx, param, value: float) -> float:
 def report_cmd(roster_path, indicators_path, window, census_date, totals_path,
                age_bin_width, fmt, out_path) -> None:
     """Descriptive tables, age distributions, and indicator dispersion."""
-    _require_paths(roster_path, indicators_path, totals_path)
     window_years = _parse_window(window)
     census = _parse_census(census_date, window_years)
     roster = _input_stage("roster ingest", ingest_roster, roster_path)
+    if not len(roster):
+        raise click.UsageError(f"roster ingest: {roster.source}: the roster lists no professors")
     index, fss, n_pubs = _input_stage("indicators", _read_indicators, Path(indicators_path))
     totals = _input_stage("totals", read_json_object, totals_path,
                           lambda data: _headcounts(data, roster)) if totals_path else None
@@ -470,12 +465,13 @@ def report_cmd(roster_path, indicators_path, window, census_date, totals_path,
     covariates = _input_stage("roster covariates", derive_covariates, roster, census,
                               window_years)
     rows = np.array([index.get(pid, -1) for pid in roster.ids], dtype=np.int64)
-    missing = np.flatnonzero(rows < 0).tolist()
-    if missing:
-        error = IngestError(roster.source, [
-            f"line {roster.lines[i]}: {roster.ids[i]}: no scores in {indicators_path}"
-            for i in missing])
-        raise click.UsageError(f"indicators: {error}")
+    unscored = RowProblems(roster.source)
+    unscored.start(roster.lines.tolist())
+    unscored.flag(rows < 0, lambda i: f"{roster.ids[i]}: no scores in {indicators_path}")
+    _input_stage("indicators", unscored.raise_any)
+    if len(index) > len(roster):  # ids off the roster, whose lines a second read names
+        _input_stage("indicators", read_columns, indicators_path, [Column(
+            "professor_id", CODE, "unknown professor_id {!r}", codes=dict.fromkeys(roster.ids, 0))])
     fss, inactive = fss[rows], n_pubs[rows] == 0
     ages = covariates["age"]
     histograms = {name: _input_stage("age-bin-width", distribution_histogram, values,

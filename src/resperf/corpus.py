@@ -488,7 +488,7 @@ def read_pairs(path, key_name: str, value_name: str,
     """
     path = Path(path)
     mapping: dict[str, str] = {}
-    problems: list[str] = []
+    problems = RowProblems(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for index, row in enumerate(_checked(reader, path)):
@@ -500,13 +500,12 @@ def read_pairs(path, key_name: str, value_name: str,
             if choices is not None:
                 value = value.lower()
             if len(row) < 2 or not key or (choices is None and not value):
-                problems.append(f"line {line}: expected '{key_name},{value_name}'")
+                problems.found.append((line, f"expected '{key_name},{value_name}'"))
             elif choices is not None and value not in choices:
-                problems.append(f"line {line}: unknown {value_name} {row[1]!r}")
+                problems.found.append((line, f"unknown {value_name} {row[1]!r}"))
             elif mapping.setdefault(key, value) != value:
-                problems.append(f"line {line}: {key_name} {key!r} mapped to two {value_name}s")
-    if problems:
-        raise IngestError(path, problems)
+                problems.found.append((line, f"{key_name} {key!r} mapped to two {value_name}s"))
+    problems.raise_any()
     return mapping
 
 
@@ -949,11 +948,11 @@ def _parts(path: Path, json_lines: bool) -> list[tuple[int, int, int | None]]:
     Lines end where the readers' universal newlines end them, at "\\n",
     "\\r\\n" or a lone "\\r", so each part knows the line it starts on.  A
     CSV file with a '"' before the last cut is read whole, since a quoted
-    line break could span a cut.  Without ``os.fork`` there is one part.
+    line break could span a cut.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     size = path.stat().st_size
-    n = min(cores, size // PART_BYTES) if hasattr(os, "fork") else 1
+    n = min(cores, size // PART_BYTES)
     parts, start, before = [], 0, 0
     with path.open("rb") as fh:
         for k in range(1, n):
@@ -1008,8 +1007,8 @@ def _in_processes(read: Callable, parts: list) -> list:
     the child's traceback as its cause, and RuntimeError for a child that
     ends without a result.  Every child is killed if still running and
     reaped before this returns or raises.  If no pipe or process can be
-    made, the parts not yet forked are read in this process, after the
-    forked ones.
+    made, or ``os.fork`` does not exist, the parts not yet forked are read
+    in this process, after the forked ones.
 
     Children are forked, not spawned: a spawned one would import numpy and
     resperf again (0.13-0.19 s), most of what a part saves.  Forking is
@@ -1022,7 +1021,7 @@ def _in_processes(read: Callable, parts: list) -> list:
         for i, part in enumerate(parts[1:], start=1):
             try:
                 pid, r = _fork(read, part, list(children.values()))
-            except OSError as exc:
+            except (OSError, AttributeError) as exc:  # AttributeError: no os.fork
                 logger.debug("cannot fork a worker (%s): reading parts %d-%d here",
                              exc, i + 1, len(parts))
                 here = parts[i:]
@@ -1057,11 +1056,12 @@ def _in_processes(read: Callable, parts: list) -> list:
 def _fork(read: Callable, part, inherited: list[int]) -> tuple[int, int]:
     """The pid of a forked child that sends ``read(part)`` through a pipe,
     and the pipe's read end; the child closes the ``inherited`` pipe ends.
-    An OSError from the pipe or the fork leaves no pipe end open."""
+    An OSError from the pipe or the fork, or an AttributeError where there
+    is no ``os.fork``, leaves no pipe end open."""
     r, w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except (OSError, AttributeError):
         os.close(r)
         os.close(w)
         raise

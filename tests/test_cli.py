@@ -308,6 +308,21 @@ class TestCompute:
             outputs.append(res.output.replace(str(out), "OUT"))
         assert outputs[0] == outputs[1]
 
+    def test_where_fork_does_not_exist_every_file_is_written_here(self, tiny_files, tmp_path,
+                                                                    monkeypatch):
+        """Without ``os.fork`` compute writes all its files itself, byte for
+        byte as a forked write does."""
+        outputs = []
+        for forked in (True, False):
+            if not forked:
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / f"forked-{forked}"
+            res = invoke("compute", "--roster", tiny_files / "roster.csv",
+                         "--pubs", tiny_files / "pubs.csv", "--out", out)
+            assert res.exit_code == 0, res.output
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
     def test_force_convention_recorded(self, tiny_files, tmp_path):
         out = tmp_path / "out"
         res = invoke("compute", "--roster", tiny_files / "roster.csv",
@@ -633,6 +648,43 @@ def test_json_inputs_may_start_with_a_byte_order_mark(sim_chain, tmp_path, optio
     assert outputs[0] == outputs[1]
 
 
+INPUT_PATH_OPTIONS = {
+    "compute": ("--roster", "--pubs", "--conventions", "--sds-map"),
+    "regress": ("--data", "--spec"),
+    "simulate": ("--config",),
+    "report": ("--roster", "--indicators", "--totals"),
+}
+
+
+@pytest.mark.parametrize("command, option", [(command, option) for command, options in
+                                             INPUT_PATH_OPTIONS.items() for option in options])
+def test_every_input_path_must_exist(sim_chain, tmp_path, command, option):
+    """Each input-path option exits 2 naming a path that does not exist,
+    before any input is read."""
+    comp, sim = sim_chain / "comp", sim_chain / "sim"
+    given = {"--roster": sim / "roster.csv", "--pubs": sim / "publications.csv",
+             "--data": comp, "--indicators": comp / "indicators.csv"}
+    args = [arg for name in INPUT_PATH_OPTIONS[command] if name in given and name != option
+            for arg in (name, given[name])]
+    missing = tmp_path / "nowhere"
+    res = invoke(command, *args, option, missing, "--out", tmp_path / "x")
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{option}': Path '{missing}' does not exist." in res.output
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("name", ["covariates.csv", "percentiles.csv"])
+def test_a_data_directory_missing_a_file_exits_two_naming_it(sim_chain, tmp_path, name):
+    comp = tmp_path / "comp"
+    shutil.copytree(sim_chain / "comp", comp)
+    (comp / name).unlink()
+    res = invoke("regress", "--data", comp, "--out", tmp_path / "x")
+    assert res.exit_code == 2, res.output
+    assert f"regression inputs: [Errno 2] No such file or directory: '{comp / name}'" \
+        in res.output
+    assert not (tmp_path / "x").exists()
+
+
 class TestSimulate:
     def test_artifacts_and_determinism(self, tmp_path):
         config = tmp_path / "sim.json"
@@ -924,6 +976,30 @@ class TestReport:
         assert res.exit_code == 2
         assert "no scores" in res.output
 
+    def test_a_score_for_a_professor_off_the_roster_exits_two(self, sim_chain, tmp_path):
+        indicators = tmp_path / "indicators.csv"
+        shutil.copy(sim_chain / "comp" / "indicators.csv", indicators)
+        with indicators.open("a", newline="") as fh:
+            fh.write("ZZZ999,MAT/01,1.0,1.0,,,1,0\r\n")
+        n = len(indicators.read_text().splitlines())
+        res = invoke("report", "--roster", sim_chain / "sim" / "roster.csv",
+                     "--indicators", indicators, "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert res.output.endswith(
+            f"Error: indicators: {indicators}: line {n}: unknown professor_id 'ZZZ999'\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_a_roster_with_no_professors_exits_two_naming_it(self, sim_chain, tmp_path):
+        roster = tmp_path / "roster.csv"
+        roster.write_text((sim_chain / "sim" / "roster.csv").read_text().splitlines()[0] + "\n")
+        res = invoke("report", "--roster", roster,
+                     "--indicators", sim_chain / "comp" / "indicators.csv",
+                     "--out", tmp_path / "x")
+        assert res.exit_code == 2, res.output
+        assert f"Error: roster ingest: {roster}: the roster lists no professors\n" \
+            in res.output
+        assert not (tmp_path / "x").exists()
+
     def test_a_carriage_return_in_a_csv_cell_reads_back(self, tiny_files, tmp_path):
         roster, _ = build_tiny_world()
         write_roster(tmp_path / "roster.csv",
@@ -1044,6 +1120,31 @@ def test_no_command_imports_numpy_ma(tiny_files, sim_chain, tmp_path):
         proc = run_tree([sys.executable, "-c", code, *args, "--out", tmp_path / args[0]])
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "numpy.ma loaded: False", (args[0], proc.stderr)
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tiny_files, tmp_path, monkeypatch):
+    """Byline authors are checked for repeats by their hash; compute gives
+    the same exit code, stdout, stderr and files under every hash seed, on
+    the tiny world and on a corpus that names a rostered author twice."""
+    twice = tmp_path / "twice.csv"
+    lines = (tiny_files / "pubs.csv").read_text().splitlines(keepends=True)
+    assert lines[2].count("P1@U1") == 1
+    twice.write_text("".join([*lines[:2], lines[2].replace("P1@U1", "P1@U1;P1@U5"),
+                              *lines[3:]]))
+    for pubs, code in ((tiny_files / "pubs.csv", 0), (twice, 2)):
+        runs = []
+        for seed in ("0", "1", "2"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            out = tmp_path / pubs.stem / seed
+            proc = run_tree([sys.executable, "-m", "resperf.cli", "compute",
+                             "--roster", tiny_files / "roster.csv", "--pubs", pubs,
+                             "--out", out])
+            files = {path.name: path.read_bytes() for path in out.iterdir()} \
+                if out.exists() else {}
+            runs.append((proc.returncode, proc.stdout, proc.stderr, files))
+        assert runs[0][0] == code, runs[0][2]
+        assert runs[0] == runs[1] == runs[2]
+    assert "line 3: author 'P1' appears twice on the byline" in runs[0][2]
 
 
 def write_console_script(bin_dir, name):

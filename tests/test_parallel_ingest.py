@@ -416,6 +416,16 @@ class TestWorkers:
         assert len(os.listdir("/proc/self/fd")) == open_fds
         assert_no_child_left()
 
+    def test_parts_are_read_here_where_fork_does_not_exist(self, pubs, monkeypatch):
+        """A missing ``os.fork`` leaves every part to the calling process,
+        as an OSError from it does."""
+        monkeypatch.delattr(os, "fork")
+        open_fds = len(os.listdir("/proc/self/fd"))
+        in_parts, whole, reference, parts = three_ways(pubs, 3)
+        assert parts == 3 and in_parts == whole == reference
+        assert in_parts[0] == "columns"
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
 
 def test_parts_are_logged_at_debug_level(tmp_path, caplog):
     path = tmp_path / "pubs.jsonl"
